@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 def _default_mode():
     mode = os.environ.get("DFA_MODE", "exact")
     if mode not in ("exact", "float"):
-        raise SystemExit(f"DFA_MODE must be 'exact' or 'float', got {mode!r}")
+        raise ValueError(f"DFA_MODE must be 'exact' or 'float', got {mode!r}")
     return mode
 
 
@@ -107,10 +107,10 @@ def _fail(msg):
 
 def cmd_generate(args) -> int:
     field = args.scalar
-    if field is None:
-        field = scalars.FLOAT64 if _default_mode() == "float" else scalars.RATIONAL
     n = args.n
     try:
+        if field is None:
+            field = scalars.FLOAT64 if _default_mode() == "float" else scalars.RATIONAL
         if args.kind in ("general", "symmetric", "skew"):
             obj = random_bilinear(n, args.seed, args.kind, field)
         elif args.kind == "bianchi":
@@ -197,7 +197,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mode = args.mode or _default_mode()
+    try:
+        mode = args.mode or _default_mode()
+    except ValueError as exc:
+        return _fail(str(exc))
     try:
         lo, _, hi = args.n_range.partition(":")
         lo, hi = int(lo), int(hi or lo)
@@ -206,6 +209,8 @@ def cmd_verify(args) -> int:
         return _fail(f"bad --n-range or --seeds")
     if lo < 2 or hi < lo:
         return _fail(f"bad dimension range {args.n_range!r}")
+    if not seeds:
+        return _fail(f"--seeds names no seed: {args.seeds!r}")
     field = scalars.FLOAT64 if mode == "float" else scalars.RATIONAL
     fixture_sets = [suite_fixtures(n, seed, field)
                     for n in range(lo, hi + 1) for seed in seeds]
@@ -285,8 +290,6 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "pfaffian":
             return cmd_pfaffian(args)
-    except SystemExit:
-        raise
     except TensorFormatError as exc:
         return _fail(str(exc))
     raise AssertionError("unreachable")

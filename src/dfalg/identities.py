@@ -16,7 +16,6 @@ from . import scalars
 from .dform import (
     DoubleForm,
     compose,
-    compose_power,
     contract,
     contract_iter,
     hodge,
@@ -27,7 +26,7 @@ from .dform import (
     wedge,
     wedge_power,
 )
-from .invariants import h_2k, h_rpq, power_sums, s_all, s_k, s_rq, t_k
+from .invariants import h_2k, h_rpq, power_sums, s_k, s_rq, t_k, t_or_top
 
 
 @dataclass
@@ -89,6 +88,31 @@ def _vanishing(name, params, value, formula, field, n) -> IdentityResidual:
     return _record(name, params, value, _zero_like(value, n, field), formula, field)
 
 
+def _contraction_norms(wq: DoubleForm, top: int):
+    """sum_(r <= top) (-1)^(r+top)/(r!)^2 |c^r wq|^2, one contraction a term."""
+    total = 0
+    c = wq
+    for r in range(top + 1):
+        total += Fraction((-1) ** (r + top), factorial(r) ** 2) * inner(c, c)
+        if r < top:
+            c = contract(c)
+    return total
+
+
+def _gauss_bonnet_tail(R: DoubleForm, k: int):
+    """The last three contractions of R^k paired with R, cR and c^2R/2:
+
+    <c^(2k-2)R^k/(2k-2)!, R> - <c^(2k-1)R^k/(2k-1)!, cR> + <c^(2k)R^k/(2k)!, c^2R/2>
+    """
+    cR = contract(R)
+    c = contract_iter(wedge_power(R, k), 2 * k - 2)
+    total = inner(c * Fraction(1, factorial(2 * k - 2)), R)
+    c = contract(c)
+    total -= inner(c * Fraction(1, factorial(2 * k - 1)), cR)
+    c = contract(c)
+    return total + inner(c * Fraction(1, factorial(2 * k)), contract(cR) * Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # bilinear-form identities
 
@@ -96,12 +120,8 @@ def _vanishing(name, params, value, formula, field, n) -> IdentityResidual:
 def check_cayley_hamilton(h: DoubleForm) -> IdentityResidual:
     """t_n(h) = sum_r (-1)^r s_(n-r)(h) (h^t)^(o r) vanishes."""
     n = h.n
-    ss = s_all(h)
-    ht = transpose(h)
-    acc = DoubleForm.zeros(n, 1, 1, h.field)
-    for r in range(n + 1):
-        acc = acc + ((-1) ** r * ss[n - r]) * compose_power(ht, r)
-    return _vanishing("cayley_hamilton", {"n": n}, acc, "t_n(h) = 0", h.field, n)
+    return _vanishing("cayley_hamilton", {"n": n}, t_or_top(h, n), "t_n(h) = 0",
+                      h.field, n)
 
 
 def check_general_CH(h: DoubleForm, r: int, i: int) -> IdentityResidual:
@@ -215,11 +235,7 @@ def check_s2q_formula(h: DoubleForm, q: int) -> IdentityResidual:
     if n < 2 * q:
         raise ValueError(f"s_2q needs n >= 2q, got n = {n}, q = {q}")
     lhs = factorial(2 * q) * s_k(h, 2 * q)
-    hq = wedge_power(h, q)
-    rhs = 0
-    for r in range(q + 1):
-        c = contract_iter(hq, r)
-        rhs += Fraction((-1) ** (r + q), factorial(r) ** 2) * inner(c, c)
+    rhs = _contraction_norms(wedge_power(h, q), q)
     return _record("s2q_contraction_formula", {"n": n, "q": q}, lhs, rhs,
                    "(2q)! s_2q(h) = sum_r (-1)^(r+q)/(r!)^2 |c^r h^q|^2", h.field)
 
@@ -233,11 +249,7 @@ def check_Tn(R: DoubleForm) -> IdentityResidual:
     n = R.n
     if n % 2:
         raise ValueError("T_n(R) = 0 is an even-dimension identity")
-    k = n // 2
-    Rk = wedge_power(R, k)
-    val = wedge(metric(n, R.field),
-                contract_iter(Rk, n)) * Fraction(1, factorial(n)) \
-        - contract_iter(Rk, n - 1) * Fraction(1, factorial(n - 1))
+    val = h_rpq(R, 1, 2, n // 2, path="contraction")
     return _vanishing("lovelock_top_even", {"n": n}, val, "T_n(R) = 0", R.field, n)
 
 
@@ -246,11 +258,7 @@ def check_Nn(R: DoubleForm) -> IdentityResidual:
     n = R.n
     if n % 2:
         raise ValueError("N_n(R) = 0 is an even-dimension identity")
-    k = n // 2
-    Rk = wedge_power(R, k)
-    val = contract_iter(Rk, n - 2) * Fraction(1, factorial(n - 2)) \
-        - wedge(metric(n, R.field), contract_iter(Rk, n - 1)) * Fraction(1, factorial(n - 1)) \
-        + wedge(metric_power(n, 2, R.field), contract_iter(Rk, n)) * Fraction(1, 2 * factorial(n))
+    val = h_rpq(R, 2, 2, n // 2, path="contraction")
     return _vanishing("second_cofactor_top_even", {"n": n}, val, "N_n(R) = 0",
                       R.field, n)
 
@@ -260,11 +268,7 @@ def check_Nn_minus_1(R: DoubleForm) -> IdentityResidual:
     n = R.n
     if n % 2 == 0 or n < 3:
         raise ValueError("N_(n-1)(R) = 0 is an odd-dimension identity, n >= 3")
-    k = (n - 1) // 2
-    Rk = wedge_power(R, k)
-    val = contract_iter(Rk, n - 3) * Fraction(1, factorial(n - 3)) \
-        - wedge(metric(n, R.field), contract_iter(Rk, n - 2)) * Fraction(1, factorial(n - 2)) \
-        + wedge(metric_power(n, 2, R.field), contract_iter(Rk, n - 1)) * Fraction(1, 2 * factorial(n - 1))
+    val = h_rpq(R, 2, 2, (n - 1) // 2, path="contraction")
     return _vanishing("second_cofactor_top_odd", {"n": n}, val, "N_(n-1)(R) = 0",
                       R.field, n)
 
@@ -274,12 +278,7 @@ def check_scalar_identity(R: DoubleForm) -> IdentityResidual:
     n = R.n
     if n % 2 == 0 or n < 3:
         raise ValueError("the scalar identity needs odd dimension n >= 3")
-    k = (n - 1) // 2
-    Rk = wedge_power(R, k)
-    val = inner(contract_iter(Rk, n - 3) * Fraction(1, factorial(n - 3)), R) \
-        - inner(contract_iter(Rk, n - 2) * Fraction(1, factorial(n - 2)), contract(R)) \
-        + inner(contract_iter(Rk, n - 1) * Fraction(1, factorial(n - 1)),
-                contract_iter(R, 2) * Fraction(1, 2))
+    val = _gauss_bonnet_tail(R, (n - 1) // 2)
     return _vanishing("odd_scalar_identity", {"n": n}, val,
                       "<c^(n-3)R^k/(n-3)!, R> - <c^(n-2)R^k/(n-2)!, cR> "
                       "+ <c^(n-1)R^k/(n-1)!, c^2R/2> = 0", R.field, n)
@@ -335,13 +334,7 @@ def check_h2k2_corollary(R: DoubleForm, k: int) -> IdentityResidual:
     if not 4 <= 2 * k + 2 <= n:
         raise ValueError(f"order 2k+2 = {2 * k + 2} out of range [4, {n}]")
     lhs = h_2k(R, k + 1, path="hodge")
-    Rk = wedge_power(R, k)
-    h2k_val = contract_iter(Rk, 2 * k).scalar() * Fraction(1, factorial(2 * k))
-    h2 = contract_iter(R, 2).scalar() * Fraction(1, 2)
-    rhs = inner(contract_iter(Rk, 2 * k - 2) * Fraction(1, factorial(2 * k - 2)), R) \
-        - inner(contract_iter(Rk, 2 * k - 1) * Fraction(1, factorial(2 * k - 1)),
-                contract(R)) \
-        + h2k_val * h2
+    rhs = _gauss_bonnet_tail(R, k)
     return _record("gauss_bonnet_recursion", {"n": n, "k": k}, lhs, rhs,
                    "h_(2k+2) = <c^(2k-2)R^k/(2k-2)!, R> - <c^(2k-1)R^k/(2k-1)!, cR> "
                    "+ h_2k h_2", R.field)
@@ -353,11 +346,7 @@ def check_general_avez(R: DoubleForm, q: int) -> IdentityResidual:
     if n < 4 * q:
         raise ValueError(f"the h_4q formula needs n >= 4q = {4 * q}")
     lhs = h_2k(R, 2 * q, path="hodge")
-    Rq = wedge_power(R, q)
-    rhs = 0
-    for r in range(2 * q + 1):
-        c = contract_iter(Rq, r)
-        rhs += Fraction((-1) ** r, factorial(r) ** 2) * inner(c, c)
+    rhs = _contraction_norms(wedge_power(R, q), 2 * q)
     return _record("general_avez", {"n": n, "q": q}, lhs, rhs,
                    "h_4q(R) = sum_r (-1)^r/(r!)^2 |c^r R^q|^2", R.field)
 
@@ -409,10 +398,7 @@ def check_general_laplace_pp(w: DoubleForm, q: int) -> IdentityResidual:
         * Fraction(1, factorial(2 * pq))
     wq = wedge_power(w, q)
     b = inner(h_rpq(w, pq, p, q, path="hodge"), wq)
-    c = 0
-    for r in range(pq + 1):
-        cr = contract_iter(wq, r)
-        c += Fraction((-1) ** (r + pq), factorial(r) ** 2) * inner(cr, cr)
+    c = _contraction_norms(wq, pq)
     worst = max(_scale_of(a - b), _scale_of(a - c))
     rec = IdentityResidual("laplace_pp", {"n": n, "p": p, "q": q}, worst,
                            worst == 0,

@@ -5,11 +5,13 @@ transformations t_k and s_(r,q) of bilinear forms, Gauss-Bonnet scalars
 h_2k with their Einstein-Lovelock cofactors T_2k and N_2k for (2,2)
 forms, and the general (r, pq) cofactors of (p,p) forms.
 
-Every family has a Hodge-star definition and an equivalent expansion in
-powers of the metric and contractions; both paths are implemented and, on
-the overlap of their domains, must agree.  The contraction path is the one
-that extends the transformations past the top degree, which is where the
-generalized vanishing identities live (module identities).
+Every family is a normalised specialisation of the (r, pq) cofactor
+h_(r,pq)(w) = *(g^(n-pq-r) w^q)/(n-pq-r)!, and h_rpq is the only code
+that computes one: it has one Hodge-star path and one equivalent series
+in powers of the metric and contractions.  The two paths are independent
+and, on the overlap of their domains, must agree.  The contraction path
+is the one that extends the transformations past the top degree, which
+is where the generalized vanishing identities live (module identities).
 """
 
 from __future__ import annotations
@@ -51,6 +53,44 @@ def is_symmetric(w):
 
 
 # ---------------------------------------------------------------------------
+# the (r, pq) cofactor, which every family below specialises
+
+
+def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleForm:
+    """(r, pq) cofactor transformation of a symmetric (p, p) Bianchi form.
+
+    h_(r,pq)(w) = *(g^(n-pq-r) w^q)/(n-pq-r)! on the Hodge-star path.  The
+    contraction path sums (-1)^(i+pq)/(i! m!) g^m c^i(w^q) with
+    m = r - pq + i, which extends r past n - pq.  Specializations: p = 1
+    gives q! s_(r,q); p = 2 gives h_2q, T_2q, N_2q at r = 0, 1, 2.
+    """
+    _check_square(w, p)
+    n = w.n
+    pq = p * q
+    if r < 0 or q < 0 or pq > n:
+        raise ValueError(f"(r, pq) = ({r}, {pq}) out of range for dimension {n}")
+    if path == "auto":
+        path = "hodge" if r <= n - pq else "contraction"
+    if path == "hodge":
+        if r > n - pq:
+            raise ValueError(f"Hodge-star path needs r <= n - pq = {n - pq}, got {r}")
+        out = wedge(metric_power(n, n - pq - r, w.field), wedge_power(w, q))
+        return hodge(out) * Fraction(1, factorial(n - pq - r))
+    if path == "contraction":
+        out = DoubleForm.zeros(n, r, r, w.field)
+        first = max(0, pq - r)
+        ci = contract_iter(wedge_power(w, q), first)
+        for i in range(first, min(pq, n + pq - r) + 1):  # 0 <= m <= n
+            m = r - pq + i
+            out = out + wedge(metric_power(n, m, w.field), ci) \
+                * Fraction((-1) ** (i + pq), factorial(i) * factorial(m))
+            if i < pq:
+                ci = contract(ci)
+        return out
+    raise ValueError(f"unknown path {path!r}")
+
+
+# ---------------------------------------------------------------------------
 # characteristic coefficients of bilinear forms
 
 
@@ -60,15 +100,7 @@ def s_k(h: DoubleForm, k: int, path: str = "hodge"):
     n = h.n
     if not 0 <= k <= n:
         raise ValueError(f"s_k order {k} out of range [0, {n}]")
-    if k == 0:
-        return scalars.coerce(1, h.field)
-    if path == "hodge":
-        w = wedge(metric_power(n, n - k, h.field), wedge_power(h, k))
-        return (hodge(w) * Fraction(1, factorial(k) * factorial(n - k))).scalar()
-    if path == "contraction":
-        return (contract_iter(wedge_power(h, k), k)
-                * Fraction(1, factorial(k) ** 2)).scalar()
-    raise ValueError(f"unknown path {path!r}")
+    return s_rq(h, 0, k, path).scalar()
 
 
 def s_all(h: DoubleForm, path: str = "hodge"):
@@ -98,46 +130,24 @@ def t_k(h: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
     n = h.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"t_k order {k} out of range [0, {n - 1}]")
-    if path == "hodge":
-        w = wedge(metric_power(n, n - 1 - k, h.field), wedge_power(h, k))
-        return hodge(w) * Fraction(1, factorial(k) * factorial(n - 1 - k))
-    if path == "contraction":
-        return s_rq(h, 1, k, path="contraction")
-    raise ValueError(f"unknown path {path!r}")
+    return s_rq(h, 1, k, path)
 
 
 def s_rq(h: DoubleForm, r: int, q: int, path: str = "auto") -> DoubleForm:
     """(r, q) cofactor transformation of a bilinear form, an (r, r) form.
 
-    The Hodge-star definition covers r <= n - q; the expansion in metric
-    powers and contractions extends it to all r <= n, which is required by
-    the generalized vanishing theorems.  The extension assumes h symmetric.
+    s_(r,q)(h) = h_(r,1q)(h)/q!.  The Hodge-star definition covers
+    r <= n - q; the expansion in metric powers and contractions extends it
+    to all r <= n, which is required by the generalized vanishing theorems.
+    The extension assumes h symmetric.
     """
     _check_bilinear(h)
     n = h.n
     if not (0 <= q <= n and 0 <= r <= n):
         raise ValueError(f"(r, q) = ({r}, {q}) out of range for dimension {n}")
-    if path == "auto":
-        path = "hodge" if r <= n - q else "contraction"
-    if path == "hodge":
-        if r > n - q:
-            raise ValueError(f"Hodge-star path needs r <= n - q, got ({r}, {q})")
-        w = wedge(metric_power(n, n - q - r, h.field), wedge_power(h, q))
-        return hodge(w) * Fraction(1, factorial(q) * factorial(n - q - r))
-    if path == "contraction":
-        if r > n - q and not is_symmetric(h):
-            raise ValueError("the extended (r, q) cofactor assumes a symmetric form")
-        out = DoubleForm.zeros(n, r, r, h.field)
-        hq = wedge_power(h, q)
-        for i in range(max(0, q - r), q + 1):
-            m = i + r - q
-            if m > n:
-                continue
-            coeff = Fraction((-1) ** (i + q), factorial(i) * factorial(q) * factorial(m))
-            term = wedge(metric_power(n, m, h.field), contract_iter(hq, i))
-            out = out + term * coeff
-        return out
-    raise ValueError(f"unknown path {path!r}")
+    if r > n - q and path != "hodge" and not is_symmetric(h):
+        raise ValueError("the extended (r, q) cofactor assumes a symmetric form")
+    return h_rpq(h, r, 1, q, path) * Fraction(1, factorial(q))
 
 
 def power_sums(h: DoubleForm, r: int):
@@ -175,15 +185,7 @@ def h_2k(R: DoubleForm, k: int, path: str = "hodge"):
     n = R.n
     if not 0 <= 2 * k <= n:
         raise ValueError(f"h_2k order 2k = {2 * k} out of range [0, {n}]")
-    if k == 0:
-        return scalars.coerce(1, R.field)
-    if path == "hodge":
-        w = wedge(metric_power(n, n - 2 * k, R.field), wedge_power(R, k))
-        return (hodge(w) * Fraction(1, factorial(n - 2 * k))).scalar()
-    if path == "contraction":
-        return (contract_iter(wedge_power(R, k), 2 * k)
-                * Fraction(1, factorial(2 * k))).scalar()
-    raise ValueError(f"unknown path {path!r}")
+    return h_rpq(R, 0, 2, k, path).scalar()
 
 
 def T_2k(R: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
@@ -192,16 +194,7 @@ def T_2k(R: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
     n = R.n
     if not 2 <= 2 * k <= n - 1:
         raise ValueError(f"T_2k order 2k = {2 * k} out of range [2, {n - 1}]")
-    if path == "hodge":
-        w = wedge(metric_power(n, n - 2 * k - 1, R.field), wedge_power(R, k))
-        return hodge(w) * Fraction(1, factorial(n - 2 * k - 1))
-    if path == "contraction":
-        Rk = wedge_power(R, k)
-        first = wedge(metric(n, R.field),
-                      contract_iter(Rk, 2 * k)) * Fraction(1, factorial(2 * k))
-        second = contract_iter(Rk, 2 * k - 1) * Fraction(1, factorial(2 * k - 1))
-        return first - second
-    raise ValueError(f"unknown path {path!r}")
+    return h_rpq(R, 1, 2, k, path)
 
 
 def N_2k(R: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
@@ -210,50 +203,7 @@ def N_2k(R: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
     n = R.n
     if not 2 <= 2 * k <= n - 2:
         raise ValueError(f"N_2k order 2k = {2 * k} out of range [2, {n - 2}]")
-    if path == "hodge":
-        w = wedge(metric_power(n, n - 2 * k - 2, R.field), wedge_power(R, k))
-        return hodge(w) * Fraction(1, factorial(n - 2 * k - 2))
-    if path == "contraction":
-        Rk = wedge_power(R, k)
-        first = contract_iter(Rk, 2 * k - 2) * Fraction(1, factorial(2 * k - 2))
-        second = wedge(metric(n, R.field), contract_iter(Rk, 2 * k - 1)) \
-            * Fraction(1, factorial(2 * k - 1))
-        third = wedge(metric_power(n, 2, R.field), contract_iter(Rk, 2 * k)) \
-            * Fraction(1, 2 * factorial(2 * k))
-        return first - second + third
-    raise ValueError(f"unknown path {path!r}")
-
-
-def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleForm:
-    """(r, pq) cofactor transformation of a symmetric (p, p) Bianchi form.
-
-    Specializations: p = 1 gives q! s_(r,q); p = 2 gives h_2q, T_2q, N_2q
-    at r = 0, 1, 2.  The contraction expansion extends r past n - pq.
-    """
-    _check_square(w, p)
-    n = w.n
-    pq = p * q
-    if r < 0 or q < 0 or pq > n:
-        raise ValueError(f"(r, pq) = ({r}, {pq}) out of range for dimension {n}")
-    if path == "auto":
-        path = "hodge" if r <= n - pq else "contraction"
-    if path == "hodge":
-        if r > n - pq:
-            raise ValueError(f"Hodge-star path needs r <= n - pq = {n - pq}, got {r}")
-        out = wedge(metric_power(n, n - pq - r, w.field), wedge_power(w, q))
-        return hodge(out) * Fraction(1, factorial(n - pq - r))
-    if path == "contraction":
-        out = DoubleForm.zeros(n, r, r, w.field)
-        wq = wedge_power(w, q)
-        for i in range(max(0, pq - r), pq + 1):
-            m = r - pq + i
-            if m > n:
-                continue
-            coeff = Fraction((-1) ** (i + pq), factorial(i) * factorial(m))
-            out = out + wedge(metric_power(n, m, w.field),
-                              contract_iter(wq, i)) * coeff
-        return out
-    raise ValueError(f"unknown path {path!r}")
+    return h_rpq(R, 2, 2, k, path)
 
 
 def g_power_star_expansion(w: DoubleForm, m: int) -> DoubleForm:
@@ -264,13 +214,7 @@ def g_power_star_expansion(w: DoubleForm, m: int) -> DoubleForm:
     k = m + p
     if not p <= k <= n:
         raise ValueError(f"total degree {k} out of range [{p}, {n}]")
-    out = DoubleForm.zeros(n, n - k, n - k, w.field)
-    for r in range(max(0, p - n + k), p + 1):
-        mm = n - k - p + r
-        coeff = Fraction((-1) ** (r + p), factorial(r) * factorial(mm))
-        out = out + wedge(metric_power(n, mm, w.field),
-                          contract_iter(w, r)) * coeff
-    return out
+    return h_rpq(w, n - k, p, 1, "contraction")
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +338,8 @@ def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
     if not 1 <= 2 * k <= R0.n:
         raise ValueError(f"order 2k = {2 * k} out of range [2, {R0.n}]")
     lhs = poly_coeff_of_t(lambda t: h_2k(R0 + t * V, k), k)
-    if k == 1:
-        # N_0 = g^2/2
-        N = metric_power(R0.n, 2, R0.field) * Fraction(1, 2)
-    else:
-        N = N_2k(R0, k - 1)
-    rhs = inner(k * N, V)
+    # N_(2k-2) = h_(2,2(k-1)), which N_2k's range leaves out at k = 1: N_0 = g^2/2
+    rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V)
     return lhs, rhs
 
 
@@ -411,26 +351,23 @@ def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
 # derivative at t = 0 comes out of exact interpolation of N and det(G).
 
 
+def _full_metric_contraction(w: DoubleForm, G: DoubleForm, weight: Fraction):
+    """weight times c_G^p(w) of a (p, p) form, a scalar."""
+    for _ in range(w.p):
+        w = contract_with_metric(w, G)
+    return (w * weight).scalar()
+
+
 def s_k_metric(h: DoubleForm, G: DoubleForm, k: int):
     """s_k of h measured in the metric G: full G-contraction of h^k."""
     _check_bilinear(h)
-    if k == 0:
-        return scalars.coerce(1, h.field)
-    acc = wedge_power(h, k)
-    for _ in range(k):
-        acc = contract_with_metric(acc, G)
-    return (acc * Fraction(1, factorial(k) ** 2)).scalar()
+    return _full_metric_contraction(wedge_power(h, k), G, Fraction(1, factorial(k) ** 2))
 
 
 def h_2k_metric(R: DoubleForm, G: DoubleForm, k: int):
     """h_2k of R measured in the metric G: full G-contraction of R^k."""
     _check_square(R, 2)
-    if k == 0:
-        return scalars.coerce(1, R.field)
-    acc = wedge_power(R, k)
-    for _ in range(2 * k):
-        acc = contract_with_metric(acc, G)
-    return (acc * Fraction(1, factorial(2 * k))).scalar()
+    return _full_metric_contraction(wedge_power(R, k), G, Fraction(1, factorial(2 * k)))
 
 
 def _det_bilinear(G: DoubleForm):
@@ -530,9 +467,6 @@ def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm
     num_degree = 2 * k * (n - 1) + k
     lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, 2 * k,
                                        num_degree, n)
-    if k == 1:
-        N = metric_power(n, 2, R0.field) * Fraction(1, 2)
-    else:
-        N = N_2k(R0, k - 1)
-    rhs = inner(k * N, V) + inner(T_2k(R0, k) - h_2k(R0, k) * metric(n, R0.field), w)
+    rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V) \
+        + inner(T_2k(R0, k) - h_2k(R0, k) * metric(n, R0.field), w)
     return lhs, rhs

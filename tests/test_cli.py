@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import comb, factorial
@@ -228,6 +229,39 @@ def test_verify_bad_range_exits_2(capsys):
     assert run_cli(capsys, "verify", "--n-range", "six")[0] == 2
     assert run_cli(capsys, "verify", "--n-range", "4:2")[0] == 2
     assert run_cli(capsys, "verify", "--n-range", "2:3", "--seeds", "a,b")[0] == 2
+
+
+def test_verify_bogus_env_mode_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("DFA_MODE", "bogus")
+    for argv in (("verify", "--n-range", "2:2"), ("generate", "--kind", "symmetric",
+                                                  "--n", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dfalg: error: DFA_MODE")
+
+
+def test_verify_empty_seed_list_exits_2(capsys):
+    for seeds in ("", ","):
+        code, out, err = run_cli(capsys, "verify", "--n-range", "2:2", "--seeds", seeds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dfalg: error:")
+
+
+# sha256 of the stdout of `dfalg verify --n-range 2:5 --seeds 1 --mode exact`
+# (1375 checks).  It guards refactors that must leave every number alone.
+VERIFY_2_5_SHA256 = "59a2a243da368d2a4b902b1687a19c34169be484f3bce4b3fc6dc0409ac046c6"
+
+
+def test_verify_exact_report_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "2:5", "--seeds", "1",
+                           "--mode", "exact")
+    assert code == 0
+    assert json.loads(out)["summary"]["checks"] == 1375
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_5_SHA256, (
+        "the exact verify report changed; if the change to the report is "
+        "intended, update VERIFY_2_5_SHA256 and say so in CHANGES.md")
 
 
 def test_verify_exit_one_on_asserted_failure(monkeypatch, capsys):

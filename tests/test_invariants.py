@@ -9,6 +9,7 @@ from dfalg import invariants as inv, oracle
 from dfalg.dform import (
     DoubleForm,
     contract,
+    contract_iter,
     hodge,
     inner,
     metric,
@@ -358,6 +359,84 @@ def test_h_rpq_dual_paths_33():
     w = random_bianchi(n, 3, 2, seed=105)
     for r in range(0, n - 3 + 1):
         assert inv.h_rpq(w, r, 3, 1, "hodge") == inv.h_rpq(w, r, 3, 1, "contraction")
+
+
+# -- the one contraction series against hand-written expansions ------------------------
+#
+# Each reference below writes one family's metric-power/contraction expansion
+# out term by term, calling contract_iter afresh for every power of c, so it
+# shares no summation code with h_rpq.
+
+
+def _s_rq_series(h, r, q):
+    n = h.n
+    out = DoubleForm.zeros(n, r, r)
+    hq = wedge_power(h, q)
+    for i in range(max(0, q - r), q + 1):
+        m = i + r - q
+        if m > n:
+            continue
+        coeff = Fraction((-1) ** (i + q), factorial(i) * factorial(q) * factorial(m))
+        out = out + wedge(metric_power(n, m), contract_iter(hq, i)) * coeff
+    return out
+
+
+def _T_series(R, k):
+    Rk = wedge_power(R, k)
+    return wedge(metric(R.n), contract_iter(Rk, 2 * k)) * Fraction(1, factorial(2 * k)) \
+        - contract_iter(Rk, 2 * k - 1) * Fraction(1, factorial(2 * k - 1))
+
+
+def _N_series(R, k):
+    n = R.n
+    Rk = wedge_power(R, k)
+    return contract_iter(Rk, 2 * k - 2) * Fraction(1, factorial(2 * k - 2)) \
+        - wedge(metric(n), contract_iter(Rk, 2 * k - 1)) * Fraction(1, factorial(2 * k - 1)) \
+        + wedge(metric_power(n, 2), contract_iter(Rk, 2 * k)) * Fraction(1, 2 * factorial(2 * k))
+
+
+def _g_power_star_series(w, m):
+    n, p = w.n, w.p
+    k = m + p
+    out = DoubleForm.zeros(n, n - k, n - k)
+    for r in range(max(0, p - n + k), p + 1):
+        mm = n - k - p + r
+        coeff = Fraction((-1) ** (r + p), factorial(r) * factorial(mm))
+        out = out + wedge(metric_power(n, mm), contract_iter(w, r)) * coeff
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_s_rq_contraction_matches_hand_written_series(n):
+    h = random_bilinear(n, 2200 + n, "symmetric")
+    for q in range(n + 1):
+        for r in range(n + 1):
+            assert inv.s_rq(h, r, q, "contraction") == _s_rq_series(h, r, q)
+    for k in range(n + 1):
+        assert inv.s_k(h, k, "contraction") == _s_rq_series(h, 0, k).scalar()
+    for k in range(n):
+        assert inv.t_k(h, k, "contraction") == _s_rq_series(h, 1, k)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_T_N_contraction_match_hand_written_series(n):
+    R = random_bianchi(n, 2, 2, seed=2300 + n)
+    # up to the top degree 2k = n, where h_rpq extends T_2k and N_2k
+    for k in range(1, n // 2 + 1):
+        assert inv.h_rpq(R, 1, 2, k, "contraction") == _T_series(R, k)
+        assert inv.h_rpq(R, 2, 2, k, "contraction") == _N_series(R, k)
+    for k in range(1, (n - 1) // 2 + 1):
+        assert inv.T_2k(R, k, "contraction") == _T_series(R, k)
+    for k in range(1, (n - 2) // 2 + 1):
+        assert inv.N_2k(R, k, "contraction") == _N_series(R, k)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_g_power_star_expansion_matches_hand_written_series(n):
+    for p in range(1, min(n, 3) + 1):
+        w = random_bianchi(n, p, 2, seed=2400 + 10 * n + p)
+        for m in range(n - p + 1):
+            assert inv.g_power_star_expansion(w, m) == _g_power_star_series(w, m)
 
 
 # -- Jacobi ---------------------------------------------------------------------------
