@@ -23,7 +23,6 @@ from .multiindex import (
     merge_sign_tuple,
     merge_table,
     rank_tuple,
-    split_table,
     subsets,
 )
 
@@ -175,66 +174,40 @@ def wedge(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     """Exterior product of double forms (slot-wise wedge, shuffle signs)."""
     w1._check_compatible(w2)
     n = w1.n
-    P, Q = w1.p + w2.p, w1.q + w2.q
-    out = DoubleForm.zeros(n, P, Q, w1.field)
-    if P > n or Q > n:
-        return out
-    nnz1 = sum(1 for v in w1.mat.flat if v != 0)
-    nnz2 = sum(1 for v in w2.mat.flat if v != 0)
-    gather_cost = comb(n, P) * comb(n, Q) * comb(P, w1.p) * comb(Q, w1.q)
-    if nnz1 * nnz2 <= gather_cost:
-        _wedge_scatter(w1, w2, out)
-    else:
-        _wedge_gather(w1, w2, out)
+    out = DoubleForm.zeros(n, w1.p + w2.p, w1.q + w2.q, w1.field)
+    if out.p <= n and out.q <= n:
+        _wedge(n, w1.mat, w1.bidegree, w2.mat, w2.bidegree, out.mat)
     return out
 
 
-def _wedge_scatter(w1, w2, out):
-    n = w1.n
-    rows = merge_table(n, w1.p, w2.p)
-    cols = merge_table(n, w1.q, w2.q)
-    m1, m2, mo = w1.mat, w2.mat, out.mat
-    for (i1, j1), v1 in np.ndenumerate(m1):
-        if v1 == 0:
-            continue
-        rrow = rows[i1]
-        rcol = cols[j1]
-        for (i2, j2), v2 in np.ndenumerate(m2):
-            if v2 == 0:
-                continue
-            mr = rrow[i2]
-            if mr is None:
-                continue
-            mc = rcol[j2]
-            if mc is None:
-                continue
-            sr, ri = mr
-            sc, rj = mc
-            mo[ri, rj] += (v1 * v2) if sr == sc else -(v1 * v2)
+def _wedge(n, a, da, b, db, out):
+    """Slot-wise wedge of dense arrays a and b into the fresh zero array out.
 
-
-def _wedge_gather(w1, w2, out):
-    n = w1.n
-    P, Q = out.p, out.q
-    rows = split_table(n, P, w1.p)
-    cols = split_table(n, Q, w1.q)
-    m1, m2, mo = w1.mat, w2.mat, out.mat
-    for ri in range(mo.shape[0]):
-        row_splits = rows[ri]
-        for rj in range(mo.shape[1]):
-            acc = mo[ri, rj]
-            for (ra, rb, sr) in row_splits:
-                r1 = m1[ra]
-                r2 = m2[rb]
-                for (ca, cb, sc) in cols[rj]:
-                    v = r1[ca]
-                    if v == 0:
-                        continue
-                    u = r2[cb]
-                    if u == 0:
-                        continue
-                    acc += (v * u) if sr == sc else -(v * u)
-            mo[ri, rj] = acc
+    da and db hold the slot degrees: (p, q) for a double form, (k,) for an
+    exterior form, (k,)*r for a multiform.  Every slot needs da + db <= n.
+    Each nonzero a[I] meets b[J] for every J disjoint from I slot by slot;
+    the product lands on out[I|J], negated when an odd number of slot
+    merges are odd.  Targets repeat across the nonzeros of a, so they are
+    summed with np.add.at.
+    """
+    nz = np.nonzero(a)
+    r = len(da)
+    src = tgt = 0
+    neg = False
+    for s, (x, y) in enumerate(zip(da, db)):
+        cols, targets, negs = merge_table(n, x, y)
+        shape = [len(nz[s])] + [1] * r
+        shape[s + 1] = cols.shape[1]
+        src = src * b.shape[s] + cols[nz[s]].reshape(shape)
+        tgt = tgt * out.shape[s] + targets[nz[s]].reshape(shape)
+        neg = neg ^ negs[nz[s]].reshape(shape)
+    vals = b.reshape(-1)[src]
+    keep = vals != 0
+    prod = np.broadcast_to(a[nz].reshape((-1,) + (1,) * r), vals.shape)[keep] \
+        * vals[keep]
+    flip = neg[keep]
+    prod[flip] = -prod[flip]
+    np.add.at(out.reshape(-1), tgt[keep], prod)
 
 
 def wedge_power(w: DoubleForm, k: int) -> DoubleForm:
@@ -361,23 +334,37 @@ def _invert_metric(G: DoubleForm):
 def hodge(w: DoubleForm) -> DoubleForm:
     """Double Hodge star: applies the usual star to both argument slots."""
     n, p, q = w.n, w.p, w.q
-    if p > n or q > n:
-        # identically-zero spillover degree from a wedge past the top
-        return DoubleForm.zeros(n, max(n - p, 0), max(n - q, 0), w.field)
-    out = DoubleForm.zeros(n, n - p, n - q, w.field)
-    sigma = -1 if ((p + q) * (n - p - q)) % 2 else 1
-    rows = complement_table(n, n - p)
-    cols = complement_table(n, n - q)
-    m, mo = w.mat, out.mat
-    for ri in range(mo.shape[0]):
-        rc, er = rows[ri]
-        se = sigma * er
-        for rj in range(mo.shape[1]):
-            cc, ec = cols[rj]
-            v = m[rc, cc]
-            if v != 0:
-                mo[ri, rj] = (se * ec) * v
+    out = DoubleForm.zeros(n, max(n - p, 0), max(n - q, 0), w.field)
+    if p <= n and q <= n:  # else an identically-zero spillover from a wedge
+        _star(n, w.mat, w.bidegree, out.mat)
     return out
+
+
+def _star(n, a, degs, out):
+    """Slot-wise Hodge star of a dense array a into the zero array out.
+
+    degs holds the slot degrees of a, each at most n: out[I^c, J^c, ...] =
+    eps(I) eps(J) ... a[I, J, ...] with eps the complement sign.  For a
+    double form this is the sign (-1)^((p+q)(n-p-q)) eps(I^c) eps(J^c) of
+    the definition, as (p+q)(n-p-q) = p(n-p) + q(n-q) mod 2.  Only nonzero
+    entries are written, so float zeros stay +0.0.
+    """
+    r = len(degs)
+    ranks = []
+    neg = False
+    for s, d in enumerate(degs):
+        # output rank K reads a at K^c, with sign eps(K^c) = (-1)^(d(n-d)) eps(K)
+        rc, negs = complement_table(n, n - d)
+        ranks.append(rc)
+        shape = [1] * r
+        shape[s] = -1
+        neg = neg ^ (negs ^ bool(d * (n - d) % 2)).reshape(shape)
+    vals = a[np.ix_(*ranks)]
+    nz = vals != 0
+    flip = nz & neg
+    keep = nz & ~flip
+    out[keep] = vals[keep]
+    out[flip] = -vals[flip]
 
 
 def transpose(w: DoubleForm) -> DoubleForm:

@@ -2,8 +2,9 @@
 
 An element of Lambda^k is a dense coefficient vector over the C(n, k)
 lexicographic basis; a multiform with r slots of degree k is a dense
-r-dimensional array with every axis of length C(n, k).  Double forms are
-the r = 2 case with its own dense-matrix implementation in dform.
+r-dimensional array with every axis of length C(n, k).  The wedge and
+star are the slot-generic kernels of dform, which double forms (two slots
+of degrees p and q) share.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from math import comb
 import numpy as np
 
 from . import scalars
-from .multiindex import MAX_DIM, complement_table, merge_table, rank_tuple
+from .dform import _star, _wedge
+from .multiindex import MAX_DIM, rank_tuple
 
 
 class ExteriorForm:
@@ -96,23 +98,9 @@ def wedge_form(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Ordinary exterior product; zero once the degree exceeds n."""
     if a.n != b.n or a.field != b.field:
         raise ValueError("incompatible forms")
-    n, k = a.n, a.k + b.k
-    out = ExteriorForm.zeros(n, k, a.field)
-    if k > n:
-        return out
-    table = merge_table(n, a.k, b.k)
-    for i, va in enumerate(a.coeffs):
-        if va == 0:
-            continue
-        row = table[i]
-        for j, vb in enumerate(b.coeffs):
-            if vb == 0:
-                continue
-            hit = row[j]
-            if hit is None:
-                continue
-            sign, r = hit
-            out.coeffs[r] += sign * (va * vb)
+    out = ExteriorForm.zeros(a.n, a.k + b.k, a.field)
+    if out.k <= a.n:
+        _wedge(a.n, a.coeffs, (a.k,), b.coeffs, (b.k,), out.coeffs)
     return out
 
 
@@ -131,13 +119,8 @@ def wedge_form_power(a: ExteriorForm, k: int) -> ExteriorForm:
 
 def hodge_form(a: ExteriorForm) -> ExteriorForm:
     """Hodge star: (*a)_{I^c} = complement_sign(I) a_I."""
-    n = a.n
-    out = ExteriorForm.zeros(n, n - a.k, a.field)
-    table = complement_table(n, a.k)
-    for i, v in enumerate(a.coeffs):
-        if v != 0:
-            rc, eps = table[i]
-            out.coeffs[rc] = eps * v
+    out = ExteriorForm.zeros(a.n, a.n - a.k, a.field)
+    _star(a.n, a.coeffs, (a.k,), out.coeffs)
     return out
 
 
@@ -227,27 +210,9 @@ def wedge_multi(a: MultiForm, b: MultiForm) -> MultiForm:
         raise ValueError("incompatible multiforms")
     if a.r != b.r:
         raise ValueError(f"slot counts differ: {a.r} vs {b.r}")
-    n, k = a.n, a.k + b.k
-    out = MultiForm.zeros(n, k, a.r, a.field)
-    if k > n:
-        return out
-    table = merge_table(n, a.k, b.k)
-    for ia, va in np.ndenumerate(a.coeffs):
-        if va == 0:
-            continue
-        for ib, vb in np.ndenumerate(b.coeffs):
-            if vb == 0:
-                continue
-            sign = 1
-            target = []
-            for s in range(a.r):
-                hit = table[ia[s]][ib[s]]
-                if hit is None:
-                    break
-                sign *= hit[0]
-                target.append(hit[1])
-            else:
-                out.coeffs[tuple(target)] += sign * (va * vb)
+    out = MultiForm.zeros(a.n, a.k + b.k, a.r, a.field)
+    if out.k <= a.n:
+        _wedge(a.n, a.coeffs, (a.k,) * a.r, b.coeffs, (b.k,) * b.r, out.coeffs)
     return out
 
 
@@ -262,17 +227,6 @@ def wedge_multi_power(a: MultiForm, p: int) -> MultiForm:
 
 def hodge_multi(a: MultiForm) -> MultiForm:
     """Slot-wise Hodge star."""
-    n = a.n
-    out = MultiForm.zeros(n, n - a.k, a.r, a.field)
-    table = complement_table(n, a.k)
-    for idx, v in np.ndenumerate(a.coeffs):
-        if v == 0:
-            continue
-        sign = 1
-        target = []
-        for i in idx:
-            rc, eps = table[i]
-            sign *= eps
-            target.append(rc)
-        out.coeffs[tuple(target)] = sign * v
+    out = MultiForm.zeros(a.n, a.n - a.k, a.r, a.field)
+    _star(a.n, a.coeffs, (a.k,) * a.r, out.coeffs)
     return out

@@ -164,7 +164,7 @@ def check_block_laplace(h: DoubleForm, r: int) -> IdentityResidual:
         raise ValueError(f"block size {r} out of range [0, {n}]")
     det = s_k(h, n)
     lhs = det * (metric_power(n, r, h.field) * Fraction(1, factorial(r)))
-    star = hodge(wedge_power(h, n - r)) * Fraction(1, factorial(n - r))
+    star = s_rq(h, r, n - r, path="hodge")
     rhs = compose(transpose(star), wedge_power(h, r) * Fraction(1, factorial(r)))
     return _record("block_laplace", {"n": n, "r": r}, lhs, rhs,
                    "det(h) g^r/r! = (*(h^(n-r)/(n-r)!))^t o h^r/r!", h.field)

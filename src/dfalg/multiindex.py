@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 MAX_DIM = 64
 
 
@@ -137,22 +139,34 @@ def complement_sign(index: MultiIndex) -> int:
 
 @lru_cache(maxsize=None)
 def merge_table(n: int, p: int, q: int):
-    """[rank_I][rank_J] -> (sign, rank of I|J), or None when I and J meet."""
-    qsubs = subsets(n, q)
-    ranks = _rank_of(n, p + q)
-    table = []
+    """Gather arrays for the wedge of p-subsets with disjoint q-subsets.
+
+    Returns (cols, targets, neg), each of shape (C(n, p), C(n - p, q)).  Row
+    rank(I) runs over the q-subsets J disjoint from I in lexicographic order:
+    cols holds rank(J), targets the rank of I|J, and neg whether sorting
+    the concatenation I|J is an odd permutation.  Needs p + q <= n.
+    """
+    rank_q = _rank_of(n, q)
+    rank_pq = _rank_of(n, p + q)
+    cols, targets, neg = [], [], []
     for I in subsets(n, p):
-        row = []
-        for J in qsubs:
-            res = merge_sign_tuple(I, J)
-            row.append(None if res is None else (res[0], ranks[res[1]]))
-        table.append(tuple(row))
-    return tuple(table)
+        for J in itertools.combinations(complement_tuple(I, n), q):
+            sign, merged = merge_sign_tuple(I, J)
+            cols.append(rank_q[J])
+            targets.append(rank_pq[merged])
+            neg.append(sign < 0)
+    shape = (comb(n, p), comb(n - p, q))
+    return (np.array(cols, dtype=np.intp).reshape(shape),
+            np.array(targets, dtype=np.intp).reshape(shape),
+            np.array(neg, dtype=bool).reshape(shape))
 
 
 @lru_cache(maxsize=None)
 def split_table(n: int, k: int, p: int):
-    """For each k-subset K: all (rank_I, rank_J, sign) with I|J = K, |I| = p."""
+    """For each k-subset K: all (rank_I, rank_J, sign) with I|J = K, |I| = p.
+
+    No kernel uses it; bench/spans.py traces it by name.
+    """
     rank_p = _rank_of(n, p)
     rank_q = _rank_of(n, k - p)
     table = []
@@ -187,9 +201,8 @@ def insertion_table(n: int, p: int):
 
 @lru_cache(maxsize=None)
 def complement_table(n: int, k: int):
-    """For each k-subset I: (rank of I^c, complement sign of I)."""
+    """Arrays over the k-subsets I: rank of I^c, and whether eps(I) = -1."""
     ranks = _rank_of(n, n - k)
-    return tuple(
-        (ranks[complement_tuple(I, n)], complement_sign_tuple(I, n))
-        for I in subsets(n, k)
-    )
+    subs = subsets(n, k)
+    return (np.array([ranks[complement_tuple(I, n)] for I in subs], dtype=np.intp),
+            np.array([complement_sign_tuple(I, n) < 0 for I in subs], dtype=bool))

@@ -14,6 +14,7 @@ kind "multiform" adds a slot count "r" and uses {"slots": [[...], ...]}.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -85,9 +86,14 @@ def _value(raw, field):
             if isinstance(raw, int):
                 return raw
             raise TensorFormatError("rational values must be strings")
-        return scalars.parse_scalar(raw, field)
-    except (ValueError, ZeroDivisionError) as exc:
+        v = scalars.parse_scalar(raw, field)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise TensorFormatError(f"bad value {raw!r}: {exc}") from None
+    # float("nan") and json's NaN/Infinity tokens parse, but no report can
+    # carry them: JSON has no non-finite numbers
+    if field == scalars.FLOAT64 and not math.isfinite(v):
+        raise TensorFormatError(f"bad value {raw!r}: not a finite number")
+    return v
 
 
 def tensor_from_doc(doc):

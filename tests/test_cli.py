@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,19 @@ def test_invariants_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("value", ['"nan"', '"inf"', '"-inf"', "NaN", "Infinity",
+                                   "-Infinity", "1e999", "null"])
+def test_invariants_non_finite_float_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 3, "kind": "double_form", "p": 1, "q": 1, '
+                    '"scalar": "float64", '
+                    '"entries": [{"row": [0], "col": [0], "value": %s}]}' % value)
+    code, out, err = run_cli(capsys, "invariants", str(path), "--family", "s")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dfalg: error:")
+
+
 def test_invariants_bound_violation_exits_2(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text(tensor_to_json(random_bilinear(3, 7)))
@@ -262,6 +276,27 @@ def test_verify_exact_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_5_SHA256, (
         "the exact verify report changed; if the change to the report is "
         "intended, update VERIFY_2_5_SHA256 and say so in CHANGES.md")
+
+
+# sha256 of the stdout of `dfalg pfaffian <fixture> [--r R]`.  verify never
+# reaches the exterior layer, so these guard its wedge and star.
+PFAFFIAN_SHA256 = {
+    ("skew_n4.json",): "166b5ef94cf6b4b3df07d5d4a07ba950fa42db7d89504a17dd7fc0ef0f37bf63",
+    ("four_form_n4.json",): "76ae74ea924ce97b889ac955c974899370f77356168c879e640180f54f64ed31",
+    ("six_form_n6.json",): "9d236a80084291308f0564b75ae19053e39744458f5882e9adf525f487173a5d",
+    ("six_form_n6.json", "--r", "3"):
+        "55371f1bc508d507526264e726e4af83e84f25de795b0be81d2d74f8726ed6b0",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PFAFFIAN_SHA256))
+def test_pfaffian_fixture_reports_are_pinned(capsys, args):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / args[0]
+    code, out, _ = run_cli(capsys, "pfaffian", str(path), *args[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PFAFFIAN_SHA256[args], (
+        "the pfaffian report changed; if the change to the report is "
+        "intended, update PFAFFIAN_SHA256 and say so in CHANGES.md")
 
 
 def test_verify_exit_one_on_asserted_failure(monkeypatch, capsys):
