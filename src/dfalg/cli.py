@@ -37,6 +37,11 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 
+# The largest dimension `verify` accepts: the exact suite at n = 8 already
+# takes tens of seconds, and the wedge powers of its fixtures grow about
+# 5.7x per added dimension, so n = 9 and 10 are the feasible frontier.
+MAX_VERIFY_DIM = 10
+
 
 def _default_mode():
     mode = os.environ.get("DFA_MODE", "exact")
@@ -209,6 +214,9 @@ def cmd_verify(args) -> int:
         return _fail(f"bad --n-range or --seeds")
     if lo < 2 or hi < lo:
         return _fail(f"bad dimension range {args.n_range!r}")
+    if hi > MAX_VERIFY_DIM:
+        return _fail(f"--n-range reaches n = {hi}, above the largest suite "
+                     f"dimension {MAX_VERIFY_DIM}")
     if not seeds:
         return _fail(f"--seeds names no seed: {args.seeds!r}")
     field = scalars.FLOAT64 if mode == "float" else scalars.RATIONAL

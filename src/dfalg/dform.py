@@ -11,7 +11,7 @@ corresponding minor determinant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -227,29 +227,7 @@ def contract(w: DoubleForm) -> DoubleForm:
 
     Vanishes by convention when p = 0 or q = 0.
     """
-    n = w.n
-    if w.p == 0 or w.q == 0:
-        return DoubleForm.zeros(n, max(w.p - 1, 0), max(w.q - 1, 0), w.field)
-    out = DoubleForm.zeros(n, w.p - 1, w.q - 1, w.field)
-    rows = insertion_table(n, w.p)
-    cols = insertion_table(n, w.q)
-    m, mo = w.mat, out.mat
-    for ri in range(mo.shape[0]):
-        rins = rows[ri]
-        for rj in range(mo.shape[1]):
-            acc = mo[ri, rj]
-            cins = cols[rj]
-            for a, (sr, ra) in rins.items():
-                hit = cins.get(a)
-                if hit is None:
-                    continue
-                sc, ca = hit
-                v = m[ra, ca]
-                if v == 0:
-                    continue
-                acc += v if sr == sc else -v
-            mo[ri, rj] = acc
-    return out
+    return _contract(w, None)
 
 
 def contract_iter(w: DoubleForm, r: int) -> DoubleForm:
@@ -262,57 +240,105 @@ def contract_with_metric(w: DoubleForm, G: DoubleForm) -> DoubleForm:
     """Contraction with respect to an arbitrary metric G in place of g.
 
     G is a symmetric invertible (1, 1) form (positive definite in the
-    geometric setting); its inverse is computed by exact elimination in
-    rational mode.  G = identity reduces to contract(w).
+    geometric setting); the inserted indices are paired through the
+    inverse metric from _invert_metric.  G = identity reduces to
+    contract(w).
     """
     n = w.n
     if G.bidegree != (1, 1) or G.n != n:
         raise ValueError("metric must be a (1, 1) form on the same space")
-    Ginv = _invert_metric(G)
-    if w.p == 0 or w.q == 0:
-        return DoubleForm.zeros(n, max(w.p - 1, 0), max(w.q - 1, 0), w.field)
-    out = DoubleForm.zeros(n, w.p - 1, w.q - 1, w.field)
-    rows = insertion_table(n, w.p)
-    cols = insertion_table(n, w.q)
-    m, mo = w.mat, out.mat
-    for ri in range(mo.shape[0]):
-        rins = rows[ri]
-        for rj in range(mo.shape[1]):
-            acc = mo[ri, rj]
-            cins = cols[rj]
-            for a, (sa, ra) in rins.items():
-                for b, (sb, cb) in cins.items():
-                    gi = Ginv[a, b]
-                    if gi == 0:
-                        continue
-                    v = m[ra, cb]
-                    if v == 0:
-                        continue
-                    acc += gi * v if sa == sb else -(gi * v)
-            mo[ri, rj] = acc
+    return _contract(w, _invert_metric(G))
+
+
+def _contract(w: DoubleForm, Ginv) -> DoubleForm:
+    """c(w), or c_G(w) when Ginv is the inverse metric, by one gather.
+
+    out[I, J] = sum over a, b of Ginv[a, b] eps w[{a}|I, {b}|J], eps the
+    product of the two insertion signs; Ginv None is the identity, so only
+    a = b is summed.  An index a already in I has the sentinel rank, which
+    reads the zero row (or column) padded onto w.  Exact values are scaled
+    to Python ints over one common denominator per operand, summed as ints
+    and divided once per nonzero output entry.  Only nonzero entries are
+    written, so float zeros stay +0.0.
+    """
+    n, p, q = w.n, w.p, w.q
+    out = DoubleForm.zeros(n, max(p - 1, 0), max(q - 1, 0), w.field)
+    if p == 0 or q == 0:
+        return out
+    rp, negp = insertion_table(n, p)
+    rq, negq = insertion_table(n, q)
+    exact = w.mat.dtype == object and (Ginv is None or Ginv.dtype == object)
+    m, den = _integer_scaled(w.mat) if exact else (w.mat, 1)
+    pad = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=m.dtype)
+    pad[:-1, :-1] = m
+    if Ginv is None:
+        x = pad[rp[:, None, :], rq[None, :, :]]
+        neg = negp[:, None, :] ^ negq[None, :, :]
+        x[neg] = -x[neg]
+        res = x.sum(axis=2)
+    else:
+        x = pad[rp[:, :, None, None], rq[None, None, :, :]]
+        neg = negp[:, :, None, None] ^ negq[None, None, :, :]
+        x[neg] = -x[neg]
+        A, den_g = _integer_scaled(Ginv) if exact else (Ginv, 1)
+        den *= den_g
+        res = np.tensordot(x, A, axes=([1, 3], [0, 1]))
+    nz = np.nonzero(res)
+    vals = res[nz]
+    if den != 1:
+        vals = np.array([Fraction(v, den) for v in vals], dtype=object)
+    out.mat[nz] = vals
     return out
+
+
+def _integer_scaled(mat):
+    """An exact array as (Python-int object array, common denominator)."""
+    flat = mat.reshape(-1)
+    den = lcm(*(v.denominator for v in flat))
+    ints = np.array([v.numerator * (den // v.denominator) for v in flat], dtype=object)
+    return ints.reshape(mat.shape), den
 
 
 def _invert_metric(G: DoubleForm):
     """Exact inverse of a symmetric invertible (1, 1) form.
 
-    Gauss-Jordan elimination with partial pivoting; rational entries stay
-    exact.  Raises on a non-symmetric or singular matrix.
+    Rational mode runs fraction-free (Bareiss) Gauss-Jordan elimination on
+    [S | I] in Python ints, S = s G scaled to integers: every division is
+    exact, and at the end each row reads d e_i | d S^-1 with d = +-det S,
+    so G^-1 = s S^-1.  Float mode runs Gauss-Jordan elimination with
+    partial pivoting.  Raises on a non-symmetric or singular matrix.
     """
     n = G.n
     M = G.mat
     if not np.all(M == M.T):
         raise ValueError("metric must be symmetric")
     if G.field == scalars.FLOAT64:
-        a = M.astype(float).copy()
-        inv = np.eye(n)
-    else:
-        a = np.empty((n, n), dtype=object)
-        for idx, v in np.ndenumerate(M):
-            a[idx] = Fraction(v)
-        inv = np.zeros((n, n), dtype=object)
+        return _invert_float(M.astype(float))
+    S, s = _integer_scaled(M)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(S)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("metric is singular")
+        a[k], a[piv] = a[piv], a[k]
+        ak, akk = a[k], a[k][k]
         for i in range(n):
-            inv[i, i] = Fraction(1)
+            if i != k:
+                ai, aik = a[i], a[i][k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(ai, ak)]
+        prev = akk
+    inv = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            inv[i, j] = Fraction(s * a[i][n + j], a[i][i])
+    return inv
+
+
+def _invert_float(a):
+    """Gauss-Jordan inverse of a float64 matrix with partial pivoting."""
+    n = a.shape[0]
+    inv = np.eye(n)
     for col in range(n):
         piv_row = max(range(col, n), key=lambda r: abs(a[r, col]))
         if a[piv_row, col] == 0:

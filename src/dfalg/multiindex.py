@@ -184,19 +184,22 @@ def split_table(n: int, k: int, p: int):
 
 @lru_cache(maxsize=None)
 def insertion_table(n: int, p: int):
-    """For each (p-1)-subset I: dict a -> (sign, rank of {a}|I) over a not in I."""
-    ranks = _rank_of(n, p)
-    table = []
-    for I in subsets(n, p - 1):
-        inside = set(I)
-        row = {}
-        for a in range(n):
-            if a in inside:
-                continue
-            res = merge_sign_tuple((a,), I)
-            row[a] = (res[0], ranks[res[1]])
-        table.append(row)
-    return tuple(table)
+    """Gather arrays for inserting an index a into the (p-1)-subsets I.
+
+    Returns (ranks, neg), each of shape (C(n, p-1), n).  ranks[rank(I), a]
+    is the rank of {a}|I, or the sentinel C(n, p) when a is in I; neg holds
+    whether sorting a||I is an odd permutation (False at the sentinel).
+    """
+    rank_p = _rank_of(n, p)
+    rows = subsets(n, p - 1)
+    ranks = np.full((len(rows), n), comb(n, p), dtype=np.intp)
+    neg = np.zeros((len(rows), n), dtype=bool)
+    for i, I in enumerate(rows):
+        for a in complement_tuple(I, n):
+            sign, merged = merge_sign_tuple((a,), I)
+            ranks[i, a] = rank_p[merged]
+            neg[i, a] = sign < 0
+    return ranks, neg
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,13 @@ import numpy as np
 from . import scalars
 from .dform import DoubleForm
 from .exterior import ExteriorForm, MultiForm
-from .multiindex import rank_tuple, unrank_tuple
+from .multiindex import MAX_DIM, rank_tuple, unrank_tuple
+
+# The largest dense array a document may ask for: 2^24 entries, 128 MiB of
+# float64 values or object pointers.  The tensors dfalg writes are far
+# smaller (a 4-form at n = 12 has 495 entries); the limit stops a short
+# header from allocating gigabytes before a single entry is read.
+MAX_DENSE_ENTRIES = 1 << 24
 
 
 class TensorFormatError(ValueError):
@@ -96,10 +102,18 @@ def _value(raw, field):
     return v
 
 
+def _check_dense_size(entries):
+    if entries > MAX_DENSE_ENTRIES:
+        raise TensorFormatError(f"the header asks for {entries} dense entries, "
+                                f"above the limit of {MAX_DENSE_ENTRIES}")
+
+
 def tensor_from_doc(doc):
     if not isinstance(doc, dict):
         raise TensorFormatError("tensor document must be a JSON object")
     n = _need(doc, "n", int)
+    if not 0 <= n <= MAX_DIM:
+        raise TensorFormatError(f"dimension must be in [0, {MAX_DIM}], got {n}")
     kind = _need(doc, "kind", str)
     field = doc.get("scalar", scalars.RATIONAL)
     if field not in scalars.FIELDS:
@@ -109,6 +123,7 @@ def tensor_from_doc(doc):
         if kind == "double_form":
             p = _need(doc, "p", int)
             q = _need(doc, "q", int)
+            _check_dense_size(math.comb(n, p) * math.comb(n, q))
             out = DoubleForm.zeros(n, p, q, field)
             seen = set()
             for e in entries:
@@ -127,6 +142,7 @@ def tensor_from_doc(doc):
             return out
         if kind == "form":
             k = _need(doc, "k", int)
+            _check_dense_size(math.comb(n, k))
             out = ExteriorForm.zeros(n, k, field)
             seen = set()
             for e in entries:
@@ -143,6 +159,9 @@ def tensor_from_doc(doc):
         if kind == "multiform":
             k = _need(doc, "k", int)
             r = _need(doc, "r", int)
+            if not 1 <= r <= 64:  # numpy arrays have at most 64 axes
+                raise TensorFormatError(f"a multiform needs 1 to 64 slots, got {r}")
+            _check_dense_size(math.comb(n, k) ** r)
             out = MultiForm.zeros(n, k, r, field)
             seen = set()
             for e in entries:

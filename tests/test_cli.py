@@ -191,6 +191,30 @@ def test_invariants_missing_file_exits_2(capsys):
     assert code == 2
 
 
+OVERSIZED_HEADERS = [
+    # C(20, 10)^2 = 3.4e10 dense entries, about 273 GB of float64
+    '{"n": 20, "kind": "double_form", "p": 10, "q": 10, "entries": []}',
+    '{"n": 40, "kind": "form", "k": 20, "entries": []}',
+    '{"n": 12, "kind": "multiform", "k": 4, "r": 3, "entries": []}',
+    '{"n": 3, "kind": "multiform", "k": 0, "r": 1000000000000, "entries": []}',
+    '{"n": 1000000000, "kind": "form", "k": 500000000, "entries": []}',
+]
+
+
+@pytest.mark.parametrize("command", ["invariants", "pfaffian"])
+@pytest.mark.parametrize("header", OVERSIZED_HEADERS)
+def test_oversized_tensor_header_exits_2(tmp_path, capsys, command, header):
+    with pytest.raises(TensorFormatError):
+        tensor_from_json(header)
+    path = tmp_path / "big.json"
+    path.write_text(header)
+    extra = ["--family", "s"] if command == "invariants" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dfalg: error:")
+
+
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_small_run_exits_zero(capsys):
@@ -243,6 +267,10 @@ def test_verify_bad_range_exits_2(capsys):
     assert run_cli(capsys, "verify", "--n-range", "six")[0] == 2
     assert run_cli(capsys, "verify", "--n-range", "4:2")[0] == 2
     assert run_cli(capsys, "verify", "--n-range", "2:3", "--seeds", "a,b")[0] == 2
+    # past the n = 10 frontier no suite fixture is built
+    code, out, err = run_cli(capsys, "verify", "--n-range", "2:40")
+    assert code == 2 and out == "" and err.startswith("dfalg: error:")
+    assert run_cli(capsys, "verify", "--n-range", "11")[0] == 2
 
 
 def test_verify_bogus_env_mode_exits_2(monkeypatch, capsys):

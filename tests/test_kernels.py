@@ -1,21 +1,33 @@
-"""Differential tests of the slot-generic wedge and star kernels.
+"""Differential tests of the slot-generic wedge and star kernels and of
+the gather contraction kernel.
 
-The references below are the per-type loops the kernels replaced: the
-scatter and gather double-form wedges, the exterior-form and multiform
-wedge loops, and the three Hodge-star loops.  They run on their own copies
-of the tuple-format tables they were written against.  Exact mode must
+The references below are the loops the kernels replaced: the scatter and
+gather double-form wedges, the exterior-form and multiform wedge loops,
+the three Hodge-star loops, the contract and contract_with_metric loops
+and the Gauss-Jordan metric inverse.  They run on their own copies of the
+tuple- and dict-format tables they were written against.  Exact mode must
 agree entry for entry; float mode sums in another order, so it is held to
 a relative tolerance of 1e-12.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
 
-from dfalg import scalars
-from dfalg.dform import DoubleForm, hodge, metric_power, wedge
+from dfalg import oracle, scalars
+from dfalg.dform import (
+    DoubleForm,
+    _invert_metric,
+    contract,
+    contract_with_metric,
+    hodge,
+    metric,
+    metric_power,
+    wedge,
+)
 from dfalg.exterior import (
     ExteriorForm,
     MultiForm,
@@ -64,6 +76,23 @@ def old_complement_table(n, k):
     ranks = _rank_of(n, n - k)
     return tuple((ranks[complement_tuple(I, n)], complement_sign_tuple(I, n))
                  for I in subsets(n, k))
+
+
+@lru_cache(maxsize=None)
+def old_insertion_table(n, p):
+    """For each (p-1)-subset I: dict a -> (sign, rank of {a}|I) over a not in I."""
+    ranks = _rank_of(n, p)
+    table = []
+    for I in subsets(n, p - 1):
+        inside = set(I)
+        row = {}
+        for a in range(n):
+            if a in inside:
+                continue
+            res = merge_sign_tuple((a,), I)
+            row[a] = (res[0], ranks[res[1]])
+        table.append(row)
+    return tuple(table)
 
 
 def ref_wedge(w1, w2, path):
@@ -221,6 +250,92 @@ def ref_hodge_multi(a):
     return out
 
 
+def ref_contract(w):
+    n = w.n
+    if w.p == 0 or w.q == 0:
+        return DoubleForm.zeros(n, max(w.p - 1, 0), max(w.q - 1, 0), w.field)
+    out = DoubleForm.zeros(n, w.p - 1, w.q - 1, w.field)
+    rows = old_insertion_table(n, w.p)
+    cols = old_insertion_table(n, w.q)
+    m, mo = w.mat, out.mat
+    for ri in range(mo.shape[0]):
+        rins = rows[ri]
+        for rj in range(mo.shape[1]):
+            acc = mo[ri, rj]
+            cins = cols[rj]
+            for a, (sr, ra) in rins.items():
+                hit = cins.get(a)
+                if hit is None:
+                    continue
+                sc, ca = hit
+                v = m[ra, ca]
+                if v == 0:
+                    continue
+                acc += v if sr == sc else -v
+            mo[ri, rj] = acc
+    return out
+
+
+def ref_contract_with_metric(w, G):
+    n = w.n
+    Ginv = ref_invert_metric(G)
+    if w.p == 0 or w.q == 0:
+        return DoubleForm.zeros(n, max(w.p - 1, 0), max(w.q - 1, 0), w.field)
+    out = DoubleForm.zeros(n, w.p - 1, w.q - 1, w.field)
+    rows = old_insertion_table(n, w.p)
+    cols = old_insertion_table(n, w.q)
+    m, mo = w.mat, out.mat
+    for ri in range(mo.shape[0]):
+        rins = rows[ri]
+        for rj in range(mo.shape[1]):
+            acc = mo[ri, rj]
+            cins = cols[rj]
+            for a, (sa, ra) in rins.items():
+                for b, (sb, cb) in cins.items():
+                    gi = Ginv[a, b]
+                    if gi == 0:
+                        continue
+                    v = m[ra, cb]
+                    if v == 0:
+                        continue
+                    acc += gi * v if sa == sb else -(gi * v)
+            mo[ri, rj] = acc
+    return out
+
+
+def ref_invert_metric(G):
+    n = G.n
+    M = G.mat
+    if not np.all(M == M.T):
+        raise ValueError("metric must be symmetric")
+    if G.field == scalars.FLOAT64:
+        a = M.astype(float).copy()
+        inv = np.eye(n)
+    else:
+        a = np.empty((n, n), dtype=object)
+        for idx, v in np.ndenumerate(M):
+            a[idx] = Fraction(v)
+        inv = np.zeros((n, n), dtype=object)
+        for i in range(n):
+            inv[i, i] = Fraction(1)
+    for col in range(n):
+        piv_row = max(range(col, n), key=lambda r: abs(a[r, col]))
+        if a[piv_row, col] == 0:
+            raise ValueError("metric is singular")
+        if piv_row != col:
+            a[[col, piv_row]] = a[[piv_row, col]]
+            inv[[col, piv_row]] = inv[[piv_row, col]]
+        piv = a[col, col]
+        a[col] = a[col] / piv
+        inv[col] = inv[col] / piv
+        for r in range(n):
+            if r != col and a[r, col] != 0:
+                f = a[r, col]
+                a[r] = a[r] - f * a[col]
+                inv[r] = inv[r] - f * inv[col]
+    return inv
+
+
 # -- inputs ---------------------------------------------------------------------
 
 def fill(out, seed, keep=None):
@@ -369,6 +484,154 @@ def test_wedge_multi_and_hodge_multi_match_loops(n, r, field):
             assert_same(hodge_multi(a).coeffs, ref_hodge_multi(a).coeffs, field)
 
 
+# -- contractions -------------------------------------------------------------------
+
+def contract_inputs(n, p, q, seed, field):
+    """double_inputs, and in exact mode a dense form of Fraction entries."""
+    forms = double_inputs(n, p, q, seed, field, 1)
+    if field == scalars.RATIONAL:
+        dense = fill(DoubleForm.zeros(n, p, q, field).mat, seed + 2)
+        for i, v in enumerate(dense.flat):
+            dense.flat[i] = Fraction(v, 1 + i % 5)
+        forms.append(DoubleForm(n, p, q, dense, field))
+    return forms
+
+
+def random_metric(n, seed, field, fractions):
+    """A seeded invertible symmetric (1, 1) form with entries in [-3, 3]
+    (over 1..4 when fractions is set).  Singular draws are skipped, after
+    checking that both inverses refuse them."""
+    while True:
+        G = DoubleForm.zeros(n, 1, 1, field)
+        rng = SplitMix64(seed)
+        for i in range(n):
+            for j in range(i, n):
+                v = rng.next_entry()
+                if fractions:
+                    v = Fraction(v, 1 + rng.next_u64() % 4)
+                G.mat[i, j] = G.mat[j, i] = scalars.coerce(v, field)
+        try:
+            ref_invert_metric(G)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _invert_metric(G)
+            seed += 1000
+            continue
+        return G
+
+
+def unit_metric(n, field):
+    """g, also at n = 0, where it is the empty (1, 1) form."""
+    return metric(n, field) if n else DoubleForm.zeros(0, 1, 1, field)
+
+
+def swapped_metric(n, field, pairs):
+    """The permutation metric swapping each (a, b) in pairs, the identity
+    elsewhere: a zero leading pivot that forces a row swap."""
+    G = unit_metric(n, field)
+    for a, b in pairs:
+        G.mat[a, a] = G.mat[b, b] = scalars.coerce(0, field)
+        G.mat[a, b] = G.mat[b, a] = scalars.coerce(1, field)
+    return G
+
+
+def metric_inputs(n, field):
+    g = unit_metric(n, field)
+    out = [g, g * Fraction(7, 3), random_metric(n, 5 * n, field, False)]
+    if field == scalars.RATIONAL:
+        out.append(random_metric(n, 5 * n + 1, field, True))
+    if n >= 2:
+        out.append(swapped_metric(n, field, [(0, 1)]))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_contract_matches_loop(n, field):
+    # p or q = n + 1 is the spillover bidegree a wedge past the top returns
+    for p in range(n + 2):
+        for q in range(n + 2):
+            for w in contract_inputs(n, p, q, 7 * p + q, field):
+                new = contract(w)
+                ref = ref_contract(w)
+                assert (new.p, new.q) == (ref.p, ref.q)
+                assert_same(new.mat, ref.mat, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", DIMS)
+def test_contract_with_metric_matches_loop(n, field):
+    metrics = metric_inputs(n, field)
+    for G in metrics:
+        assert_same(_invert_metric(G), ref_invert_metric(G), field)
+    for p in range(n + 2):
+        for q in range(n + 2):
+            inputs = contract_inputs(n, p, q, 11 * p + q, field)
+            for i, w in enumerate(inputs):
+                # above n = 4 each input meets one metric, rotating over
+                # (p, q), to bound the reference loops' time
+                chosen = metrics if n <= 4 else [metrics[(p + q + i) % len(metrics)]]
+                for G in chosen:
+                    new = contract_with_metric(w, G)
+                    ref = ref_contract_with_metric(w, G)
+                    assert (new.p, new.q) == (ref.p, ref.q)
+                    assert_same(new.mat, ref.mat, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_invert_metric_matches_gauss_jordan(field):
+    for n in range(0, 9):
+        metrics = metric_inputs(n, field)
+        # the anti-diagonal permutation: a zero pivot in each of the
+        # first n // 2 columns
+        metrics.append(swapped_metric(n, field, [(a, n - 1 - a) for a in range(n // 2)]))
+        metrics += [random_metric(n, seed, field, fractions)
+                    for seed in range(3) for fractions in (False, True)]
+        for G in metrics:
+            inv = _invert_metric(G)
+            assert_same(inv, ref_invert_metric(G), field)
+            if field == scalars.RATIONAL:
+                assert all(type(v) is Fraction for v in inv.flat)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_invert_metric_refuses_bad_metrics(field):
+    n = 4
+    skew = random_metric(n, 1, field, False)
+    skew.mat[0, 1] = skew.mat[0, 1] + 1
+    singular = metric(n, field)
+    singular.mat[2, 3] = singular.mat[3, 2] = scalars.coerce(1, field)
+    singular.mat[3, 3] = scalars.coerce(1, field)  # rows 2 and 3 agree
+    for G in (skew, singular, DoubleForm.zeros(n, 1, 1, field)):
+        with pytest.raises(ValueError):
+            ref_invert_metric(G)
+        with pytest.raises(ValueError):
+            _invert_metric(G)
+        with pytest.raises(ValueError):
+            contract_with_metric(metric_power(n, 2, field), G)
+
+
+def test_contract_matches_oracle():
+    for n in range(0, 6):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for w in contract_inputs(n, p, q, 3 * p + q, scalars.RATIONAL):
+                    assert contract(w) == oracle.contract_oracle(w)
+
+
+def test_exact_contractions_hold_python_scalars():
+    # a numpy integer among the entries (from np.pad, say) would poison
+    # every later product with fixed-width arithmetic
+    for n in range(1, 6):
+        metrics = metric_inputs(n, scalars.RATIONAL)
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                for w in contract_inputs(n, p, q, 5 * p + q, scalars.RATIONAL):
+                    outs = [contract(w)] + [contract_with_metric(w, G) for G in metrics]
+                    for out in outs:
+                        assert all(type(v) in (int, Fraction) for v in out.mat.flat)
+
+
 # -- float zeros -------------------------------------------------------------------
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -384,3 +647,19 @@ def test_float_stars_write_no_negative_zeros(zero):
                 arr[arr == 0] = zero
             for out in (hodge(w).mat, hodge_form(a).coeffs, hodge_multi(m).coeffs):
                 assert not np.any(np.signbit(out) & (out == 0))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_float_contractions_write_no_negative_zeros(zero):
+    f = scalars.FLOAT64
+    for n in range(1, 7):
+        metrics = metric_inputs(n, f)
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                half = DoubleForm.zeros(n, p, q, f)
+                fill(half.mat, 7 * n + 3 * p + q, keep=max(1, half.mat.size // 2))
+                for w in (half, DoubleForm.zeros(n, p, q, f)):
+                    w.mat[w.mat == 0] = zero
+                    outs = [contract(w)] + [contract_with_metric(w, G) for G in metrics]
+                    for out in outs:
+                        assert not np.any(np.signbit(out.mat) & (out.mat == 0))
