@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import __version__, scalars
 from .dform import DoubleForm, transpose
@@ -29,17 +30,19 @@ from .fixtures import (
 )
 from .identities import ALL_IDENTITY_NAMES, run_suite
 from .invariants import N_2k, T_2k, h_2k, h_rpq, s_k, s_rq, t_k
+from .multiindex import MAX_DIM
 from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, \
     pf, skew_to_form
-from .tensorio import TensorFormatError, load_tensor, tensor_to_doc
+from .tensorio import TensorFormatError, _check_dense_size, load_tensor, \
+    tensor_to_doc
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 
-# The largest dimension `verify` accepts: the exact suite at n = 8 already
-# takes tens of seconds, and the wedge powers of its fixtures grow about
-# 5.7x per added dimension, so n = 9 and 10 are the feasible frontier.
+# The largest dimension `verify` accepts: with one seed on a 2-core host the
+# exact suite takes about 14 s at n = 8 and 68 s at n = 9 (peak RSS 63 and
+# 293 MB), about 5x per added dimension, so n = 10 is the feasible frontier.
 MAX_VERIFY_DIM = 10
 
 
@@ -110,10 +113,26 @@ def _fail(msg):
     return EXIT_USAGE
 
 
+def _generated_entries(args):
+    """The dense entry count of the largest array a generate request builds."""
+    n = args.n
+    if args.kind in ("general", "symmetric", "skew"):
+        return n * n
+    if args.kind == "bianchi":
+        # the p-fold wedge passes through every degree up to p
+        return comb(n, max(min(args.p, n // 2), 0)) ** 2
+    if args.kind == "constant_curvature":
+        return comb(n, 2) ** 2
+    return comb(n, max(args.k, 0))
+
+
 def cmd_generate(args) -> int:
     field = args.scalar
     n = args.n
     try:
+        if not 0 <= n <= MAX_DIM:
+            raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
+        _check_dense_size(_generated_entries(args))
         if field is None:
             field = scalars.FLOAT64 if _default_mode() == "float" else scalars.RATIONAL
         if args.kind in ("general", "symmetric", "skew"):

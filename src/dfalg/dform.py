@@ -10,6 +10,8 @@ corresponding minor determinant.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -212,13 +214,60 @@ def _wedge(n, a, da, b, db, out):
 
 def wedge_power(w: DoubleForm, k: int) -> DoubleForm:
     """k-fold exterior power; k = 0 gives the unit (0, 0) form."""
+    return metric_wedge_power(w, 0, k)
+
+
+# The power memo: None outside power_memo(), else a dict mapping id(w) to
+# (w, {(m, k): g^m w^k}).  Holding w keeps its id from being reused while
+# the memo lives.
+_POWER_MEMO = contextvars.ContextVar("dfalg_power_memo", default=None)
+
+
+@contextlib.contextmanager
+def power_memo():
+    """Share the powers built by metric_wedge_power inside the block.
+
+    Each g^m w^k is built once per form w, found by the identity of w, and
+    handed to every later caller; its array is read-only, so a caller that
+    writes to a shared power fails instead of corrupting the next one.  The
+    memo and its powers are dropped when the block exits.
+    """
+    token = _POWER_MEMO.set({})
+    try:
+        yield
+    finally:
+        _POWER_MEMO.reset(token)
+
+
+def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
+    """g^m w^k, the metric power g^m times the k-fold exterior power of w.
+
+    w^k extends w^(k-1) by one wedge with w, and g^m w^k is one more wedge
+    from g^m; k = 0 gives g^m.  Inside power_memo() every power built on
+    the way is kept and reused; w itself is never stored or marked.
+    """
     if k < 0:
         raise ValueError("negative exterior power")
     if k == 0:
-        return one(w.n, w.field)
-    out = w
-    for _ in range(k - 1):
-        out = wedge(out, w)
+        return metric_power(w.n, m, w.field)
+    memo = _POWER_MEMO.get()
+    powers = {} if memo is None else memo.setdefault(id(w), (w, {}))[1]
+
+    def keep(key, form):
+        if memo is not None:
+            form.mat.flags.writeable = False
+            powers[key] = form
+        return form
+
+    if (m, k) in powers:
+        return powers[(m, k)]
+    if m:
+        return keep((m, k), wedge(metric_power(w.n, m, w.field),
+                                  metric_wedge_power(w, 0, k)))
+    j = max((j for j in range(2, k) if (0, j) in powers), default=1)
+    out = powers.get((0, j), w)
+    for j in range(j + 1, k + 1):
+        out = keep((0, j), wedge(out, w))
     return out
 
 

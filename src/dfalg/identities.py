@@ -22,8 +22,9 @@ from .dform import (
     inner,
     metric,
     metric_power,
+    metric_wedge_power,
+    power_memo,
     transpose,
-    wedge,
     wedge_power,
 )
 from .invariants import h_2k, h_rpq, power_sums, s_k, s_rq, t_k, t_or_top
@@ -176,8 +177,8 @@ def check_lower_block(h: DoubleForm, k: int, p: int, q: int) -> IdentityResidual
     if not (0 <= q <= k and 0 <= p <= n - k):
         raise ValueError(f"(k, p, q) = ({k}, {p}, {q}) outside the expansion range")
     lhs = factorial(k) * factorial(n - k) * s_k(h, k)
-    a = wedge(metric_power(n, p, h.field), wedge_power(h, q))
-    b = wedge(metric_power(n, n - k - p, h.field), wedge_power(h, k - q))
+    a = metric_wedge_power(h, p, q)
+    b = metric_wedge_power(h, n - k - p, k - q)
     rhs = inner(a, hodge(b))
     return _record("lower_block_laplace", {"n": n, "k": k, "p": p, "q": q}, lhs, rhs,
                    "k!(n-k)! s_k(h) = <g^p h^q, *(g^(n-k-p) h^(k-q))>", h.field)
@@ -459,7 +460,7 @@ def run_suite(fixture_sets, mode: str = "exact", only: str | None = None):
     def wanted(*names):
         return only is None or only in names
 
-    for fx in fixture_sets:
+    def check_set(fx):
         n = fx.n
 
         for label, h in fx.bilinear:
@@ -546,6 +547,10 @@ def run_suite(fixture_sets, mode: str = "exact", only: str | None = None):
             if wanted("laplace_pp") and n >= 6:
                 add(_tag(check_general_laplace_pp(w3, 1), tag))
 
+    # one memo per fixture set: its powers are freed before the next set
+    for fx in fixture_sets:
+        with power_memo():
+            check_set(fx)
     records.sort(key=lambda rec: (rec.name, sorted(rec.params.items(), key=_param_key)))
     return records
 

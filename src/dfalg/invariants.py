@@ -31,6 +31,7 @@ from .dform import (
     inner,
     metric,
     metric_power,
+    metric_wedge_power,
     transpose,
     wedge,
     wedge_power,
@@ -74,7 +75,7 @@ def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleFo
     if path == "hodge":
         if r > n - pq:
             raise ValueError(f"Hodge-star path needs r <= n - pq = {n - pq}, got {r}")
-        out = wedge(metric_power(n, n - pq - r, w.field), wedge_power(w, q))
+        out = metric_wedge_power(w, n - pq - r, q)
         return hodge(out) * Fraction(1, factorial(n - pq - r))
     if path == "contraction":
         out = DoubleForm.zeros(n, r, r, w.field)
@@ -119,7 +120,7 @@ def sectional_value(h: DoubleForm, k: int, r: int, subset):
         raise ValueError(f"subset size {len(subset)} does not match k + r = {k + r}")
     if k + r > n:
         raise ValueError("subset degree exceeds the dimension")
-    w = wedge(metric_power(n, k, h.field), wedge_power(h, r))
+    w = metric_wedge_power(h, k, r)
     ri = rank_tuple(subset, n)
     return w.mat[ri, ri]
 

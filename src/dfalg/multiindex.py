@@ -144,21 +144,31 @@ def merge_table(n: int, p: int, q: int):
     Returns (cols, targets, neg), each of shape (C(n, p), C(n - p, q)).  Row
     rank(I) runs over the q-subsets J disjoint from I in lexicographic order:
     cols holds rank(J), targets the rank of I|J, and neg whether sorting
-    the concatenation I|J is an odd permutation.  Needs p + q <= n.
+    the concatenation I|J is an odd permutation, that is whether the pairs
+    (a in I, b in J) with b < a are odd in number.  Needs p + q <= n.
     """
-    rank_q = _rank_of(n, q)
-    rank_pq = _rank_of(n, p + q)
-    cols, targets, neg = [], [], []
-    for I in subsets(n, p):
-        for J in itertools.combinations(complement_tuple(I, n), q):
-            sign, merged = merge_sign_tuple(I, J)
-            cols.append(rank_q[J])
-            targets.append(rank_pq[merged])
-            neg.append(sign < 0)
-    shape = (comb(n, p), comb(n - p, q))
-    return (np.array(cols, dtype=np.intp).reshape(shape),
-            np.array(targets, dtype=np.intp).reshape(shape),
-            np.array(neg, dtype=bool).reshape(shape))
+    # int8 indices (n <= 64) keep the (rows, cols, p + q) temporaries small
+    I = np.array(subsets(n, p), dtype=np.int8).reshape(comb(n, p), p)
+    free = np.ones((len(I), n), dtype=bool)
+    free[np.arange(len(I))[:, None], I] = False
+    rest = np.nonzero(free)[1].astype(np.int8).reshape(len(I), n - p)
+    J = rest[:, np.array(subsets(n - p, q), dtype=np.intp).reshape(comb(n - p, q), q)]
+    IJ = np.concatenate([np.broadcast_to(I[:, None, :], J.shape[:2] + (p,)), J], axis=2)
+    IJ.sort(axis=2)
+    neg = (J[:, :, None, :] < I[:, None, :, None]).sum(axis=(2, 3)) % 2 == 1
+    return _lex_ranks(J, n), _lex_ranks(IJ, n), neg
+
+
+def _lex_ranks(K, n):
+    """Lexicographic ranks of the ascending k-subsets K[..., :] of [0, n).
+
+    rank(K) = C(n, k) - 1 - sum_i C(n - 1 - K_i, k - i), i = 0..k-1.
+    """
+    k = K.shape[-1]
+    out = np.full(K.shape[:-1], comb(n, k) - 1, dtype=np.intp)
+    for i in range(k):
+        out -= np.array([comb(a, k - i) for a in range(n)], dtype=np.intp)[n - 1 - K[..., i]]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -104,7 +104,7 @@ def _value(raw, field):
 
 def _check_dense_size(entries):
     if entries > MAX_DENSE_ENTRIES:
-        raise TensorFormatError(f"the header asks for {entries} dense entries, "
+        raise TensorFormatError(f"the tensor needs {entries} dense entries, "
                                 f"above the limit of {MAX_DENSE_ENTRIES}")
 
 

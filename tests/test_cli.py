@@ -110,6 +110,25 @@ def test_generate_constant_curvature_and_form(capsys):
     assert tensor_from_doc(json.loads(out)) == random_form(6, 2, 5)
 
 
+OVERSIZED_GENERATE = [
+    # C(24, 12)^2 = 7.3e12 object entries
+    ["--kind", "bianchi", "--n", "24", "--p", "12"],
+    # the result has C(20, 18)^2 entries, but the wedges pass C(20, 10)^2
+    ["--kind", "bianchi", "--n", "20", "--p", "18"],
+    ["--kind", "form", "--n", "40", "--k", "20"],
+    ["--kind", "general", "--n", "100000"],
+    ["--kind", "form", "--n", "1000000000", "--k", "500000000"],
+]
+
+
+@pytest.mark.parametrize("args", OVERSIZED_GENERATE)
+def test_generate_oversized_request_exits_2(capsys, args):
+    code, out, err = run_cli(capsys, "generate", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dfalg: error:")
+
+
 # -- invariants ------------------------------------------------------------------
 
 def test_invariants_of_identity_metric(tmp_path, capsys):

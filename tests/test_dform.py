@@ -19,7 +19,9 @@ from dfalg.dform import (
     inner,
     metric,
     metric_power,
+    metric_wedge_power,
     one,
+    power_memo,
     transpose,
     wedge,
     wedge_power,
@@ -50,6 +52,65 @@ def test_metric_power_is_wedge_power():
 def test_metric_power_bounds():
     with pytest.raises(ValueError):
         metric_power(3, 4)
+
+
+# -- the powers g^m w^k and their memo ----------------------------------------
+
+def loop_power(w, k):
+    out = one(w.n, w.field)
+    for _ in range(k):
+        out = wedge(out, w)
+    return out
+
+
+@pytest.mark.parametrize("field", [scalars.RATIONAL, scalars.FLOAT64])
+def test_metric_wedge_power_is_the_wedge_product(field):
+    h = random_bilinear(5, 3, field=field)
+    R = random_bianchi(6, 2, 2, seed=4, field=field)
+    for w in (h, R):
+        n, p = w.n, w.p
+        for m in range(n + 1):
+            for k in range((n - m) // p + 2):  # one spillover power past the top
+                want = wedge(metric_power(n, m, field), loop_power(w, k))
+                got = metric_wedge_power(w, m, k)
+                assert got.bidegree == want.bidegree and got.field == field
+                assert got == want
+    assert wedge_power(h, 1) is h
+    with pytest.raises(ValueError):
+        metric_wedge_power(h, 0, -1)
+    with pytest.raises(ValueError):
+        metric_wedge_power(h, 6, 1)
+
+
+def test_power_memo_shares_read_only_powers():
+    h = random_bilinear(5, 3)
+    with power_memo():
+        a = metric_wedge_power(h, 1, 2)
+        assert metric_wedge_power(h, 1, 2) is a
+        h3 = wedge_power(h, 3)
+        assert wedge_power(h, 2) is metric_wedge_power(h, 0, 2)
+        assert wedge_power(h, 3) is h3
+        assert wedge_power(h, 1) is h
+        assert not a.mat.flags.writeable and not h3.mat.flags.writeable
+        # the caller's own form is never marked
+        assert h.mat.flags.writeable
+        with pytest.raises(ValueError):
+            a.mat[0, 0] = 1
+        # a form with equal entries is another key
+        assert metric_wedge_power(h.copy(), 1, 2) is not a
+    b = metric_wedge_power(h, 1, 2)
+    assert b == a and b is not a and b.mat.flags.writeable
+    assert metric_wedge_power(h, 1, 2) is not b
+    assert h.mat.flags.writeable
+
+
+def test_power_memo_is_dropped_on_error():
+    h = random_bilinear(4, 3)
+    with pytest.raises(RuntimeError):
+        with power_memo():
+            wedge_power(h, 2)
+            raise RuntimeError("boom")
+    assert wedge_power(h, 2) is not wedge_power(h, 2)
 
 
 # -- wedge -------------------------------------------------------------------

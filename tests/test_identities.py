@@ -1,10 +1,12 @@
+import contextlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_dform
-from dfalg import identities as idn, scalars
-from dfalg.dform import DoubleForm, metric, metric_power, transpose, wedge
+from dfalg import dform, identities as idn, scalars
+from dfalg.dform import DoubleForm, metric, metric_power, transpose, wedge, wedge_power
 from dfalg.fixtures import (
     constant_curvature,
     jordan_block,
@@ -306,6 +308,65 @@ def test_run_suite_float_mode():
     worst = max(r.rel_residual for r in recs)
     assert worst <= scalars.FLOAT_RELATIVE_TOLERANCE
     assert all(r.passed for r in recs)
+
+
+def suite_reports(mode):
+    field = scalars.FLOAT64 if mode == "float" else scalars.RATIONAL
+    fixture_sets = [suite_fixtures(n, 1, field) for n in range(2, 7)]
+    return [json.dumps(r.to_json()) for r in idn.run_suite(fixture_sets, mode=mode)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_power_memo_leaves_suite_records_unchanged(monkeypatch, mode):
+    memoized = suite_reports(mode)
+    monkeypatch.setattr(idn, "power_memo", contextlib.nullcontext)
+    assert suite_reports(mode) == memoized
+
+
+def test_power_memo_is_scoped_to_each_fixture_set(monkeypatch):
+    entered = []
+
+    @contextlib.contextmanager
+    def counting_memo():
+        with dform.power_memo():
+            entered.append(dform._POWER_MEMO.get())
+            yield
+
+    monkeypatch.setattr(idn, "power_memo", counting_memo)
+    sets = [suite_fixtures(n, 1) for n in (2, 3, 4)]
+    idn.run_suite(sets, only="lower_block_laplace")
+    assert len(entered) == len(sets)
+    # each set had its own memo, and it was filled
+    assert len({id(memo) for memo in entered}) == len(sets) and all(entered)
+
+
+def no_memo_active():
+    h = random_bilinear(3, 1)
+    return dform._POWER_MEMO.get() is None and wedge_power(h, 2) is not wedge_power(h, 2)
+
+
+def test_no_power_memo_outlives_run_suite(monkeypatch):
+    idn.run_suite([suite_fixtures(3, 1)], only="block_laplace")
+    assert no_memo_active()
+    with pytest.raises(ValueError):
+        idn.run_suite([suite_fixtures(3, 1)], only="no_such_identity")
+    assert no_memo_active()
+
+    def broken(h):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(idn, "check_cayley_hamilton", broken)
+    with pytest.raises(RuntimeError):
+        idn.run_suite([suite_fixtures(3, 1)])
+    assert no_memo_active()
+
+
+@pytest.mark.parametrize("only", ["general_avez", "laplace_pp"])
+def test_n8_spot_check(only):
+    """q = 2 in these two identities needs n >= 8, past the default suite."""
+    recs = idn.run_suite([suite_fixtures(8, 1)], only=only)
+    assert any(r.params["q"] == 2 for r in recs)
+    assert recs and all(r.passed and r.exact_zero for r in recs)
 
 
 def test_residual_records_carry_formula_strings():

@@ -1,8 +1,8 @@
 """Differential tests of the slot-generic wedge and star kernels and of
 the gather contraction kernel.
 
-The references below are the loops the kernels replaced: the scatter and
-gather double-form wedges, the exterior-form and multiform wedge loops,
+The references below are the loops the kernels replaced: the
+merge_table build, the scatter and gather double-form wedges, the exterior-form and multiform wedge loops,
 the three Hodge-star loops, the contract and contract_with_metric loops
 and the Gauss-Jordan metric inverse.  They run on their own copies of the
 tuple- and dict-format tables they were written against.  Exact mode must
@@ -10,6 +10,7 @@ agree entry for entry; float mode sums in another order, so it is held to
 a relative tolerance of 1e-12.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -42,6 +43,7 @@ from dfalg.multiindex import (
     complement_sign_tuple,
     complement_tuple,
     merge_sign_tuple,
+    merge_table,
     split_table,
     subsets,
 )
@@ -68,6 +70,23 @@ def old_merge_table(n, p, q):
             row.append(None if res is None else (res[0], ranks[res[1]]))
         table.append(tuple(row))
     return tuple(table)
+
+
+def ref_merge_table(n, p, q):
+    """The merge_table build of one merge_sign_tuple call per disjoint pair."""
+    rank_q = _rank_of(n, q)
+    rank_pq = _rank_of(n, p + q)
+    cols, targets, neg = [], [], []
+    for I in subsets(n, p):
+        for J in itertools.combinations(complement_tuple(I, n), q):
+            sign, merged = merge_sign_tuple(I, J)
+            cols.append(rank_q[J])
+            targets.append(rank_pq[merged])
+            neg.append(sign < 0)
+    shape = (comb(n, p), comb(n - p, q))
+    return (np.array(cols, dtype=np.intp).reshape(shape),
+            np.array(targets, dtype=np.intp).reshape(shape),
+            np.array(neg, dtype=bool).reshape(shape))
 
 
 @lru_cache(maxsize=None)
@@ -380,6 +399,30 @@ def slot_pairs(n):
     """Slot degrees (x, y) with x + y <= n + 1: every wedge that fits, and
     the first spillover degree past the top."""
     return [(x, y) for x in range(n + 2) for y in range(n + 2 - x)]
+
+
+# the cold tables of the pfaffian_exterior benchmark workload: Pfaffians of
+# 2-forms at n = 12 and 14 and of a 4-form at n = 12
+PFAFFIAN_TABLES = [(12, p, 2) for p in range(2, 11, 2)] + [(12, 4, 4), (12, 8, 4)] \
+    + [(14, p, 2) for p in range(2, 13, 2)]
+
+
+def assert_same_table(n, p, q):
+    for new, ref in zip(merge_table(n, p, q), ref_merge_table(n, p, q), strict=True):
+        assert new.dtype == ref.dtype and new.shape == ref.shape, (n, p, q)
+        assert np.array_equal(new, ref), (n, p, q)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_merge_table_matches_loop(n):
+    for p in range(n + 1):
+        for q in range(n - p + 1):
+            assert_same_table(n, p, q)
+
+
+@pytest.mark.parametrize("n, p, q", PFAFFIAN_TABLES)
+def test_merge_table_matches_loop_on_pfaffian_tables(n, p, q):
+    assert_same_table(n, p, q)
 
 
 def assert_same(new, ref, field):
