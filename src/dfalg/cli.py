@@ -33,16 +33,21 @@ from .invariants import N_2k, T_2k, h_2k, h_rpq, s_k, s_rq, t_k
 from .multiindex import MAX_DIM
 from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, \
     pf, skew_to_form
-from .tensorio import TensorFormatError, _check_dense_size, load_tensor, \
-    tensor_to_doc
+from .tensorio import MAX_DENSE_ENTRIES, TensorFormatError, _check_dense_size, \
+    load_tensor, tensor_to_doc
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 
-# The largest dimension `verify` accepts: with one seed on a 2-core host the
-# exact suite takes about 14 s at n = 8 and 68 s at n = 9 (peak RSS 63 and
-# 293 MB), about 5x per added dimension, so n = 10 is the feasible frontier.
+# seeds of `verify --seeds` and `generate --seed`: the SplitMix64 state range
+SEED_LIMIT = 1 << 64
+
+# The largest dimension `verify` accepts.  With one seed on a 2-core host
+# the exact suite takes 0.33 s at n = 8, 1.1 s at n = 9 and 4.9 s at
+# n = 10, with peak RSS 51, 163 and 809 MB.  Time is no longer the limit;
+# memory is: RSS grows about 5x per added dimension, from the wedge's
+# gather buffers, so n = 11 would need several GB.
 MAX_VERIFY_DIM = 10
 
 
@@ -126,13 +131,35 @@ def _generated_entries(args):
     return comb(n, max(args.k, 0))
 
 
+def _generated_work(args):
+    """The dense entries a generate request computes: bianchi builds p - 1
+    wedges and one sum for each of its terms, each at most the largest
+    array."""
+    entries = _generated_entries(args)
+    if args.kind == "bianchi":
+        return entries * max(args.terms, 1) * max(args.p, 1)
+    return entries
+
+
+def _check_seed(seed):
+    # SplitMix64 keeps 64 bits of its seed, so -1 and 2^64 - 1 would build
+    # the same fixtures under different report metadata
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+
+
 def cmd_generate(args) -> int:
     field = args.scalar
     n = args.n
     try:
         if not 0 <= n <= MAX_DIM:
             raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
+        _check_seed(args.seed)
         _check_dense_size(_generated_entries(args))
+        work = _generated_work(args)
+        if work > MAX_DENSE_ENTRIES:
+            raise ValueError(f"the request computes {work} dense entries over its "
+                             f"terms and wedges, above the limit of {MAX_DENSE_ENTRIES}")
         if field is None:
             field = scalars.FLOAT64 if _default_mode() == "float" else scalars.RATIONAL
         if args.kind in ("general", "symmetric", "skew"):
@@ -238,6 +265,11 @@ def cmd_verify(args) -> int:
                      f"dimension {MAX_VERIFY_DIM}")
     if not seeds:
         return _fail(f"--seeds names no seed: {args.seeds!r}")
+    try:
+        for seed in seeds:
+            _check_seed(seed)
+    except ValueError as exc:
+        return _fail(str(exc))
     field = scalars.FLOAT64 if mode == "float" else scalars.RATIONAL
     fixture_sets = [suite_fixtures(n, seed, field)
                     for n in range(lo, hi + 1) for seed in seeds]

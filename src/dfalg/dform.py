@@ -6,6 +6,12 @@ multi-vectors: entry[rank(I), rank(J)] = w(e_I, e_J).  The identification
 with multilinear forms uses the shuffle convention (no 1/k! weights), so
 the k-th exterior power of a bilinear form h evaluates to k! times the
 corresponding minor determinant.
+
+Exact forms compute in the integer lane: the matrix is num / den with num
+an integer array and den one positive Python int, kept in lowest terms
+(the zero form has den = 1).  num is int64 when a bound checked before
+each operation keeps every entry and partial sum below LANE_BOUND, and an
+object array of Python ints otherwise.  Float forms hold float64 values.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
@@ -28,11 +34,23 @@ from .multiindex import (
     subsets,
 )
 
+# int64 numerators stay below this magnitude; an operation whose bound
+# (input magnitudes times the terms summed per entry) reaches it runs on
+# Python ints instead.
+LANE_BOUND = 1 << 62
+
 
 class DoubleForm:
-    """Immutable-by-convention dense (p, q) double form."""
+    """Immutable-by-convention dense (p, q) double form.
 
-    __slots__ = ("n", "p", "q", "mat", "field")
+    A form built from values keeps them in the writable array mat.  An
+    exact form made by an operation holds the integer lane instead and
+    builds mat, as int and Fraction values, when it is first read; from
+    then on mat is the form's truth, so a write to it is never lost.  A
+    frozen form (see power_memo) builds a read-only mat and keeps its lane.
+    """
+
+    __slots__ = ("n", "p", "q", "field", "_mat", "_num", "_den", "_mag", "_frozen")
 
     def __init__(self, n, p, q, mat, field=scalars.RATIONAL):
         if not 0 <= n <= MAX_DIM:
@@ -48,8 +66,11 @@ class DoubleForm:
         self.n = n
         self.p = p
         self.q = q
-        self.mat = mat
         self.field = field
+        self._mat = mat
+        self._num = self._mag = None
+        self._den = 1
+        self._frozen = False
 
     # -- constructors ------------------------------------------------------
 
@@ -67,6 +88,44 @@ class DoubleForm:
             out.mat[rank_tuple(tuple(I), n), rank_tuple(tuple(J), n)] = scalars.coerce(v, field)
         return out
 
+    # -- storage -----------------------------------------------------------
+
+    @property
+    def mat(self):
+        """The matrix of values: int and Fraction exact, float64 float."""
+        if self._mat is None:
+            self._mat = _values_of(self._num, self._den)
+            self._mat.flags.writeable = not self._frozen
+        return self._mat
+
+    def _lane(self):
+        """(num, den, mag) of an exact form, mag the largest |num| entry.
+
+        A writable mat may have been written to, so it is the truth and is
+        read afresh on every call; a read-only mat built from the lane
+        still matches it.  A float form is its values over 1 (mag unused).
+        """
+        mat = self._mat
+        if self.field == scalars.FLOAT64:
+            return mat, 1, 0
+        if mat is not None and (self._num is None or mat.flags.writeable):
+            return _lane_of(mat)
+        if self._mag is None:
+            self._mag = _magnitude(self._num)
+        return self._num, self._den, self._mag
+
+    def _values(self):
+        """The entries as values, without handing out an array to keep."""
+        if self._mat is not None:
+            return self._mat
+        return _values_of(self._num, self._den)
+
+    def _freeze(self):
+        """Make mat read-only, now or whenever it is built."""
+        self._frozen = True
+        if self._mat is not None:
+            self._mat.flags.writeable = False
+
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -74,34 +133,44 @@ class DoubleForm:
         return (self.p, self.q)
 
     def entry(self, I, J):
-        return self.mat[rank_tuple(tuple(I), self.n), rank_tuple(tuple(J), self.n)]
+        i, j = rank_tuple(tuple(I), self.n), rank_tuple(tuple(J), self.n)
+        if self.field == scalars.FLOAT64:
+            return self.mat[i, j]
+        num, den, _ = self._lane()
+        return _value(int(num[i, j]), den)
 
     def scalar(self):
         """The single value of a (0, 0) form."""
         if self.p != 0 or self.q != 0:
             raise ValueError(f"bidegree ({self.p}, {self.q}) form is not a scalar")
-        return self.mat[0, 0]
+        return self.entry((), ())
 
     def max_abs(self):
-        if self.mat.size == 0:
-            return 0
-        return max(abs(v) for v in self.mat.flat)
+        if self.field == scalars.FLOAT64:
+            if self.mat.size == 0:
+                return 0
+            return max(abs(v) for v in self.mat.flat)
+        _, den, mag = self._lane()
+        return _value(mag, den)
 
     def is_zero(self):
-        return all(v == 0 for v in self.mat.flat)
+        if self.field == scalars.FLOAT64:
+            return all(v == 0 for v in self.mat.flat)
+        return self._lane()[2] == 0
 
     def astype(self, field):
         if field == self.field:
             return self
         if field == scalars.FLOAT64:
-            return DoubleForm(self.n, self.p, self.q, self.mat.astype(float), field)
+            return DoubleForm(self.n, self.p, self.q, self._values().astype(float), field)
         mat = np.empty(self.mat.shape, dtype=object)
         for idx, v in np.ndenumerate(self.mat):
             mat[idx] = scalars.coerce(v, field)
         return DoubleForm(self.n, self.p, self.q, mat, field)
 
     def copy(self):
-        return DoubleForm(self.n, self.p, self.q, self.mat.copy(), self.field)
+        num, den, mag = self._lane()
+        return _form(self.n, self.p, self.q, self.field, num.copy(), den, mag)
 
     def __repr__(self):
         return f"DoubleForm(n={self.n}, p={self.p}, q={self.q}, field={self.field!r})"
@@ -112,44 +181,155 @@ class DoubleForm:
         if self.n != other.n or self.field != other.field:
             raise ValueError("incompatible double forms")
 
-    def __add__(self, other):
+    def _combine(self, other, sign, verb):
         self._check_compatible(other)
         if self.bidegree != other.bidegree:
-            raise ValueError(f"cannot add bidegrees {self.bidegree} and {other.bidegree}")
-        return DoubleForm(self.n, self.p, self.q, self.mat + other.mat, self.field)
+            raise ValueError(f"cannot {verb} bidegrees {self.bidegree} and {other.bidegree}")
+        a, da, ma = self._lane()
+        b, db, mb = other._lane()
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        dtype = _lane_dtype(self.field, ma * sa + mb * sb, sa, sb)
+        a, b = _as(a, dtype), _as(b, dtype)
+        if sa != 1:
+            a = a * sa
+        if sb != 1:
+            b = b * sb
+        return _form(self.n, self.p, self.q, self.field, a + b if sign > 0 else a - b, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        if self.bidegree != other.bidegree:
-            raise ValueError(f"cannot subtract bidegrees {self.bidegree} and {other.bidegree}")
-        return DoubleForm(self.n, self.p, self.q, self.mat - other.mat, self.field)
+        return self._combine(other, -1, "subtract")
 
     def __neg__(self):
-        return DoubleForm(self.n, self.p, self.q, -self.mat, self.field)
+        num, den, mag = self._lane()
+        return _form(self.n, self.p, self.q, self.field, -num, den, mag)
 
     def __mul__(self, scalar):
         if isinstance(scalar, DoubleForm):
             return NotImplemented
         if self.field == scalars.FLOAT64:
-            scalar = float(scalar)
-        return DoubleForm(self.n, self.p, self.q, self.mat * scalar, self.field)
+            return _form(self.n, self.p, self.q, self.field, self.mat * float(scalar))
+        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        x, y = int(s.numerator), int(s.denominator)
+        num, den, mag = self._lane()
+        if x == 0 or mag == 0:
+            return _zero(self.n, self.p, self.q, self.field)
+        mag *= abs(x)
+        num = _as(num, _lane_dtype(self.field, mag))
+        return _form(self.n, self.p, self.q, self.field, num * x if x != 1 else num, den * y, mag)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, DoubleForm):
             return NotImplemented
-        return (self.n == other.n and self.bidegree == other.bidegree
-                and bool(np.all(self.mat == other.mat)))
+        if self.n != other.n or self.bidegree != other.bidegree:
+            return False
+        if self.field == other.field == scalars.RATIONAL:
+            a, da, ma = self._lane()
+            b, db, mb = other._lane()
+            return da == db and ma == mb and bool(np.array_equal(a, b))
+        return bool(np.all(self._values() == other._values()))
 
     __hash__ = None  # unhashable: payload is a mutable array
 
 
+# -- the integer lane ----------------------------------------------------------
+
+
+def _form(n, p, q, field, num, den=1, mag=None):
+    """The (p, q) form num / den, an exact one brought to lowest terms.
+
+    num has the (p, q) shape, so the constructor's checks are skipped.
+    """
+    out = DoubleForm.__new__(DoubleForm)
+    out.n, out.p, out.q, out.field = n, p, q, field
+    out._frozen = False
+    if field == scalars.FLOAT64:
+        out._mat, out._num, out._den, out._mag = num, None, 1, None
+        return out
+    if den != 1:
+        c = _content(num)
+        if c == 0:
+            den, mag = 1, 0
+        elif (g := gcd(den, c)) != 1:  # g <= c, so an int64 num divides in range
+            num, den = num // g, den // g
+            mag = None if mag is None else mag // g
+    out._mat, out._num, out._den, out._mag = None, num, den, mag
+    return out
+
+
+def _zero(n, p, q, field):
+    shape = (comb(n, p), comb(n, q))
+    return _form(n, p, q, field, np.zeros(shape, dtype=_lane_dtype(field, 0)), 1, 0)
+
+
+def _lane_dtype(field, bound, *factors):
+    """float64 for a float form; for an exact one int64 when bound and every
+    factor are below LANE_BOUND, else object.
+
+    The factors are the operand magnitudes and scales: a zero operand
+    makes the bound 0 but must still fit int64 to be converted.
+    """
+    if field == scalars.FLOAT64:
+        return np.float64
+    return np.int64 if max((bound, *factors)) < LANE_BOUND else object
+
+
+def _as(a, dtype):
+    return a if a.dtype == dtype else a.astype(dtype)
+
+
+def _magnitude(num):
+    if num.size == 0:
+        return 0
+    if num.dtype == object:
+        return max(map(abs, num.flat))
+    return int(np.abs(num).max())
+
+
+def _content(num):
+    """The gcd of every entry of an integer array (0 for the zero array)."""
+    return int(np.gcd.reduce(num, axis=None)) if num.size else 0
+
+
+def _value(v, den):
+    q, r = divmod(v, den)
+    return q if r == 0 else Fraction(v, den)
+
+
+def _values_of(num, den):
+    """The lane num / den as an object array of int and Fraction values."""
+    if den == 1:
+        return num.astype(object)
+    out = np.empty(num.shape, dtype=object)
+    out.reshape(-1)[:] = [_value(v, den) for v in num.reshape(-1).tolist()]
+    return out
+
+
+def _lane_of(mat):
+    """An exact value array as its lane (num, den, mag), in lowest terms.
+
+    den is the lcm of the reduced denominators, which leaves no common
+    factor with the scaled numerators.
+    """
+    flat = mat.reshape(-1).astype(object).tolist()
+    den = 1
+    if not all(type(v) is int for v in flat):
+        fracs = [Fraction(v) for v in flat]
+        den = lcm(*(int(f.denominator) for f in fracs))
+        flat = [int(f.numerator) * (den // int(f.denominator)) for f in fracs]
+    mag = max(map(abs, flat), default=0)
+    num = np.array(flat, dtype=_lane_dtype(scalars.RATIONAL, mag)).reshape(mat.shape)
+    return num, den, mag
+
+
 def one(n, field=scalars.RATIONAL):
     """The unit (0, 0) double form."""
-    out = DoubleForm.zeros(n, 0, 0, field)
-    out.mat[0, 0] = scalars.coerce(1, field)
-    return out
+    return metric_power(n, 0, field)
 
 
 def metric(n, field=scalars.RATIONAL):
@@ -161,11 +341,14 @@ def metric_power(n, k, field=scalars.RATIONAL):
     """The k-th exterior power g^k: k! times the identity on Lambda^k."""
     if not 0 <= k <= n:
         raise ValueError(f"metric power {k} out of range [0, {n}]")
-    out = DoubleForm.zeros(n, k, k, field)
-    fact = scalars.coerce(factorial(k), field)
-    for r in range(comb(n, k)):
-        out.mat[r, r] = fact
-    return out
+    return _identity(n, k, field, factorial(k))
+
+
+def _identity(n, k, field, scale=1):
+    """scale times the identity on Lambda^k, which is g^k / k!."""
+    size = comb(n, k)
+    num = np.eye(size, dtype=_lane_dtype(field, scale)) * scale
+    return _form(n, k, k, field, num, 1, scale if size else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +358,15 @@ def metric_power(n, k, field=scalars.RATIONAL):
 def wedge(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     """Exterior product of double forms (slot-wise wedge, shuffle signs)."""
     w1._check_compatible(w2)
-    n = w1.n
-    out = DoubleForm.zeros(n, w1.p + w2.p, w1.q + w2.q, w1.field)
-    if out.p <= n and out.q <= n:
-        _wedge(n, w1.mat, w1.bidegree, w2.mat, w2.bidegree, out.mat)
-    return out
+    n, p, q = w1.n, w1.p + w2.p, w1.q + w2.q
+    a, da, ma = w1._lane()
+    b, db, mb = w2._lane()
+    # each output entry sums C(p, p1) C(q, q1) products
+    dtype = _lane_dtype(w1.field, ma * mb * comb(p, w1.p) * comb(q, w1.q), ma, mb)
+    out = np.zeros((comb(n, p), comb(n, q)), dtype=dtype)
+    if p <= n and q <= n:
+        _wedge(n, _as(a, dtype), w1.bidegree, _as(b, dtype), w2.bidegree, out)
+    return _form(n, p, q, w1.field, out, da * db)
 
 
 def _wedge(n, a, da, b, db, out):
@@ -190,7 +377,8 @@ def _wedge(n, a, da, b, db, out):
     Each nonzero a[I] meets b[J] for every J disjoint from I slot by slot;
     the product lands on out[I|J], negated when an odd number of slot
     merges are odd.  Targets repeat across the nonzeros of a, so they are
-    summed with np.add.at.
+    summed with np.add.at.  Any dtype works: int64 or object numerators
+    of the integer lane, float64, or the values of an exterior form.
     """
     nz = np.nonzero(a)
     r = len(da)
@@ -228,8 +416,8 @@ def power_memo():
     """Share the powers built by metric_wedge_power inside the block.
 
     Each g^m w^k is built once per form w, found by the identity of w, and
-    handed to every later caller; its array is read-only, so a caller that
-    writes to a shared power fails instead of corrupting the next one.  The
+    handed to every later caller frozen: its mat is read-only, so a caller
+    that writes to a shared power fails instead of corrupting the next one.  The
     memo and its powers are dropped when the block exits.
     """
     token = _POWER_MEMO.set({})
@@ -255,7 +443,7 @@ def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
 
     def keep(key, form):
         if memo is not None:
-            form.mat.flags.writeable = False
+            form._freeze()
             powers[key] = form
         return form
 
@@ -276,7 +464,7 @@ def contract(w: DoubleForm) -> DoubleForm:
 
     Vanishes by convention when p = 0 or q = 0.
     """
-    return _contract(w, None)
+    return _contracted(w, None)
 
 
 def contract_iter(w: DoubleForm, r: int) -> DoubleForm:
@@ -296,75 +484,76 @@ def contract_with_metric(w: DoubleForm, G: DoubleForm) -> DoubleForm:
     n = w.n
     if G.bidegree != (1, 1) or G.n != n:
         raise ValueError("metric must be a (1, 1) form on the same space")
-    return _contract(w, _invert_metric(G))
+    return _contracted(w, _invert_metric(G))
 
 
-def _contract(w: DoubleForm, Ginv) -> DoubleForm:
-    """c(w), or c_G(w) when Ginv is the inverse metric, by one gather.
+def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
+    """c(w), or c_G(w) when Ginv is the inverse metric, through _contract.
 
-    out[I, J] = sum over a, b of Ginv[a, b] eps w[{a}|I, {b}|J], eps the
+    An exact w contracts its numerators, against the lane of Ginv, with
+    the denominators multiplied.  Float zeros come out as +0.0.
+    """
+    n, p, q, field = w.n, w.p, w.q, w.field
+    if p == 0 or q == 0:
+        return _zero(n, max(p - 1, 0), max(q - 1, 0), field)
+    num, den, mag = w._lane()
+    if Ginv is None:
+        # each output entry sums at most n terms
+        dtype = _lane_dtype(field, mag * n)
+        res = _contract(n, p, q, _as(num, dtype), None)
+    else:
+        A, den_g, mag_g = (Ginv, 1, 0) if field == scalars.FLOAT64 else _lane_of(Ginv)
+        dtype = _lane_dtype(field, mag * mag_g * n * n, mag, mag_g)
+        res = _contract(n, p, q, _as(num, dtype), _as(A, dtype))
+        den *= den_g
+    if field == scalars.FLOAT64:
+        res[res == 0] = 0.0  # no -0.0 sums
+    return _form(n, p - 1, q - 1, field, res, den)
+
+
+def _contract(n, p, q, m, Ginv):
+    """The contraction of the (p, q) array m, p, q >= 1, by one gather.
+
+    out[I, J] = sum over a, b of Ginv[a, b] eps m[{a}|I, {b}|J], eps the
     product of the two insertion signs; Ginv None is the identity, so only
     a = b is summed.  An index a already in I has the sentinel rank, which
-    reads the zero row (or column) padded onto w.  Exact values are scaled
-    to Python ints over one common denominator per operand, summed as ints
-    and divided once per nonzero output entry.  Only nonzero entries are
-    written, so float zeros stay +0.0.
+    reads the zero row (or column) padded onto m.  Any dtype works.
     """
-    n, p, q = w.n, w.p, w.q
-    out = DoubleForm.zeros(n, max(p - 1, 0), max(q - 1, 0), w.field)
-    if p == 0 or q == 0:
-        return out
     rp, negp = insertion_table(n, p)
     rq, negq = insertion_table(n, q)
-    exact = w.mat.dtype == object and (Ginv is None or Ginv.dtype == object)
-    m, den = _integer_scaled(w.mat) if exact else (w.mat, 1)
     pad = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=m.dtype)
     pad[:-1, :-1] = m
     if Ginv is None:
         x = pad[rp[:, None, :], rq[None, :, :]]
         neg = negp[:, None, :] ^ negq[None, :, :]
         x[neg] = -x[neg]
-        res = x.sum(axis=2)
-    else:
-        x = pad[rp[:, :, None, None], rq[None, None, :, :]]
-        neg = negp[:, :, None, None] ^ negq[None, None, :, :]
-        x[neg] = -x[neg]
-        A, den_g = _integer_scaled(Ginv) if exact else (Ginv, 1)
-        den *= den_g
-        res = np.tensordot(x, A, axes=([1, 3], [0, 1]))
-    nz = np.nonzero(res)
-    vals = res[nz]
-    if den != 1:
-        vals = np.array([Fraction(v, den) for v in vals], dtype=object)
-    out.mat[nz] = vals
-    return out
-
-
-def _integer_scaled(mat):
-    """An exact array as (Python-int object array, common denominator)."""
-    flat = mat.reshape(-1)
-    den = lcm(*(v.denominator for v in flat))
-    ints = np.array([v.numerator * (den // v.denominator) for v in flat], dtype=object)
-    return ints.reshape(mat.shape), den
+        return x.sum(axis=2)
+    x = pad[rp[:, :, None, None], rq[None, None, :, :]]
+    neg = negp[:, :, None, None] ^ negq[None, None, :, :]
+    x[neg] = -x[neg]
+    return np.tensordot(x, Ginv, axes=([1, 3], [0, 1]))
 
 
 def _invert_metric(G: DoubleForm):
     """Exact inverse of a symmetric invertible (1, 1) form.
 
     Rational mode runs fraction-free (Bareiss) Gauss-Jordan elimination on
-    [S | I] in Python ints, S = s G scaled to integers: every division is
-    exact, and at the end each row reads d e_i | d S^-1 with d = +-det S,
-    so G^-1 = s S^-1.  Float mode runs Gauss-Jordan elimination with
-    partial pivoting.  Raises on a non-symmetric or singular matrix.
+    [S | I] in Python ints, S = s G the numerators of G's lane: every
+    division is exact, and at the end each row reads d e_i | d S^-1 with
+    d = +-det S, so G^-1 = s S^-1.  Float mode runs Gauss-Jordan
+    elimination with partial pivoting.  Raises on a non-symmetric or
+    singular matrix.
     """
     n = G.n
-    M = G.mat
-    if not np.all(M == M.T):
-        raise ValueError("metric must be symmetric")
     if G.field == scalars.FLOAT64:
+        M = G.mat
+        if not np.all(M == M.T):
+            raise ValueError("metric must be symmetric")
         return _invert_float(M.astype(float))
-    S, s = _integer_scaled(M)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(S)]
+    S, s, _ = G._lane()
+    if not np.array_equal(S, S.T):
+        raise ValueError("metric must be symmetric")
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(S.tolist())]
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -409,10 +598,12 @@ def _invert_float(a):
 def hodge(w: DoubleForm) -> DoubleForm:
     """Double Hodge star: applies the usual star to both argument slots."""
     n, p, q = w.n, w.p, w.q
-    out = DoubleForm.zeros(n, max(n - p, 0), max(n - q, 0), w.field)
-    if p <= n and q <= n:  # else an identically-zero spillover from a wedge
-        _star(n, w.mat, w.bidegree, out.mat)
-    return out
+    if p > n or q > n:  # an identically-zero spillover from a wedge
+        return _zero(n, max(n - p, 0), max(n - q, 0), w.field)
+    num, den, mag = w._lane()
+    out = np.zeros((comb(n, p), comb(n, q)), dtype=num.dtype)
+    _star(n, num, w.bidegree, out)
+    return _form(n, n - p, n - q, w.field, out, den, mag)
 
 
 def _star(n, a, degs, out):
@@ -443,7 +634,8 @@ def _star(n, a, degs, out):
 
 
 def transpose(w: DoubleForm) -> DoubleForm:
-    return DoubleForm(w.n, w.q, w.p, w.mat.T.copy(), w.field)
+    num, den, mag = w._lane()
+    return _form(w.n, w.q, w.p, w.field, num.T.copy(), den, mag)
 
 
 def inner(w1: DoubleForm, w2: DoubleForm):
@@ -452,11 +644,19 @@ def inner(w1: DoubleForm, w2: DoubleForm):
     if w1.bidegree != w2.bidegree:
         raise ValueError(f"inner product needs equal bidegrees, "
                          f"got {w1.bidegree} and {w2.bidegree}")
-    acc = 0
-    for v1, v2 in zip(w1.mat.flat, w2.mat.flat):
-        if v1 != 0 and v2 != 0:
-            acc += v1 * v2
-    return scalars.coerce(acc, w1.field)
+    if w1.field == scalars.FLOAT64:
+        acc = 0
+        for v1, v2 in zip(w1.mat.flat, w2.mat.flat):
+            if v1 != 0 and v2 != 0:
+                acc += v1 * v2
+        return scalars.coerce(acc, w1.field)
+    a, da, ma = w1._lane()
+    b, db, mb = w2._lane()
+    if a.size == 0:
+        return 0
+    dtype = _lane_dtype(w1.field, ma * mb * a.size, ma, mb)
+    total = np.dot(_as(a, dtype).reshape(-1), _as(b, dtype).reshape(-1))
+    return _value(int(total), da * db)
 
 
 def compose(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
@@ -466,9 +666,14 @@ def compose(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     unless p = s; on matrices it is M(w2) . M(w1).
     """
     w1._check_compatible(w2)
+    n = w1.n
     if w1.p != w2.q:
-        return DoubleForm.zeros(w1.n, w2.p, w1.q, w1.field)
-    return DoubleForm(w1.n, w2.p, w1.q, w2.mat.dot(w1.mat), w1.field)
+        return _zero(n, w2.p, w1.q, w1.field)
+    a, da, ma = w1._lane()
+    b, db, mb = w2._lane()
+    # each output entry sums C(n, p) products
+    dtype = _lane_dtype(w1.field, ma * mb * a.shape[0], ma, mb)
+    return _form(n, w2.p, w1.q, w1.field, _as(b, dtype).dot(_as(a, dtype)), da * db)
 
 
 def compose_power(w: DoubleForm, r: int) -> DoubleForm:
@@ -477,16 +682,10 @@ def compose_power(w: DoubleForm, r: int) -> DoubleForm:
         raise ValueError(f"composition powers need square bidegree, got {w.bidegree}")
     if r < 0:
         raise ValueError("negative composition power")
-    size = comb(w.n, w.p)
-    if w.field == scalars.FLOAT64:
-        acc = np.eye(size)
-    else:
-        acc = np.zeros((size, size), dtype=object)
-        for i in range(size):
-            acc[i, i] = 1
+    acc = _identity(w.n, w.p, w.field)
     for _ in range(r):
-        acc = acc.dot(w.mat)
-    return DoubleForm(w.n, w.p, w.q, acc, w.field)
+        acc = compose(w, acc)
+    return acc
 
 
 def bianchi_residual(w: DoubleForm):
@@ -497,6 +696,7 @@ def bianchi_residual(w: DoubleForm):
     n, p, q = w.n, w.p, w.q
     if p < 1 or q < 1:
         raise ValueError("Bianchi sum needs p >= 1 and q >= 1")
+    m = w._values()
     worst = 0
     ranks_p = {s: r for r, s in enumerate(subsets(n, p))}
     for X in subsets(n, p + 1):
@@ -508,7 +708,7 @@ def bianchi_residual(w: DoubleForm):
                 if merged is None:
                     continue
                 sign, col = merged
-                v = w.mat[ranks_p[rest], rank_tuple(col, n)]
+                v = m[ranks_p[rest], rank_tuple(col, n)]
                 term = sign * v
                 acc += -term if j % 2 == 0 else term  # (-1)^j with 1-based j
             worst = max(worst, abs(acc))

@@ -23,6 +23,7 @@ from math import comb, factorial
 from . import scalars
 from .dform import (
     DoubleForm,
+    compose,
     compose_power,
     contract,
     contract_iter,
@@ -36,7 +37,6 @@ from .dform import (
     wedge,
     wedge_power,
 )
-from .multiindex import rank_tuple
 
 
 def _check_bilinear(h):
@@ -120,9 +120,7 @@ def sectional_value(h: DoubleForm, k: int, r: int, subset):
         raise ValueError(f"subset size {len(subset)} does not match k + r = {k + r}")
     if k + r > n:
         raise ValueError("subset degree exceeds the dimension")
-    w = metric_wedge_power(h, k, r)
-    ri = rank_tuple(subset, n)
-    return w.mat[ri, ri]
+    return metric_wedge_power(h, k, r).entry(subset, subset)
 
 
 def t_k(h: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
@@ -159,7 +157,7 @@ def power_sums(h: DoubleForm, r: int):
     for i in range(1, r + 1):
         out.append(contract(acc).scalar())
         if i < r:
-            acc = DoubleForm(h.n, 1, 1, acc.mat.dot(h.mat), h.field)
+            acc = compose(h, acc)
     return out
 
 

@@ -129,6 +129,56 @@ def test_generate_oversized_request_exits_2(capsys, args):
     assert err.startswith("dfalg: error:")
 
 
+# bianchi requests whose result is small but whose terms (or wedges per
+# term) would run for hours; the work budget refuses them before any wedge
+OVERWORKED_GENERATE = [
+    ["--kind", "bianchi", "--n", "4", "--terms", "100000000"],
+    ["--kind", "bianchi", "--n", "4", "--p", "100000000"],
+    ["--kind", "bianchi", "--n", "12", "--p", "6", "--terms", "4"],
+]
+
+
+@pytest.mark.parametrize("args", OVERWORKED_GENERATE)
+def test_generate_work_budget_exits_2(capsys, args):
+    code, out, err = run_cli(capsys, "generate", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dfalg: error:") and "terms and wedges" in err
+
+
+def test_generate_within_work_budget_runs(capsys):
+    # n = 4, p = 2: 36 entries, so 10 terms are 720 entries of work
+    code, out, _ = run_cli(capsys, "generate", "--kind", "bianchi", "--n", "4",
+                           "--terms", "10", "--seed", "3")
+    assert code == 0
+    assert tensor_from_doc(json.loads(out)) == random_bianchi(4, 2, 10, 3)
+
+
+BAD_SEEDS = ["-1", str(2 ** 64), str(2 ** 64 + 5), str(-(2 ** 64) + 1)]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_seed_outside_64_bits_exits_2(capsys, seed):
+    for argv in (("verify", "--n-range", "2:2", "--seeds", seed),
+                 ("verify", "--n-range", "2:2", "--seeds", f"1,{seed}"),
+                 ("generate", "--kind", "symmetric", "--n", "3", "--seed", seed)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dfalg: error: seed")
+
+
+def test_largest_seed_is_accepted(capsys):
+    top = str(2 ** 64 - 1)
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "2:2", "--seeds", top)
+    assert code == 0
+    assert json.loads(out)["meta"]["seeds"] == [2 ** 64 - 1]
+    code, out, _ = run_cli(capsys, "generate", "--kind", "symmetric", "--n", "3",
+                           "--seed", top)
+    assert code == 0
+    assert tensor_from_doc(json.loads(out)) == random_bilinear(3, 2 ** 64 - 1, "symmetric")
+
+
 # -- invariants ------------------------------------------------------------------
 
 def test_invariants_of_identity_metric(tmp_path, capsys):

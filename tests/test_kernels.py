@@ -1,5 +1,5 @@
-"""Differential tests of the slot-generic wedge and star kernels and of
-the gather contraction kernel.
+"""Differential tests of the slot-generic wedge and star kernels, of
+the gather contraction kernel and of the exact integer lane.
 
 The references below are the loops the kernels replaced: the
 merge_table build, the scatter and gather double-form wedges, the exterior-form and multiform wedge loops,
@@ -7,10 +7,13 @@ the three Hodge-star loops, the contract and contract_with_metric loops
 and the Gauss-Jordan metric inverse.  They run on their own copies of the
 tuple- and dict-format tables they were written against.  Exact mode must
 agree entry for entry; float mode sums in another order, so it is held to
-a relative tolerance of 1e-12.
+a relative tolerance of 1e-12.  The integer lane is held to the
+entry-by-entry int and Fraction arithmetic it replaced, and its int64 and
+Python-int numerators to each other.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -18,15 +21,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from dfalg import oracle, scalars
+from dfalg import dform, oracle, scalars
 from dfalg.dform import (
     DoubleForm,
     _invert_metric,
+    compose,
+    compose_power,
     contract,
     contract_with_metric,
     hodge,
+    inner,
     metric,
     metric_power,
+    transpose,
     wedge,
 )
 from dfalg.exterior import (
@@ -38,10 +45,12 @@ from dfalg.exterior import (
     wedge_multi,
 )
 from dfalg.fixtures import SplitMix64
+from dfalg.invariants import power_sums
 from dfalg.multiindex import (
     _rank_of,
     complement_sign_tuple,
     complement_tuple,
+    insertion_table,
     merge_sign_tuple,
     merge_table,
     split_table,
@@ -706,3 +715,375 @@ def test_float_contractions_write_no_negative_zeros(zero):
                     outs = [contract(w)] + [contract_with_metric(w, G) for G in metrics]
                     for out in outs:
                         assert not np.any(np.signbit(out.mat) & (out.mat == 0))
+
+
+# -- the integer lane ------------------------------------------------------------
+#
+# The exact operations below ran entry by entry on int and Fraction values
+# before the integer lane; those versions are kept as the references.  The
+# inputs pair each form with its entries computed independently, so no
+# reference reads a lane through the code under test.
+
+def old_mul(v, s):
+    return v * s
+
+
+def old_compose(v1, v2):
+    """M(w2) . M(w1) over values, for degrees that meet."""
+    return v2.dot(v1)
+
+
+def old_inner(v1, v2):
+    acc = 0
+    for x, y in zip(v1.flat, v2.flat):
+        if x != 0 and y != 0:
+            acc += x * y
+    return acc
+
+
+def old_max_abs(v):
+    if v.size == 0:
+        return 0
+    return max(abs(x) for x in v.flat)
+
+
+def old_integer_scaled(mat):
+    flat = mat.reshape(-1)
+    den = math.lcm(*(v.denominator for v in flat))
+    ints = np.array([v.numerator * (den // v.denominator) for v in flat], dtype=object)
+    return ints.reshape(mat.shape), den
+
+
+def old_contract(n, p, q, v, Ginv):
+    """The gather contraction over values scaled to ints, divided per entry."""
+    out = np.zeros((comb(n, max(p - 1, 0)), comb(n, max(q - 1, 0))), dtype=object)
+    if p == 0 or q == 0:
+        return out
+    rp, negp = insertion_table(n, p)
+    rq, negq = insertion_table(n, q)
+    m, den = old_integer_scaled(v)
+    pad = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=object)
+    pad[:-1, :-1] = m
+    if Ginv is None:
+        x = pad[rp[:, None, :], rq[None, :, :]]
+        neg = negp[:, None, :] ^ negq[None, :, :]
+        x[neg] = -x[neg]
+        res = x.sum(axis=2)
+    else:
+        x = pad[rp[:, :, None, None], rq[None, None, :, :]]
+        neg = negp[:, :, None, None] ^ negq[None, None, :, :]
+        x[neg] = -x[neg]
+        A, den_g = old_integer_scaled(Ginv)
+        den *= den_g
+        res = np.tensordot(x, A, axes=([1, 3], [0, 1]))
+    nz = np.nonzero(res)
+    vals = res[nz]
+    if den != 1:
+        vals = np.array([Fraction(v, den) for v in vals], dtype=object)
+    out[nz] = vals
+    return out
+
+
+R = scalars.RATIONAL
+# scalars for the multiply test: zero, units, ints, Fractions such as the
+# 1/k! normalisations, and multipliers that keep or leave the int64 lane
+LANE_SCALARS = [0, 1, -1, 3, Fraction(2, 9), Fraction(-7, 3), Fraction(1, 720),
+                2 ** 40, -(2 ** 61), Fraction(2 ** 70, 3)]
+
+
+def lane_inputs(n, p, q, seed):
+    """(form, values) pairs of exact (p, q) inputs.
+
+    Value-built: dense int, sparse, dense Fraction and zero.  Built by an
+    operation, so they hold a lane: g^p, a Fraction lane with den 7, and
+    int lanes with magnitudes near 2^42 (int64) and 2^72 (object).
+    """
+    dense = fill(np.zeros((comb(n, p), comb(n, q)), dtype=object), seed)
+    sparse = fill(np.zeros_like(dense), seed + 1, keep=2)
+    fracs = dense.copy()
+    for i, v in enumerate(fracs.flat):
+        fracs.flat[i] = Fraction(v, 1 + i % 5)
+    out = [(DoubleForm(n, p, q, v.copy()), v)
+           for v in (dense, sparse, fracs, np.zeros_like(dense))]
+    if p == q <= n:
+        g = np.zeros_like(dense)
+        for i in range(g.shape[0]):
+            g[i, i] = math.factorial(p)
+        out.append((metric_power(n, p), g))
+    for s in (Fraction(3, 7), 2 ** 40, 2 ** 70):
+        out.append((DoubleForm(n, p, q, dense.copy()) * s, old_mul(dense, s)))
+    return out
+
+
+def lane_bidegrees(n):
+    """Every (p, q) up to the first spillover at n <= 4, a third above."""
+    pairs = [(p, q) for p in range(n + 2) for q in range(n + 2)]
+    return pairs if n <= 4 else [(p, q) for p, q in pairs if (p + 2 * q + n) % 3 == 0]
+
+
+def assert_lane(form, values):
+    """form holds values, in a canonical lane, and reads back as Python values."""
+    num, den, mag = form._lane()
+    assert num.dtype in (np.int64, object)
+    assert type(den) is int and den >= 1
+    assert math.gcd(den, *(int(v) for v in num.flat)) == 1
+    assert mag == max((abs(int(v)) for v in num.flat), default=0)
+    mat = form.copy().mat
+    assert all(type(v) in (int, Fraction) for v in mat.flat)
+    assert mat.shape == values.shape and bool(np.all(mat == values))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_lane_unary_operations_match_fraction_path(n):
+    for p, q in lane_bidegrees(n):
+        for w, v in lane_inputs(n, p, q, 7 * p + q):
+            for s in LANE_SCALARS:
+                assert_lane(w * s, old_mul(v, s))
+                assert_lane(s * w, old_mul(v, s))
+            assert_lane(-w, -v)
+            assert_lane(w.copy(), v)
+            assert_lane(transpose(w), v.T)
+            assert w.max_abs() == old_max_abs(v)
+            assert w.is_zero() == all(x == 0 for x in v.flat)
+            if v.size:
+                I, J = subsets(n, p)[-1], subsets(n, q)[0]
+                assert w.entry(I, J) == v[-1, 0]
+                assert type(w.entry(I, J)) in (int, Fraction)
+            if (p, q) == (0, 0):
+                assert w.scalar() == v[0, 0] and type(w.scalar()) in (int, Fraction)
+            assert_lane(hodge(w), ref_hodge(DoubleForm(n, p, q, v.copy())).mat)
+            assert_lane(contract(w), old_contract(n, p, q, v, None))
+
+
+def lane_pairs(n, left, right):
+    """Every pair up to n = 5; above, each left input meets three partners."""
+    if n <= 5:
+        return itertools.product(left, right)
+    return [(a, right[(i + k) % len(right)]) for i, a in enumerate(left) for k in range(3)]
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_lane_binary_operations_match_fraction_path(n):
+    for p, q in lane_bidegrees(n):
+        left = lane_inputs(n, p, q, 3 * p + q)
+        right = lane_inputs(n, p, q, 5 * q + p)
+        flipped = lane_inputs(n, q, p, 11 * p + q)
+        for (a, va), (b, vb) in lane_pairs(n, left, right):
+            assert_lane(a + b, va + vb)
+            assert_lane(a - b, va - vb)
+            assert a == DoubleForm(n, p, q, va.copy())
+            assert (a == b) == bool(np.all(va == vb))
+            got = inner(a, b)
+            assert got == old_inner(va, vb) and type(got) in (int, Fraction)
+        for (a, va), (b, vb) in lane_pairs(n, left, flipped):
+            # (p, q) after (q, p) is a (q, q) form; the other order a (p, p)
+            assert_lane(compose(a, b), old_compose(va, vb))
+            assert_lane(compose(b, a), old_compose(vb, va))
+        # degrees that do not meet compose to zero
+        if p != q:
+            a, _ = left[0]
+            assert_lane(compose(a, a), np.zeros((comb(n, p), comb(n, q)), dtype=object))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_lane_wedge_and_metric_contraction_match_fraction_path(n):
+    metrics = metric_inputs(n, R)
+    for p, q in lane_bidegrees(n):
+        inputs = lane_inputs(n, p, q, 13 * p + q)
+        for i, (w, v) in enumerate(inputs):
+            G = metrics[(p + q + i) % len(metrics)]
+            Ginv = ref_invert_metric(G)
+            assert_lane(contract_with_metric(w, G), old_contract(n, p, q, v, Ginv))
+        # each input meets one partner, rotating over the bidegrees
+        x, y = (p + 1) % 2, q % 2
+        partners = lane_inputs(n, x, y, 17 * p + q)
+        for i, (a, va) in enumerate(inputs):
+            b, vb = partners[(i + p) % len(partners)]
+            ref = ref_wedge(DoubleForm(n, p, q, va.copy()), DoubleForm(n, x, y, vb.copy()),
+                            "scatter")
+            assert_lane(wedge(a, b), ref.mat)
+
+
+def test_lane_power_sums_and_composition_powers_match_dot_loops():
+    for n in range(0, 6):
+        for h, v in lane_inputs(n, 1, 1, 40 + n):
+            acc = np.eye(n, dtype=int).astype(object)
+            traces = []
+            for r in range(4):
+                assert_lane(compose_power(h, r), acc)
+                if r:
+                    traces.append(sum(acc[i, i] for i in range(n)))
+                acc = acc.dot(v)
+            assert power_sums(h, 3) == traces
+
+
+# -- the int64 bound ---------------------------------------------------------------
+
+BOUND = 1 << 62
+
+
+def one_entry(n, p, q, value, at=(0, 0)):
+    """A value-built (p, q) form with one nonzero entry."""
+    w = DoubleForm.zeros(n, p, q)
+    w.mat[at] = value
+    return w
+
+
+def lane_dtype(form):
+    return form._lane()[0].dtype
+
+
+def bound_cases():
+    """(name, operation, lane of the result) on both sides of the bound.
+
+    Each bound is the input magnitudes times the terms summed into one
+    entry; every true value stays below 2^63, so a wrong lane would still
+    compute in range and only the lane check can tell.  The sum has its
+    own test below; an inner product returns a Python int either way.
+    """
+    cases = []
+    for side, k in (("below", -1), ("at", 0)):
+        want = np.int64 if k < 0 else object
+        # wedge of two (1, 0) forms at n = 2: C(2, 1) C(0, 0) = 2 terms
+        a, b = one_entry(2, 1, 0, 2 ** 30), one_entry(2, 1, 0, 2 ** 31 + k, (1, 0))
+        cases.append((f"wedge {side}", lambda a=a, b=b: wedge(a, b), want))
+        # compose of (1, 1) forms at n = 2: C(2, 1) = 2 terms
+        a, b = one_entry(2, 1, 1, 2 ** 30), one_entry(2, 1, 1, 2 ** 31 + k)
+        cases.append((f"compose {side}", lambda a=a, b=b: compose(a, b), want))
+        # contraction of a (1, 1) form at n = 2: n = 2 terms
+        a = one_entry(2, 1, 1, 2 ** 61 + k)
+        cases.append((f"contract {side}", lambda a=a: contract(a), want))
+        # metric contraction at n = 2: n^2 = 4 terms; (2g)^-1 = g/2 has |num| = 1
+        a, G = one_entry(2, 1, 1, 2 ** 60 + k), metric(2) * 2
+        cases.append((f"contract_with_metric {side}",
+                      lambda a=a, G=G: contract_with_metric(a, G), want))
+        # scalar multiple: |a| x
+        a = one_entry(2, 1, 1, 2 ** 31)
+        cases.append((f"mul {side}", lambda a=a, k=k: a * (2 ** 31 + k), want))
+        # a value-built form is read into int64 below the bound
+        a = one_entry(2, 1, 1, 2 ** 62 + k)
+        cases.append((f"read {side}", lambda a=a: a.copy(), want))
+    return cases
+
+
+@pytest.mark.parametrize("name, op, want", bound_cases(),
+                         ids=[c[0] for c in bound_cases()])
+def test_lane_bound_picks_int64_below_and_object_at_the_bound(name, op, want):
+    out = op()
+    assert lane_dtype(out) == want
+    values = out.copy().mat
+    assert all(type(v) in (int, Fraction) for v in values.flat)
+
+
+def test_lane_bound_sum_sits_on_both_sides():
+    # a / 5 + b / 3 runs over the denominator 15 as 3 a + 5 b, whose bound
+    # crosses 2^62 between the two values of b
+    a = one_entry(2, 1, 1, Fraction(2 ** 60 + 1, 5))
+    for extra, want in ((0, np.int64), (1, object)):
+        top = (BOUND - 3 * (2 ** 60 + 1)) // 5 + extra
+        while math.gcd(top, 3) != 1:
+            top += 1 if extra else -1
+        b = one_entry(2, 1, 1, Fraction(top, 3), (1, 1))
+        s = a + b
+        assert (3 * (2 ** 60 + 1) + 5 * top < BOUND) == (want is np.int64)
+        assert lane_dtype(s) == want
+        assert s.entry((0,), (0,)) == Fraction(2 ** 60 + 1, 5)
+        assert s.entry((1,), (1,)) == Fraction(top, 3)
+
+
+def test_lane_cancels_to_the_zero_form():
+    # a denominator far past int64 on int64 numerators, cancelled by a sum
+    for n in range(1, 5):
+        w = random_lane_form(n) * Fraction(1, 3 ** 50)
+        zero = np.zeros((n, n), dtype=object)
+        for z in (w - w, w + (-w), w * 0, contract(wedge(w, w - w))):
+            assert_lane(z, zero)
+            assert z._lane()[1] == 1 and z.is_zero() and z.max_abs() == 0
+
+
+def test_int64_and_object_lanes_agree(monkeypatch):
+    # the same operations with every lane forced to Python ints
+    def run():
+        out = []
+        for n in range(0, 6):
+            h = lane_inputs(n, 1, 1, 50 + n)
+            Rf = lane_inputs(n, 2, 2, 60 + n)
+            G = metric_inputs(n, R)[-1]
+            for (a, _), (b, _) in zip(h, h[1:] + h[:1]):
+                out += [wedge(a, b), a + b, a - b, a * Fraction(5, 6), compose(a, b),
+                        contract(a), contract_with_metric(a, G), hodge(a), inner(a, b)]
+            for (a, _), (b, _) in zip(Rf, Rf[1:] + Rf[:1]):
+                out += [wedge(a, b), contract(contract(wedge(a, b))), hodge(a - b),
+                        compose(a, b), inner(a, b), a.max_abs()]
+        return out
+
+    fast = run()
+    assert any(isinstance(w, DoubleForm) and lane_dtype(w) == np.int64 for w in fast)
+    monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    slow = run()
+    assert all(lane_dtype(w) == object for w in slow if isinstance(w, DoubleForm))
+    assert len(fast) == len(slow)
+    for x, y in zip(fast, slow):
+        if isinstance(x, DoubleForm):
+            assert x._lane()[1] == y._lane()[1] and x == y
+            assert bool(np.all(x.copy().mat == y.copy().mat))
+        else:
+            assert x == y and type(x) is type(y)
+
+
+# -- writes to mat -------------------------------------------------------------------
+
+def test_writes_after_reading_mat_are_never_lost():
+    n = 4
+    h = wedge(random_lane_form(n), metric(n)) * Fraction(1, 3)
+    m = h.mat
+    assert h.mat is m and m.flags.writeable
+    m[0, 0] = m[0, 0] + Fraction(1, 2)
+    m[1, 2] = 7
+    want = DoubleForm(n, 2, 2, m.copy())
+    assert h == want and h.entry((0, 1), (0, 1)) == m[0, 0]
+    assert h.max_abs() == old_max_abs(m)
+    assert (h + h) == want * 2 and (h - want).is_zero()
+    assert hodge(h) == hodge(want)
+    assert contract(h) == contract(want)
+    assert inner(h, h) == old_inner(m, m)
+    # a second write after the form has been used again
+    m[2, 2] = -5
+    assert contract(h) == contract(DoubleForm(n, 2, 2, m.copy()))
+    assert wedge(h, metric(n)) == wedge(DoubleForm(n, 2, 2, m.copy()), metric(n))
+
+
+def test_writes_to_value_built_forms_reach_every_operation():
+    n = 3
+    w = DoubleForm.zeros(n, 1, 1)
+    assert contract(w).scalar() == 0
+    w.mat[1, 1] = Fraction(5, 2)
+    assert contract(w).scalar() == Fraction(5, 2)
+    w.mat[0, 0] = 2 ** 70
+    assert contract(w).scalar() == 2 ** 70 + Fraction(5, 2)
+    assert (w * 2).entry((0,), (0,)) == 2 ** 71
+
+
+def test_copies_and_frozen_forms_keep_their_own_entries():
+    n = 4
+    h = random_lane_form(n)
+    before = h.copy().mat
+    c = h.copy()
+    c.mat[0, 0] = 99
+    assert h.entry((0,), (0,)) == before[0, 0] != 99
+    d = h.copy()
+    h.mat[1, 1] = -99
+    assert d.entry((1,), (1,)) == before[1, 1] != -99
+    assert h.entry((1,), (1,)) == -99
+    f = wedge(d, d)
+    f._freeze()
+    assert not f.mat.flags.writeable
+    with pytest.raises(ValueError):
+        f.mat[0, 0] = 1
+    assert f == wedge(d, d) and contract(f) == contract(wedge(d, d))
+
+
+def random_lane_form(n):
+    """A (1, 1) form held in the lane, with a Fraction denominator."""
+    v = fill(np.zeros((n, n), dtype=object), 77 + n)
+    return DoubleForm(n, 1, 1, v) * Fraction(2, 3)
