@@ -41,90 +41,67 @@ LANE_BOUND = 1 << 62
 
 
 class DoubleForm:
-    """Immutable-by-convention dense (p, q) double form.
+    """Immutable dense (p, q) double form.
 
-    A form built from values keeps them in the writable array mat.  An
-    exact form made by an operation holds the integer lane instead and
-    builds mat, as int and Fraction values, when it is first read; from
-    then on mat is the form's truth, so a write to it is never lost.  A
-    frozen form (see power_memo) builds a read-only mat and keeps its lane.
+    The constructor reads its value array once.  An exact form keeps the
+    integer lane (num, den) and builds mat, as int and Fraction values,
+    when it is first read; a float form keeps a float64 copy, which is
+    mat.  Either way mat is read-only and a later change to the array the
+    form was built from does not reach it.
     """
 
-    __slots__ = ("n", "p", "q", "field", "_mat", "_num", "_den", "_mag", "_frozen")
+    __slots__ = ("n", "p", "q", "field", "_mat", "_num", "_den", "_mag")
 
     def __init__(self, n, p, q, mat, field=scalars.RATIONAL):
-        if not 0 <= n <= MAX_DIM:
-            raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
-        if p < 0 or q < 0:
-            raise ValueError(f"bidegree ({p}, {q}) must be non-negative")
-        scalars.check_field(field)
+        _check_shape(n, p, q, field)
         mat = np.asarray(mat)
         shape = (comb(n, p), comb(n, q))
         if mat.shape != shape:
             raise ValueError(f"matrix shape {mat.shape} does not match bidegree "
                              f"({p}, {q}) in dimension {n}, expected {shape}")
-        self.n = n
-        self.p = p
-        self.q = q
-        self.field = field
-        self._mat = mat
-        self._num = self._mag = None
-        self._den = 1
-        self._frozen = False
+        if field == scalars.FLOAT64:
+            num, den, mag = np.array(mat, dtype=np.float64), 1, 0
+        else:
+            num, den, mag = _lane_of(mat)
+        self.n, self.p, self.q, self.field = n, p, q, field
+        self._mat, self._num, self._den, self._mag = None, num, den, mag
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, n, p, q, field=scalars.RATIONAL):
-        dtype = float if field == scalars.FLOAT64 else object
-        mat = np.zeros((comb(n, p), comb(n, q)), dtype=dtype)
-        return cls(n, p, q, mat, field)
+        _check_shape(n, p, q, field)
+        shape = (comb(n, p), comb(n, q))
+        return _form(n, p, q, field, np.zeros(shape, dtype=_lane_dtype(field, 0)), 1, 0)
 
     @classmethod
     def from_entries(cls, n, p, q, entries, field=scalars.RATIONAL):
         """Build from a {(I, J): value} mapping of ascending index tuples."""
-        out = cls.zeros(n, p, q, field)
+        _check_shape(n, p, q, field)
+        mat = scalars.zeros((comb(n, p), comb(n, q)), field)
         for (I, J), v in entries.items():
-            out.mat[rank_tuple(tuple(I), n), rank_tuple(tuple(J), n)] = scalars.coerce(v, field)
-        return out
+            mat[rank_tuple(tuple(I), n), rank_tuple(tuple(J), n)] = scalars.coerce(v, field)
+        return cls(n, p, q, mat, field)
 
     # -- storage -----------------------------------------------------------
 
     @property
     def mat(self):
-        """The matrix of values: int and Fraction exact, float64 float."""
+        """The read-only matrix of values: int and Fraction exact, float64 float."""
         if self._mat is None:
-            self._mat = _values_of(self._num, self._den)
-            self._mat.flags.writeable = not self._frozen
+            mat = self._num if self.field == scalars.FLOAT64 else _values_of(self._num, self._den)
+            mat.flags.writeable = False
+            self._mat = mat
         return self._mat
 
     def _lane(self):
         """(num, den, mag) of an exact form, mag the largest |num| entry.
 
-        A writable mat may have been written to, so it is the truth and is
-        read afresh on every call; a read-only mat built from the lane
-        still matches it.  A float form is its values over 1 (mag unused).
+        A float form is its float64 values num over 1 (mag unused, 0).
         """
-        mat = self._mat
-        if self.field == scalars.FLOAT64:
-            return mat, 1, 0
-        if mat is not None and (self._num is None or mat.flags.writeable):
-            return _lane_of(mat)
         if self._mag is None:
-            self._mag = _magnitude(self._num)
+            self._mag = 0 if self.field == scalars.FLOAT64 else _magnitude(self._num)
         return self._num, self._den, self._mag
-
-    def _values(self):
-        """The entries as values, without handing out an array to keep."""
-        if self._mat is not None:
-            return self._mat
-        return _values_of(self._num, self._den)
-
-    def _freeze(self):
-        """Make mat read-only, now or whenever it is built."""
-        self._frozen = True
-        if self._mat is not None:
-            self._mat.flags.writeable = False
 
     # -- basic structure ---------------------------------------------------
 
@@ -135,7 +112,7 @@ class DoubleForm:
     def entry(self, I, J):
         i, j = rank_tuple(tuple(I), self.n), rank_tuple(tuple(J), self.n)
         if self.field == scalars.FLOAT64:
-            return self.mat[i, j]
+            return self._num[i, j]
         num, den, _ = self._lane()
         return _value(int(num[i, j]), den)
 
@@ -147,30 +124,26 @@ class DoubleForm:
 
     def max_abs(self):
         if self.field == scalars.FLOAT64:
-            if self.mat.size == 0:
+            if self._num.size == 0:
                 return 0
-            return max(abs(v) for v in self.mat.flat)
+            return max(abs(v) for v in self._num.flat)
         _, den, mag = self._lane()
         return _value(mag, den)
 
     def is_zero(self):
         if self.field == scalars.FLOAT64:
-            return all(v == 0 for v in self.mat.flat)
+            return all(v == 0 for v in self._num.flat)
         return self._lane()[2] == 0
 
     def astype(self, field):
         if field == self.field:
             return self
         if field == scalars.FLOAT64:
-            return DoubleForm(self.n, self.p, self.q, self._values().astype(float), field)
+            return DoubleForm(self.n, self.p, self.q, self.mat, field)
         mat = np.empty(self.mat.shape, dtype=object)
         for idx, v in np.ndenumerate(self.mat):
             mat[idx] = scalars.coerce(v, field)
         return DoubleForm(self.n, self.p, self.q, mat, field)
-
-    def copy(self):
-        num, den, mag = self._lane()
-        return _form(self.n, self.p, self.q, self.field, num.copy(), den, mag)
 
     def __repr__(self):
         return f"DoubleForm(n={self.n}, p={self.p}, q={self.q}, field={self.field!r})"
@@ -211,12 +184,12 @@ class DoubleForm:
         if isinstance(scalar, DoubleForm):
             return NotImplemented
         if self.field == scalars.FLOAT64:
-            return _form(self.n, self.p, self.q, self.field, self.mat * float(scalar))
+            return _form(self.n, self.p, self.q, self.field, self._num * float(scalar))
         s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
         x, y = int(s.numerator), int(s.denominator)
         num, den, mag = self._lane()
         if x == 0 or mag == 0:
-            return _zero(self.n, self.p, self.q, self.field)
+            return DoubleForm.zeros(self.n, self.p, self.q, self.field)
         mag *= abs(x)
         num = _as(num, _lane_dtype(self.field, mag))
         return _form(self.n, self.p, self.q, self.field, num * x if x != 1 else num, den * y, mag)
@@ -232,12 +205,20 @@ class DoubleForm:
             a, da, ma = self._lane()
             b, db, mb = other._lane()
             return da == db and ma == mb and bool(np.array_equal(a, b))
-        return bool(np.all(self._values() == other._values()))
+        return bool(np.all(self.mat == other.mat))
 
-    __hash__ = None  # unhashable: payload is a mutable array
+    __hash__ = None  # unhashable: == compares values
 
 
 # -- the integer lane ----------------------------------------------------------
+
+
+def _check_shape(n, p, q, field):
+    if not 0 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
+    if p < 0 or q < 0:
+        raise ValueError(f"bidegree ({p}, {q}) must be non-negative")
+    scalars.check_field(field)
 
 
 def _form(n, p, q, field, num, den=1, mag=None):
@@ -245,12 +226,6 @@ def _form(n, p, q, field, num, den=1, mag=None):
 
     num has the (p, q) shape, so the constructor's checks are skipped.
     """
-    out = DoubleForm.__new__(DoubleForm)
-    out.n, out.p, out.q, out.field = n, p, q, field
-    out._frozen = False
-    if field == scalars.FLOAT64:
-        out._mat, out._num, out._den, out._mag = num, None, 1, None
-        return out
     if den != 1:
         c = _content(num)
         if c == 0:
@@ -258,13 +233,10 @@ def _form(n, p, q, field, num, den=1, mag=None):
         elif (g := gcd(den, c)) != 1:  # g <= c, so an int64 num divides in range
             num, den = num // g, den // g
             mag = None if mag is None else mag // g
+    out = DoubleForm.__new__(DoubleForm)
+    out.n, out.p, out.q, out.field = n, p, q, field
     out._mat, out._num, out._den, out._mag = None, num, den, mag
     return out
-
-
-def _zero(n, p, q, field):
-    shape = (comb(n, p), comb(n, q))
-    return _form(n, p, q, field, np.zeros(shape, dtype=_lane_dtype(field, 0)), 1, 0)
 
 
 def _lane_dtype(field, bound, *factors):
@@ -416,9 +388,9 @@ def power_memo():
     """Share the powers built by metric_wedge_power inside the block.
 
     Each g^m w^k is built once per form w, found by the identity of w, and
-    handed to every later caller frozen: its mat is read-only, so a caller
-    that writes to a shared power fails instead of corrupting the next one.  The
-    memo and its powers are dropped when the block exits.
+    the same form is handed to every later caller; forms are immutable, so
+    sharing one is safe.  The memo and its powers are dropped when the
+    block exits.
     """
     token = _POWER_MEMO.set({})
     try:
@@ -443,7 +415,6 @@ def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
 
     def keep(key, form):
         if memo is not None:
-            form._freeze()
             powers[key] = form
         return form
 
@@ -495,14 +466,14 @@ def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
     """
     n, p, q, field = w.n, w.p, w.q, w.field
     if p == 0 or q == 0:
-        return _zero(n, max(p - 1, 0), max(q - 1, 0), field)
+        return DoubleForm.zeros(n, max(p - 1, 0), max(q - 1, 0), field)
     num, den, mag = w._lane()
     if Ginv is None:
         # each output entry sums at most n terms
         dtype = _lane_dtype(field, mag * n)
         res = _contract(n, p, q, _as(num, dtype), None)
     else:
-        A, den_g, mag_g = (Ginv, 1, 0) if field == scalars.FLOAT64 else _lane_of(Ginv)
+        A, den_g, mag_g = Ginv._lane()
         dtype = _lane_dtype(field, mag * mag_g * n * n, mag, mag_g)
         res = _contract(n, p, q, _as(num, dtype), _as(A, dtype))
         den *= den_g
@@ -534,22 +505,22 @@ def _contract(n, p, q, m, Ginv):
     return np.tensordot(x, Ginv, axes=([1, 3], [0, 1]))
 
 
-def _invert_metric(G: DoubleForm):
-    """Exact inverse of a symmetric invertible (1, 1) form.
+def _invert_metric(G: DoubleForm) -> DoubleForm:
+    """Inverse of a symmetric invertible (1, 1) form, as a (1, 1) form.
 
     Rational mode runs fraction-free (Bareiss) Gauss-Jordan elimination on
     [S | I] in Python ints, S = s G the numerators of G's lane: every
     division is exact, and at the end each row reads d e_i | d S^-1 with
-    d = +-det S, so G^-1 = s S^-1.  Float mode runs Gauss-Jordan
-    elimination with partial pivoting.  Raises on a non-symmetric or
-    singular matrix.
+    d = +-det S, so G^-1 = s S^-1 is the lane s sgn(d) (d S^-1) over |d|.
+    Float mode runs Gauss-Jordan elimination with partial pivoting.
+    Raises on a non-symmetric or singular matrix.
     """
-    n = G.n
-    if G.field == scalars.FLOAT64:
+    n, field = G.n, G.field
+    if field == scalars.FLOAT64:
         M = G.mat
         if not np.all(M == M.T):
             raise ValueError("metric must be symmetric")
-        return _invert_float(M.astype(float))
+        return _form(n, 1, 1, field, _invert_float(M.copy()))
     S, s, _ = G._lane()
     if not np.array_equal(S, S.T):
         raise ValueError("metric must be symmetric")
@@ -566,11 +537,11 @@ def _invert_metric(G: DoubleForm):
                 ai, aik = a[i], a[i][k]
                 a[i] = [(akk * x - aik * y) // prev for x, y in zip(ai, ak)]
         prev = akk
-    inv = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            inv[i, j] = Fraction(s * a[i][n + j], a[i][i])
-    return inv
+    s = s if prev > 0 else -s
+    flat = [s * x for row in a for x in row[n:]]
+    mag = max(map(abs, flat), default=0)
+    num = np.array(flat, dtype=_lane_dtype(field, mag)).reshape(n, n)
+    return _form(n, 1, 1, field, num, abs(prev), mag)
 
 
 def _invert_float(a):
@@ -599,7 +570,7 @@ def hodge(w: DoubleForm) -> DoubleForm:
     """Double Hodge star: applies the usual star to both argument slots."""
     n, p, q = w.n, w.p, w.q
     if p > n or q > n:  # an identically-zero spillover from a wedge
-        return _zero(n, max(n - p, 0), max(n - q, 0), w.field)
+        return DoubleForm.zeros(n, max(n - p, 0), max(n - q, 0), w.field)
     num, den, mag = w._lane()
     out = np.zeros((comb(n, p), comb(n, q)), dtype=num.dtype)
     _star(n, num, w.bidegree, out)
@@ -646,7 +617,7 @@ def inner(w1: DoubleForm, w2: DoubleForm):
                          f"got {w1.bidegree} and {w2.bidegree}")
     if w1.field == scalars.FLOAT64:
         acc = 0
-        for v1, v2 in zip(w1.mat.flat, w2.mat.flat):
+        for v1, v2 in zip(w1._num.flat, w2._num.flat):
             if v1 != 0 and v2 != 0:
                 acc += v1 * v2
         return scalars.coerce(acc, w1.field)
@@ -668,7 +639,7 @@ def compose(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     w1._check_compatible(w2)
     n = w1.n
     if w1.p != w2.q:
-        return _zero(n, w2.p, w1.q, w1.field)
+        return DoubleForm.zeros(n, w2.p, w1.q, w1.field)
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
     # each output entry sums C(n, p) products
@@ -696,7 +667,7 @@ def bianchi_residual(w: DoubleForm):
     n, p, q = w.n, w.p, w.q
     if p < 1 or q < 1:
         raise ValueError("Bianchi sum needs p >= 1 and q >= 1")
-    m = w._values()
+    m = w.mat
     worst = 0
     ranks_p = {s: r for r, s in enumerate(subsets(n, p))}
     for X in subsets(n, p + 1):

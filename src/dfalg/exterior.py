@@ -40,8 +40,7 @@ class ExteriorForm:
 
     @classmethod
     def zeros(cls, n, k, field=scalars.RATIONAL):
-        dtype = float if field == scalars.FLOAT64 else object
-        return cls(n, k, np.zeros(comb(n, k), dtype=dtype), field)
+        return cls(n, k, scalars.zeros(comb(n, k), field), field)
 
     @classmethod
     def unit(cls, n, indices, field=scalars.RATIONAL):
@@ -149,8 +148,7 @@ class MultiForm:
 
     @classmethod
     def zeros(cls, n, k, r, field=scalars.RATIONAL):
-        dtype = float if field == scalars.FLOAT64 else object
-        return cls(n, k, r, np.zeros((comb(n, k),) * r, dtype=dtype), field)
+        return cls(n, k, r, scalars.zeros((comb(n, k),) * r, field), field)
 
     @classmethod
     def from_slots(cls, forms):

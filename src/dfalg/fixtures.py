@@ -49,36 +49,32 @@ def random_bilinear(n: int, seed: int, kind: str = "general",
     consumed row-major over the generated positions.
     """
     rng = SplitMix64(seed)
-    out = DoubleForm.zeros(n, 1, 1, field)
+    if kind == "symmetric":
+        return _random_symmetric_from(rng, n, field)
+    mat = scalars.zeros((n, n), field)
     if kind == "general":
         for i in range(n):
             for j in range(n):
-                out.mat[i, j] = scalars.coerce(rng.next_entry(), field)
-    elif kind == "symmetric":
-        for i in range(n):
-            for j in range(i, n):
-                v = scalars.coerce(rng.next_entry(), field)
-                out.mat[i, j] = v
-                out.mat[j, i] = v
+                mat[i, j] = scalars.coerce(rng.next_entry(), field)
     elif kind == "skew":
         for i in range(n):
             for j in range(i + 1, n):
                 v = scalars.coerce(rng.next_entry(), field)
-                out.mat[i, j] = v
-                out.mat[j, i] = -v
+                mat[i, j] = v
+                mat[j, i] = -v
     else:
         raise ValueError(f"unknown bilinear kind {kind!r}")
-    return out
+    return DoubleForm(n, 1, 1, mat, field)
 
 
 def _random_symmetric_from(rng: SplitMix64, n: int, field: str) -> DoubleForm:
-    out = DoubleForm.zeros(n, 1, 1, field)
+    mat = scalars.zeros((n, n), field)
     for i in range(n):
         for j in range(i, n):
             v = scalars.coerce(rng.next_entry(), field)
-            out.mat[i, j] = v
-            out.mat[j, i] = v
-    return out
+            mat[i, j] = v
+            mat[j, i] = v
+    return DoubleForm(n, 1, 1, mat, field)
 
 
 def random_bianchi(n: int, p: int, terms: int, seed: int,
@@ -115,19 +111,19 @@ def rank_one_bilinear(n: int, seed: int, field: str = scalars.RATIONAL) -> Doubl
     """Degenerate fixture v (x) v for a random integer vector v."""
     rng = SplitMix64(seed)
     v = [rng.next_entry() for _ in range(n)]
-    out = DoubleForm.zeros(n, 1, 1, field)
+    mat = scalars.zeros((n, n), field)
     for i in range(n):
         for j in range(n):
-            out.mat[i, j] = scalars.coerce(v[i] * v[j], field)
-    return out
+            mat[i, j] = scalars.coerce(v[i] * v[j], field)
+    return DoubleForm(n, 1, 1, mat, field)
 
 
 def jordan_block(n: int, field: str = scalars.RATIONAL) -> DoubleForm:
     """Nilpotent single Jordan block: ones on the first superdiagonal."""
-    out = DoubleForm.zeros(n, 1, 1, field)
+    mat = scalars.zeros((n, n), field)
     for i in range(n - 1):
-        out.mat[i, i + 1] = scalars.coerce(1, field)
-    return out
+        mat[i, i + 1] = scalars.coerce(1, field)
+    return DoubleForm(n, 1, 1, mat, field)
 
 
 def random_form(n: int, k: int, seed: int,

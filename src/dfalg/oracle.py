@@ -10,6 +10,7 @@ dense kernels and are capped at small dimensions in CI.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def contract_oracle(w: DoubleForm) -> DoubleForm:
     n = w.n
     if w.p == 0 or w.q == 0:
         return DoubleForm.zeros(n, max(w.p - 1, 0), max(w.q - 1, 0), w.field)
-    out = DoubleForm.zeros(n, w.p - 1, w.q - 1, w.field)
+    mat = scalars.zeros((comb(n, w.p - 1), comb(n, w.q - 1)), w.field)
     for ri, I in enumerate(subsets(n, w.p - 1)):
         xs = [basis_vector(n, i) for i in I]
         for rj, J in enumerate(subsets(n, w.q - 1)):
@@ -138,15 +139,15 @@ def contract_oracle(w: DoubleForm) -> DoubleForm:
             for a in range(n):
                 ea = basis_vector(n, a)
                 acc += eval_dform(w, [ea] + xs, [ea] + ys)
-            out.mat[ri, rj] = scalars.coerce(acc, w.field)
-    return out
+            mat[ri, rj] = scalars.coerce(acc, w.field)
+    return DoubleForm(n, w.p - 1, w.q - 1, mat, w.field)
 
 
 def hodge_oracle(w: DoubleForm) -> DoubleForm:
     """Double Hodge star from its definition, with independently computed
     complement parities."""
     n, p, q = w.n, w.p, w.q
-    out = DoubleForm.zeros(n, n - p, n - q, w.field)
+    mat = scalars.zeros((comb(n, n - p), comb(n, n - q)), w.field)
     sigma = -1 if ((p + q) * (n - p - q)) % 2 else 1
     for ri, A in enumerate(subsets(n, n - p)):
         Ac = complement_tuple(A, n)
@@ -156,9 +157,9 @@ def hodge_oracle(w: DoubleForm) -> DoubleForm:
             eb = permutation_parity(B + Bc)
             xs = [basis_vector(n, i) for i in Ac]
             ys = [basis_vector(n, j) for j in Bc]
-            out.mat[ri, rj] = scalars.coerce(
+            mat[ri, rj] = scalars.coerce(
                 sigma * ea * eb * eval_dform(w, xs, ys), w.field)
-    return out
+    return DoubleForm(n, n - p, n - q, mat, w.field)
 
 
 def pf_matching_oracle(M):

@@ -65,12 +65,7 @@ def embed(form: ExteriorForm, r: int):
         raise ValueError(f"degree {d} is not a multiple of the slot count {r}")
     k = d // r
     blocks = subsets(n, k)
-    if r == 2:
-        out = DoubleForm.zeros(n, k, k, form.field)
-        target = out.mat
-    else:
-        out = MultiForm.zeros(n, k, r, form.field)
-        target = out.coeffs
+    target = scalars.zeros((len(blocks),) * r, form.field)
     ranks = _rank_of(n, d)
     for idx in itertools.product(range(len(blocks)), repeat=r):
         sign = 1
@@ -86,7 +81,9 @@ def embed(form: ExteriorForm, r: int):
             v = form.coeffs[ranks[merged]]
             if v != 0:
                 target[idx] = sign * v
-    return out
+    if r == 2:
+        return DoubleForm(n, k, k, target, form.field)
+    return MultiForm(n, k, r, target, form.field)
 
 
 def double_form_as_multiform(w: DoubleForm) -> MultiForm:
@@ -100,7 +97,7 @@ def multiform_as_double_form(mf: MultiForm) -> DoubleForm:
     """Re-index a two-slot multiform as a (k, k) double form."""
     if mf.r != 2:
         raise ValueError("only two-slot multiforms are double forms")
-    return DoubleForm(mf.n, mf.k, mf.k, mf.coeffs.copy(), mf.field)
+    return DoubleForm(mf.n, mf.k, mf.k, mf.coeffs, mf.field)
 
 
 def hyperdet(mf: MultiForm):

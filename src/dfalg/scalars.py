@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 RATIONAL = "rational"
 FLOAT64 = "float64"
 
@@ -22,6 +24,11 @@ def check_field(field: str) -> str:
     if field not in FIELDS:
         raise ValueError(f"unknown scalar field {field!r}")
     return field
+
+
+def zeros(shape, field: str):
+    """A zero value array: float64 for float forms, object (Python ints) otherwise."""
+    return np.zeros(shape, dtype=float if field == FLOAT64 else object)
 
 
 def coerce(value, field: str):

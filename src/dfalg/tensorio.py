@@ -72,13 +72,13 @@ def _need(doc, key, types):
     if key not in doc:
         raise TensorFormatError(f"missing field {key!r}")
     v = doc[key]
-    if not isinstance(v, types):
+    if not isinstance(v, types) or isinstance(v, bool):  # JSON true is not 1
         raise TensorFormatError(f"field {key!r} has the wrong type")
     return v
 
 
 def _index_tuple(raw, n, what):
-    if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
+    if not isinstance(raw, list) or not all(type(i) is int for i in raw):
         raise TensorFormatError(f"{what} must be a list of integers")
     t = tuple(raw)
     if any(a >= b for a, b in zip(t, t[1:])) or (t and (t[0] < 0 or t[-1] >= n)):
@@ -88,12 +88,14 @@ def _index_tuple(raw, n, what):
 
 def _value(raw, field):
     try:
+        if isinstance(raw, bool):
+            raise TypeError("a boolean is not a number")
         if field == scalars.RATIONAL and not isinstance(raw, str):
             if isinstance(raw, int):
                 return raw
             raise TensorFormatError("rational values must be strings")
         v = scalars.parse_scalar(raw, field)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:  # float(10**400) overflows
         raise TensorFormatError(f"bad value {raw!r}: {exc}") from None
     # float("nan") and json's NaN/Infinity tokens parse, but no report can
     # carry them: JSON has no non-finite numbers
@@ -124,7 +126,7 @@ def tensor_from_doc(doc):
             p = _need(doc, "p", int)
             q = _need(doc, "q", int)
             _check_dense_size(math.comb(n, p) * math.comb(n, q))
-            out = DoubleForm.zeros(n, p, q, field)
+            mat = scalars.zeros((math.comb(n, p), math.comb(n, q)), field)
             seen = set()
             for e in entries:
                 row = _index_tuple(_need(e, "row", list), n, "row index")
@@ -137,9 +139,8 @@ def tensor_from_doc(doc):
                 seen.add((row, col))
                 if "value" not in e:
                     raise TensorFormatError("entry missing 'value'")
-                out.mat[rank_tuple(row, n), rank_tuple(col, n)] = \
-                    _value(e["value"], field)
-            return out
+                mat[rank_tuple(row, n), rank_tuple(col, n)] = _value(e["value"], field)
+            return DoubleForm(n, p, q, mat, field)
         if kind == "form":
             k = _need(doc, "k", int)
             _check_dense_size(math.comb(n, k))
@@ -189,7 +190,7 @@ def tensor_from_doc(doc):
 def tensor_from_json(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also ints past 4300 digits, deep nesting
         raise TensorFormatError(f"invalid JSON: {exc}") from None
     return tensor_from_doc(doc)
 

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from conftest import random_dform
@@ -49,9 +50,9 @@ def report(num, ok, detail):
 # -- criterion 1: oracle equivalence ------------------------------------------
 
 def _basis_dform(n, p, q, ri, rj):
-    w = DoubleForm.zeros(n, p, q)
-    w.mat[ri, rj] = 1
-    return w
+    mat = np.zeros((comb(n, p), comb(n, q)), dtype=object)
+    mat[ri, rj] = 1
+    return DoubleForm(n, p, q, mat)
 
 
 def _basis_shuffle_value(tgt, first, second):
@@ -124,7 +125,7 @@ def test_criterion_1_oracle_equivalence():
                         # a basis input can only contract onto the entries
                         # obtained by deleting one shared index; build that
                         # matrix from definition-level evaluations
-                        built = DoubleForm.zeros(n, p - 1, q - 1)
+                        built = np.zeros((comb(n, p - 1), comb(n, q - 1)), dtype=object)
                         for a in set(I0) & set(J0):
                             It = tuple(x for x in I0 if x != a)
                             Jt = tuple(x for x in J0 if x != a)
@@ -135,8 +136,8 @@ def test_criterion_1_oracle_equivalence():
                                     b, [oracle.basis_vector(n, e)] + xs,
                                     [oracle.basis_vector(n, e)] + ys)
                                 for e in range(n))
-                            built.mat[rank_tuple(It, n), rank_tuple(Jt, n)] = v
-                        assert fast == built
+                            built[rank_tuple(It, n), rank_tuple(Jt, n)] = v
+                        assert fast == DoubleForm(n, p - 1, q - 1, built)
                     else:
                         assert fast.max_abs() == 0
                     checked_contract += 1

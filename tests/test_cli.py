@@ -30,8 +30,9 @@ def run_cli(capsys, *argv):
 # -- tensor files --------------------------------------------------------------
 
 def test_round_trip_double_form():
-    w = random_bianchi(4, 2, 2, seed=1)
-    w.mat[0, 1] += Fraction(1, 3)  # exercise non-integer rationals
+    m = random_bianchi(4, 2, 2, seed=1).mat.copy()
+    m[0, 1] += Fraction(1, 3)  # exercise non-integer rationals
+    w = DoubleForm(4, 2, 2, m)
     doc = tensor_to_doc(w)
     assert doc["kind"] == "double_form" and doc["scalar"] == "rational"
     assert tensor_from_doc(doc) == w
@@ -63,6 +64,12 @@ def test_malformed_documents_rejected():
     d = json.loads(json.dumps(good)); d["entries"].append(dict(d["entries"][0])); cases.append(d)
     d = json.loads(json.dumps(good)); d["entries"][0]["value"] = 0.5; cases.append(d)
     d = json.loads(json.dumps(good)); d["entries"][0].pop("value"); cases.append(d)
+    # JSON booleans are not integers
+    d = json.loads(json.dumps(good)); d["n"] = True; cases.append(d)
+    d = json.loads(json.dumps(good)); d["entries"][0]["row"] = [True]; cases.append(d)
+    for field in scalars.FIELDS:
+        d = json.loads(json.dumps(good)); d["scalar"] = field
+        d["entries"][0]["value"] = True; cases.append(d)
     for bad in cases:
         with pytest.raises(TensorFormatError):
             tensor_from_doc(bad)
@@ -219,10 +226,10 @@ def test_invariants_matrix_family(tmp_path, capsys):
     import numpy as np
 
     entries = rep["invariants"][0]["value"]
-    got = DoubleForm.zeros(3, 1, 1)
+    got = np.zeros((3, 3), dtype=object)
     for e in entries:
-        got.mat[e["row"][0], e["col"][0]] = Fraction(e["value"])
-    assert np.all(got.mat == oracle.cofactor_oracle(h.mat))
+        got[e["row"][0], e["col"][0]] = Fraction(e["value"])
+    assert np.all(got == oracle.cofactor_oracle(h.mat))
 
 
 def test_invariants_malformed_file_exits_2(tmp_path, capsys):
@@ -240,6 +247,25 @@ def test_invariants_non_finite_float_exits_2(tmp_path, capsys, value):
     path.write_text('{"n": 3, "kind": "double_form", "p": 1, "q": 1, '
                     '"scalar": "float64", '
                     '"entries": [{"row": [0], "col": [0], "value": %s}]}' % value)
+    code, out, err = run_cli(capsys, "invariants", str(path), "--family", "s")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dfalg: error:")
+
+
+@pytest.mark.parametrize("text", [
+    # an integer past the float64 range in a float document
+    '{"n": 3, "kind": "double_form", "p": 1, "q": 1, "scalar": "float64", '
+    '"entries": [{"row": [0], "col": [0], "value": 1%s}]}' % ("0" * 400),
+    # an integer literal past Python's 4300-digit conversion limit
+    '{"n": 3, "kind": "double_form", "p": 1, "q": 1, '
+    '"entries": [{"row": [0], "col": [0], "value": 1%s}]}' % ("0" * 5000),
+    # nesting deeper than the JSON decoder's recursion limit
+    "[" * 100000,
+], ids=["float-overflow", "int-digits", "deep-nesting"])
+def test_unreadable_numbers_and_nesting_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "h.json"
+    path.write_text(text)
     code, out, err = run_cli(capsys, "invariants", str(path), "--family", "s")
     assert code == 2
     assert out == ""
@@ -373,6 +399,21 @@ def test_verify_exact_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_5_SHA256, (
         "the exact verify report changed; if the change to the report is "
         "intended, update VERIFY_2_5_SHA256 and say so in CHANGES.md")
+
+
+# sha256 of the stdout of `dfalg verify --n-range 2:5 --seeds 1 --mode float`
+# (1375 checks).  It guards the float storage the same way.
+VERIFY_2_5_FLOAT_SHA256 = "7d06f8f3518bd89e7ecfc61dee292715ec13e1eb2cf7107f116a02ddd4e70026"
+
+
+def test_verify_float_report_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "2:5", "--seeds", "1",
+                           "--mode", "float")
+    assert code == 0
+    assert json.loads(out)["summary"]["checks"] == 1375
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_5_FLOAT_SHA256, (
+        "the float verify report changed; if the change to the report is "
+        "intended, update VERIFY_2_5_FLOAT_SHA256 and say so in CHANGES.md")
 
 
 # sha256 of the stdout of `dfalg pfaffian <fixture> [--r R]`.  verify never

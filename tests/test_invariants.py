@@ -171,9 +171,7 @@ def test_s_rq_eigenvalues_of_diagonal_form():
     # eigenvalue products disjoint from the row multi-index
     n, r, q = 4, 2, 2
     lam = [2, -1, 3, 5]
-    h = DoubleForm.zeros(n, 1, 1)
-    for i in range(n):
-        h.mat[i, i] = lam[i]
+    h = DoubleForm(n, 1, 1, np.diag(lam))
     srq = inv.s_rq(h, r, q)
     import itertools
     for ri, I in enumerate(subsets(n, r)):
@@ -526,6 +524,6 @@ def test_metric_invariants_match_endomorphism():
     G = random_bilinear(n, 111, "symmetric") + 15 * metric(n)
     from dfalg.dform import _invert_metric
 
-    M = _invert_metric(G).dot(h.mat)
+    M = _invert_metric(G).mat.dot(h.mat)
     for k in range(n + 1):
         assert inv.s_k_metric(h, G, k) == oracle.minor_sum_oracle(M, k)
