@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import scalars
 from .dform import (
@@ -284,31 +284,48 @@ def char_poly_hn(R: DoubleForm) -> CharPoly:
 def interpolate(points):
     """Exact coefficients of the polynomial through (x, y) sample points.
 
-    Scalar y values give scalar coefficients; DoubleForm values work too
-    since the Lagrange weights only scale and add them.
+    Lagrange form over the master polynomial P(x) = prod_j (x - x_j): the
+    basis numerator of node i is P(x)/(x - x_i), one synthetic division,
+    and its denominator is prod_(j != i)(x_i - x_j).  With integer nodes
+    both are Python ints.  Exact scalar samples y_i/den_i are scaled to
+    integer numerators over one common denominator, as in dform's integer
+    lane, so each coefficient is one Fraction.  DoubleForm and float
+    samples take the same weights through scalar multiply and add.
     """
     pts = list(points)
-    deg = len(pts) - 1
-    coeffs = None
-    for i, (xi, yi) in enumerate(pts):
-        # Lagrange basis polynomial for node i, as a coefficient list
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            denom *= Fraction(xi - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] += c * (-xj)
-                new[d + 1] += c
-            basis = new
-        scaled = [c / denom for c in basis]
-        terms = [yi * c for c in scaled] + [yi * Fraction(0)] * (deg + 1 - len(scaled))
-        if coeffs is None:
-            coeffs = terms
-        else:
-            coeffs = [a + b for a, b in zip(coeffs, terms)]
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    master = [1]  # coefficients of P, lowest degree first
+    for xj in xs:
+        master = [0] + master
+        for d in range(len(master) - 1):
+            master[d] -= xj * master[d + 1]
+    basis, dens = [], []
+    for i, xi in enumerate(xs):
+        row = [0] * len(xs)
+        carry = 0
+        for d in range(len(xs), 0, -1):
+            carry = master[d] + xi * carry
+            row[d - 1] = carry
+        basis.append(row)
+        den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                den *= xi - xj
+        dens.append(den)
+    if all(isinstance(y, (int, Fraction)) for y in ys):
+        weights = [Fraction(y, den) for y, den in zip(ys, dens)]
+        L = lcm(*(wt.denominator for wt in weights))
+        nums = [wt.numerator * (L // wt.denominator) for wt in weights]
+        return [Fraction(sum(num * row[d] for num, row in zip(nums, basis)), L)
+                for d in range(len(xs))]
+    coeffs = []
+    for d in range(len(xs)):
+        acc = None
+        for y, row, den in zip(ys, basis, dens):
+            term = y * Fraction(row[d], den)
+            acc = term if acc is None else acc + term
+        coeffs.append(acc)
     return coeffs
 
 
@@ -377,25 +394,27 @@ def _rational_derivative_at_zero(sample_fn, metric_fn, m: int, num_degree: int, 
     """d/dt at 0 of f(t) = N(t)/det(G(t))^m with N polynomial, det(G(0)) = 1.
 
     Samples at integer points (skipping any where G degenerates), then
-    interpolates N and D = det(G) exactly.
+    interpolates N and D = det(G) exactly.  D has degree at most n, so once
+    n + 1 nonzero determinants are sampled, later ones are Horner values
+    of D rather than new determinants.
     """
     need_n = num_degree + 1
     xs, ys, ds = [], [], []
+    D = None
     t = 0
     while len(xs) < max(need_n, n + 1):
-        G = metric_fn(t)
-        d = _det_bilinear(G)
+        d = _det_bilinear(metric_fn(t)) if D is None else D(t)
         if d != 0:
             xs.append(t)
             ds.append(d)
             ys.append(sample_fn(t) * d ** m)
+            if len(ds) == n + 1:
+                D = CharPoly("det", interpolate(zip(xs, ds)))
         t += 1
     ncoef = interpolate(list(zip(xs, ys))[:need_n])
-    dcoef = interpolate(list(zip(xs, ds))[:n + 1])
     n0 = ncoef[0]
     n1 = ncoef[1] if len(ncoef) > 1 else 0
-    d1 = dcoef[1] if len(dcoef) > 1 else 0
-    return n1 - m * n0 * d1
+    return n1 - m * n0 * D.coeffs[1]
 
 
 def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,

@@ -8,6 +8,7 @@ FLOAT_RELATIVE_TOLERANCE instead of literal zero.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -52,8 +53,17 @@ def parse_scalar(text, field: str):
 
 
 def format_scalar(value, field: str):
+    """A report value: a float, or an exact value as a decimal or "p/q" string.
+
+    Python's int-to-string limit stays in force; an exact value past it
+    is a ValueError that names the bound.
+    """
     if field == FLOAT64:
         return float(value)
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+    try:
+        if isinstance(value, Fraction) and value.denominator != 1:
+            return f"{value.numerator}/{value.denominator}"
+        return str(int(value))
+    except ValueError:
+        raise ValueError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                         "digits, which the report cannot write") from None

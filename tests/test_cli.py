@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -270,6 +271,22 @@ def test_unreadable_numbers_and_nesting_exit_2(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("dfalg: error:")
+
+
+def test_invariants_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # s_3 of diag(a, a, a) with a of 2000 digits has 6000 digits, past the
+    # int-to-string limit that the report keeps
+    a = "9" * 2000
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 3, "kind": "double_form", "p": 1, "q": 1, "entries": ['
+                    + ", ".join('{"row": [%d], "col": [%d], "value": %s}' % (i, i, a)
+                                for i in range(3)) + "]}")
+    code, out, err = run_cli(capsys, "invariants", str(path), "--family", "s")
+    assert code == 2
+    assert out == ""
+    assert err == (f"dfalg: error: an exact value has more than {sys.get_int_max_str_digits()} "
+                   "digits, which the report cannot write\n")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_invariants_bound_violation_exits_2(tmp_path, capsys):

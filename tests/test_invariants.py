@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -515,6 +517,215 @@ def test_jacobi_with_metric_validates_frame():
     h0 = random_bilinear(n, 109)
     with pytest.raises(ValueError):
         inv.jacobi_with_metric(h0, h0, 2 * metric(n), h0, 1)
+
+
+# -- exact interpolation ---------------------------------------------------------------
+
+def ref_interpolate(points):
+    """The Lagrange loop interpolate replaced: every basis polynomial in Fractions."""
+    pts = list(points)
+    deg = len(pts) - 1
+    coeffs = None
+    for i, (xi, yi) in enumerate(pts):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(pts):
+            if j == i:
+                continue
+            denom *= Fraction(xi - xj)
+            new = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                new[d] += c * (-xj)
+                new[d + 1] += c
+            basis = new
+        scaled = [c / denom for c in basis]
+        terms = [yi * c for c in scaled] + [yi * Fraction(0)] * (deg + 1 - len(scaled))
+        if coeffs is None:
+            coeffs = terms
+        else:
+            coeffs = [a + b for a, b in zip(coeffs, terms)]
+    return coeffs
+
+
+def _samples(xs, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "int":
+        return [int(v) for v in rng.integers(-50, 51, len(xs))]
+    if kind == "fraction":
+        return [Fraction(int(a), int(b)) for a, b in
+                zip(rng.integers(-50, 51, len(xs)), rng.integers(1, 12, len(xs)))]
+    if kind == "float":
+        return [float(v) for v in rng.uniform(-5.0, 5.0, len(xs))]
+    return [random_bilinear(3, seed + i) * Fraction(i + 1, 3) for i in range(len(xs))]
+
+
+def _assert_same_scalars(got, want):
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want] == [Fraction] * len(want)
+
+
+GAPPED_NODES = [
+    [5, -3, 0, 11, -7, 2],        # unsorted, negative, gapped
+    [-4, -2, 0, 2, 4, 6, 8],      # even spacing, not unit
+    [0, 1, 2, 4, 5, 6, 7, 9],     # the gaps a skipped singular sample leaves
+    [100, -100, 37],
+    [-1],
+]
+
+
+@pytest.mark.parametrize("d", range(25))
+def test_interpolate_matches_lagrange_loop_on_consecutive_nodes(d):
+    xs = list(range(d + 1))
+    for kind in ("int", "fraction"):
+        ys = _samples(xs, 3000 + d, kind)
+        _assert_same_scalars(inv.interpolate(zip(xs, ys)), ref_interpolate(zip(xs, ys)))
+
+
+@pytest.mark.parametrize("xs", GAPPED_NODES)
+@pytest.mark.parametrize("kind", ("int", "fraction"))
+def test_interpolate_matches_lagrange_loop_on_gapped_nodes(xs, kind):
+    ys = _samples(xs, 3100 + len(xs), kind)
+    _assert_same_scalars(inv.interpolate(zip(xs, ys)), ref_interpolate(zip(xs, ys)))
+
+
+@pytest.mark.parametrize("xs", [list(range(6))] + GAPPED_NODES[:3])
+def test_interpolate_matches_lagrange_loop_on_forms(xs):
+    ys = _samples(xs, 3200 + len(xs), "form")
+    got = inv.interpolate(zip(xs, ys))
+    assert all(isinstance(c, DoubleForm) for c in got)
+    assert got == ref_interpolate(zip(xs, ys))
+
+
+@pytest.mark.parametrize("xs", [list(range(13))] + GAPPED_NODES)
+def test_interpolate_matches_lagrange_loop_on_floats(xs):
+    ys = _samples(xs, 3300 + len(xs), "float")
+    got = inv.interpolate(zip(xs, ys))
+    want = ref_interpolate(zip(xs, ys))
+    scale = max(abs(c) for c in want)
+    assert len(got) == len(want)
+    assert all(isinstance(c, float) for c in got)
+    assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
+
+
+def test_interpolate_recovers_a_known_polynomial():
+    coeffs = [Fraction(3, 7), -2, 0, Fraction(5, 3), 1]
+    xs = [4, -1, 0, 9, 2]
+    ys = [inv.CharPoly("p", coeffs)(x) for x in xs]
+    assert inv.interpolate(zip(xs, ys)) == coeffs
+
+
+# -- Jacobi sampling with the determinant polynomial ----------------------------------
+
+def ref_rational_derivative_at_zero(sample_fn, metric_fn, m, num_degree, n):
+    """The loop the determinant polynomial replaced: a determinant at every sample."""
+    need_n = num_degree + 1
+    xs, ys, ds = [], [], []
+    t = 0
+    while len(xs) < max(need_n, n + 1):
+        d = inv.s_k(metric_fn(t), n)
+        if d != 0:
+            xs.append(t)
+            ds.append(d)
+            ys.append(sample_fn(t) * d ** m)
+        t += 1
+    ncoef = ref_interpolate(list(zip(xs, ys))[:need_n])
+    dcoef = ref_interpolate(list(zip(xs, ds))[:n + 1])
+    n1 = ncoef[1] if len(ncoef) > 1 else 0
+    d1 = dcoef[1] if len(dcoef) > 1 else 0
+    return n1 - m * ncoef[0] * d1
+
+
+def _counting_det(monkeypatch):
+    calls = []
+    det = inv._det_bilinear
+
+    def counted(G):
+        calls.append(G)
+        return det(G)
+
+    monkeypatch.setattr(inv, "_det_bilinear", counted)
+    return calls
+
+
+# lhs of the replaced sample-every-t loop for the fixtures below, (n, k) -> lhs
+SINGULAR_PENCIL_LHS = {
+    (4, 1): Fraction(339, 7), (5, 1): Fraction(39, 4), (5, 2): -1710,
+    (6, 1): -76, (6, 2): Fraction(29156, 3),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SINGULAR_PENCIL_LHS))
+def test_jacobi_double_form_with_metric_skips_a_late_singular_sample(monkeypatch, n, k):
+    # G(t) = (1 - t/(n + 3)) g is singular at t = n + 3, past the n + 1
+    # determinants sampled, so only the Horner value of D can skip it
+    R0 = random_bianchi(n, 2, 2, seed=1900 + n)
+    V = random_bianchi(n, 2, 1, seed=2000 + n)
+    g = metric(n)
+    w = g * Fraction(-1, n + 3)
+    num_degree = 2 * k * (n - 1) + k
+    assert num_degree + 1 > n + 3
+    calls = _counting_det(monkeypatch)
+    lhs, rhs = inv.jacobi_double_form_with_metric(R0, V, g, w, k)
+    assert len(calls) == n + 1
+    assert lhs == rhs == SINGULAR_PENCIL_LHS[n, k]
+    reference = ref_rational_derivative_at_zero(
+        lambda t: inv.h_2k_metric(R0 + t * V, g + t * w, k), lambda t: g + t * w,
+        2 * k, num_degree, n)
+    assert lhs == reference
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_jacobi_with_metric_skips_an_early_singular_sample(monkeypatch, n):
+    # G(t) = (1 - t) g is singular at t = 1, among the determinants sampled
+    h0 = random_bilinear(n, 1600 + n)
+    v = random_bilinear(n, 1700 + n)
+    g = metric(n)
+    w = -g
+    for k in range(1, n + 1):
+        calls = _counting_det(monkeypatch)
+        lhs, rhs = inv.jacobi_with_metric(h0, v, g, w, k)
+        assert len(calls) == n + 2  # n + 1 nonzero determinants and the zero at t = 1
+        assert lhs == rhs
+        reference = ref_rational_derivative_at_zero(
+            lambda t: inv.s_k_metric(h0 + t * v, g + t * w, k), lambda t: g + t * w,
+            1, n, n)
+        assert lhs == reference
+
+
+def _bench_jacobi_cases(seed):
+    """The inputs of the benchmark's jacobi_metric workload, rebuilt here."""
+    seeds = itertools.count(seed * 1000)
+    cases = []
+    for n in range(2, 7):
+        g = metric(n)
+        h0 = random_bilinear(n, next(seeds))
+        v = random_bilinear(n, next(seeds))
+        w = random_bilinear(n, next(seeds), "symmetric")
+        cases += [("jacobi_derivative", n, k, (h0, v, k)) for k in range(1, n + 1)]
+        cases += [("jacobi_with_metric", n, k, (h0, v, g, w, k)) for k in range(1, n + 1)]
+        R0 = random_bianchi(n, 2, 2, next(seeds))
+        V = random_bianchi(n, 2, 2, next(seeds))
+        W = random_bilinear(n, next(seeds), "symmetric")
+        cases += [("jacobi_double_form", n, k, (R0, V, k))
+                  for k in range(1, n // 2 + 1)]
+        cases += [("jacobi_double_form_with_metric", n, k, (R0, V, g, W, k))
+                  for k in range(1, (n - 1) // 2 + 1)]
+    return cases
+
+
+# sha256 of the "fn n=.. k=.. lhs=.. rhs=.." listing over _bench_jacobi_cases(1),
+# the same text as the jacobi_metric report at seed 1
+JACOBI_SEED_1_SHA256 = "896f18586f5fa46e8a1d974bf2828b86645e173ed8c9fe439f5880e31aaff959"
+
+
+def test_jacobi_values_are_pinned():
+    lines = []
+    for fn, n, k, args in _bench_jacobi_cases(1):
+        lhs, rhs = getattr(inv, fn)(*args)
+        assert lhs == rhs, (fn, n, k)
+        lines.append(f"{fn} n={n} k={k} lhs={lhs} rhs={rhs}\n")
+    assert len(lines) == 55
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == JACOBI_SEED_1_SHA256
 
 
 def test_metric_invariants_match_endomorphism():
