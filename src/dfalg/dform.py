@@ -1,13 +1,15 @@
-"""Dense double forms and their algebra.
+"""Dense double forms, exterior forms and multiforms, and their algebra.
 
 A (p, q) double form on an n-dimensional Euclidean space is stored as the
 C(n,p) x C(n,q) matrix of its values on lexicographically ordered basis
 multi-vectors: entry[rank(I), rank(J)] = w(e_I, e_J).  The identification
 with multilinear forms uses the shuffle convention (no 1/k! weights), so
 the k-th exterior power of a bilinear form h evaluates to k! times the
-corresponding minor determinant.
+corresponding minor determinant.  Exterior forms (one slot of degree k)
+and (k,...,k) multiforms (r slots) are the same storage with other slot
+degrees, and share the wedge and star kernels.
 
-Exact forms compute in the integer lane: the matrix is num / den with num
+Exact forms compute in the integer lane: the values are num / den with num
 an integer array and den one positive Python int, kept in lowest terms
 (the zero form has den = 1).  num is int64 when a bound checked before
 each operation keeps every entry and partial sum below LANE_BOUND, and an
@@ -19,7 +21,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
+from operator import add
 
 import numpy as np
 
@@ -40,59 +43,76 @@ from .multiindex import (
 LANE_BOUND = 1 << 62
 
 
-class DoubleForm:
-    """Immutable dense (p, q) double form.
+class _LaneForm:
+    """Immutable dense form: n, the slot degrees, the field and the lane.
 
     The constructor reads its value array once.  An exact form keeps the
-    integer lane (num, den) and builds mat, as int and Fraction values,
-    when it is first read; a float form keeps a float64 copy, which is
-    mat.  Either way mat is read-only and a later change to the array the
-    form was built from does not reach it.
+    integer lane (num, den) and builds its values, as int and Fraction,
+    when they are first read; a float form keeps a float64 copy, which is
+    its values.  Either way the values are read-only and a later change to
+    the array the form was built from does not reach it.  The subclasses
+    are typed views that name the slot degrees and the values, and set
+    their error messages.
     """
 
-    __slots__ = ("n", "p", "q", "field", "_mat", "_num", "_den", "_mag")
+    __slots__ = ("n", "_degs", "field", "_vals", "_num", "_den", "_mag")
 
-    def __init__(self, n, p, q, mat, field=scalars.RATIONAL):
-        _check_shape(n, p, q, field)
-        mat = np.asarray(mat)
-        shape = (comb(n, p), comb(n, q))
-        if mat.shape != shape:
-            raise ValueError(f"matrix shape {mat.shape} does not match bidegree "
-                             f"({p}, {q}) in dimension {n}, expected {shape}")
+    def __init__(self, n, degs, values, field):
+        self._check(n, degs, field)
+        values = np.asarray(values)
+        shape = _shape(n, degs)
+        if values.shape != shape:
+            raise ValueError(self._SHAPE.format(got=values.shape, n=n, degs=degs,
+                                                shape=shape, r=len(degs)))
         if field == scalars.FLOAT64:
-            num, den, mag = np.array(mat, dtype=np.float64), 1, 0
+            num, den, mag = np.array(values, dtype=np.float64), 1, 0
         else:
-            num, den, mag = _lane_of(mat)
-        self.n, self.p, self.q, self.field = n, p, q, field
-        self._mat, self._num, self._den, self._mag = None, num, den, mag
-
-    # -- constructors ------------------------------------------------------
+            num, den, mag = _lane_of(values)
+        self.n, self._degs, self.field = n, degs, field
+        self._vals, self._num, self._den, self._mag = None, num, den, mag
 
     @classmethod
-    def zeros(cls, n, p, q, field=scalars.RATIONAL):
-        _check_shape(n, p, q, field)
-        shape = (comb(n, p), comb(n, q))
-        return _form(n, p, q, field, np.zeros(shape, dtype=_lane_dtype(field, 0)), 1, 0)
+    def _check(cls, n, degs, field):
+        if not 0 <= n <= MAX_DIM:
+            raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
+        if not degs:
+            raise ValueError("multiforms need at least one slot")
+        if min(degs) < 0:
+            raise ValueError(cls._NEGATIVE.format(*degs))
+        scalars.check_field(field)
 
     @classmethod
-    def from_entries(cls, n, p, q, entries, field=scalars.RATIONAL):
-        """Build from a {(I, J): value} mapping of ascending index tuples."""
-        _check_shape(n, p, q, field)
-        mat = scalars.zeros((comb(n, p), comb(n, q)), field)
-        for (I, J), v in entries.items():
-            mat[rank_tuple(tuple(I), n), rank_tuple(tuple(J), n)] = scalars.coerce(v, field)
-        return cls(n, p, q, mat, field)
+    def _zeros(cls, n, degs, field):
+        cls._check(n, degs, field)
+        num = np.zeros([comb(n, d) for d in degs], dtype=_lane_dtype(field, 0))
+        return _form(cls, n, degs, field, num, 1, 0)
+
+    @classmethod
+    def _from_entries(cls, n, degs, entries, field):
+        """The form with {(I, J, ...): value} entries, one ascending index
+        tuple per slot, and zeros elsewhere."""
+        cls._check(n, degs, field)
+        values = scalars.zeros(_shape(n, degs), field)
+        for idx, v in entries.items():
+            values[tuple(rank_tuple(tuple(I), n) for I in idx)] = scalars.coerce(v, field)
+        return cls._built(n, degs, values, field)
+
+    @classmethod
+    def _built(cls, n, degs, values, field):
+        out = cls.__new__(cls)
+        _LaneForm.__init__(out, n, degs, values, field)
+        return out
 
     # -- storage -----------------------------------------------------------
 
     @property
-    def mat(self):
-        """The read-only matrix of values: int and Fraction exact, float64 float."""
-        if self._mat is None:
-            mat = self._num if self.field == scalars.FLOAT64 else _values_of(self._num, self._den)
-            mat.flags.writeable = False
-            self._mat = mat
-        return self._mat
+    def _values(self):
+        """The read-only values: int and Fraction exact, float64 float."""
+        if self._vals is None:
+            vals = self._num if self.field == scalars.FLOAT64 else _values_of(self._num, self._den)
+            vals.flags.writeable = False
+            self._vals = vals
+        return self._vals
 
     def _lane(self):
         """(num, den, mag) of an exact form, mag the largest |num| entry.
@@ -103,24 +123,11 @@ class DoubleForm:
             self._mag = 0 if self.field == scalars.FLOAT64 else _magnitude(self._num)
         return self._num, self._den, self._mag
 
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def bidegree(self):
-        return (self.p, self.q)
-
-    def entry(self, I, J):
-        i, j = rank_tuple(tuple(I), self.n), rank_tuple(tuple(J), self.n)
+    def _at(self, idx):
+        """The value at the rank tuple idx."""
         if self.field == scalars.FLOAT64:
-            return self._num[i, j]
-        num, den, _ = self._lane()
-        return _value(int(num[i, j]), den)
-
-    def scalar(self):
-        """The single value of a (0, 0) form."""
-        if self.p != 0 or self.q != 0:
-            raise ValueError(f"bidegree ({self.p}, {self.q}) form is not a scalar")
-        return self.entry((), ())
+            return self._num[idx]
+        return _value(int(self._num[idx]), self._den)
 
     def max_abs(self):
         if self.field == scalars.FLOAT64:
@@ -138,26 +145,23 @@ class DoubleForm:
     def astype(self, field):
         if field == self.field:
             return self
-        if field == scalars.FLOAT64:
-            return DoubleForm(self.n, self.p, self.q, self.mat, field)
-        mat = np.empty(self.mat.shape, dtype=object)
-        for idx, v in np.ndenumerate(self.mat):
-            mat[idx] = scalars.coerce(v, field)
-        return DoubleForm(self.n, self.p, self.q, mat, field)
-
-    def __repr__(self):
-        return f"DoubleForm(n={self.n}, p={self.p}, q={self.q}, field={self.field!r})"
+        values = self._values
+        if field != scalars.FLOAT64:
+            values = np.empty(values.shape, dtype=object)
+            for idx, v in np.ndenumerate(self._values):
+                values[idx] = scalars.coerce(v, field)
+        return self._built(self.n, self._degs, values, field)
 
     # -- linear structure ---------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.n != other.n or self.field != other.field:
-            raise ValueError("incompatible double forms")
+        if type(other) is not type(self) or self.n != other.n or self.field != other.field:
+            raise ValueError(self._INCOMPATIBLE)
 
     def _combine(self, other, sign, verb):
         self._check_compatible(other)
-        if self.bidegree != other.bidegree:
-            raise ValueError(f"cannot {verb} bidegrees {self.bidegree} and {other.bidegree}")
+        if self._degs != other._degs:
+            raise ValueError(self._MISMATCH.format(verb=verb, a=self._degs, b=other._degs))
         a, da, ma = self._lane()
         b, db, mb = other._lane()
         den = lcm(da, db)
@@ -168,7 +172,8 @@ class DoubleForm:
             a = a * sa
         if sb != 1:
             b = b * sb
-        return _form(self.n, self.p, self.q, self.field, a + b if sign > 0 else a - b, den)
+        return _form(type(self), self.n, self._degs, self.field,
+                     a + b if sign > 0 else a - b, den)
 
     def __add__(self, other):
         return self._combine(other, 1, "add")
@@ -178,53 +183,95 @@ class DoubleForm:
 
     def __neg__(self):
         num, den, mag = self._lane()
-        return _form(self.n, self.p, self.q, self.field, -num, den, mag)
+        return _form(type(self), self.n, self._degs, self.field, -num, den, mag)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, DoubleForm):
+        if isinstance(scalar, _LaneForm):
             return NotImplemented
-        if self.field == scalars.FLOAT64:
-            return _form(self.n, self.p, self.q, self.field, self._num * float(scalar))
+        cls, n, degs, field = type(self), self.n, self._degs, self.field
+        if field == scalars.FLOAT64:
+            return _form(cls, n, degs, field, self._num * float(scalar))
         s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
         x, y = int(s.numerator), int(s.denominator)
         num, den, mag = self._lane()
         if x == 0 or mag == 0:
-            return DoubleForm.zeros(self.n, self.p, self.q, self.field)
+            return cls._zeros(n, degs, field)
         mag *= abs(x)
-        num = _as(num, _lane_dtype(self.field, mag))
-        return _form(self.n, self.p, self.q, self.field, num * x if x != 1 else num, den * y, mag)
+        num = _as(num, _lane_dtype(field, mag))
+        return _form(cls, n, degs, field, num * x if x != 1 else num, den * y, mag)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, DoubleForm):
+        if type(other) is not type(self):
             return NotImplemented
-        if self.n != other.n or self.bidegree != other.bidegree:
+        if self.n != other.n or self._degs != other._degs:
             return False
         if self.field == other.field == scalars.RATIONAL:
             a, da, ma = self._lane()
             b, db, mb = other._lane()
             return da == db and ma == mb and bool(np.array_equal(a, b))
-        return bool(np.all(self.mat == other.mat))
+        return bool(np.all(self._values == other._values))
 
     __hash__ = None  # unhashable: == compares values
+
+
+class DoubleForm(_LaneForm):
+    """Immutable dense (p, q) double form; mat is its read-only matrix of
+    values."""
+
+    __slots__ = ()
+    _NEGATIVE = "bidegree ({}, {}) must be non-negative"
+    _SHAPE = ("matrix shape {got} does not match bidegree ({degs[0]}, {degs[1]}) "
+              "in dimension {n}, expected {shape}")
+    _INCOMPATIBLE = "incompatible double forms"
+    _MISMATCH = "cannot {verb} bidegrees {a} and {b}"
+
+    def __init__(self, n, p, q, mat, field=scalars.RATIONAL):
+        super().__init__(n, (p, q), mat, field)
+
+    @classmethod
+    def zeros(cls, n, p, q, field=scalars.RATIONAL):
+        return cls._zeros(n, (p, q), field)
+
+    @classmethod
+    def from_entries(cls, n, p, q, entries, field=scalars.RATIONAL):
+        """Build from a {(I, J): value} mapping of ascending index tuples."""
+        return cls._from_entries(n, (p, q), entries, field)
+
+    mat = _LaneForm._values
+    p = property(lambda self: self._degs[0])
+    q = property(lambda self: self._degs[1])
+
+    @property
+    def bidegree(self):
+        return self._degs
+
+    def entry(self, I, J):
+        return self._at((rank_tuple(tuple(I), self.n), rank_tuple(tuple(J), self.n)))
+
+    def scalar(self):
+        """The single value of a (0, 0) form."""
+        if self._degs != (0, 0):
+            raise ValueError(f"bidegree ({self.p}, {self.q}) form is not a scalar")
+        return self._at((0, 0))
+
+    def __repr__(self):
+        return f"DoubleForm(n={self.n}, p={self.p}, q={self.q}, field={self.field!r})"
 
 
 # -- the integer lane ----------------------------------------------------------
 
 
-def _check_shape(n, p, q, field):
-    if not 0 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
-    if p < 0 or q < 0:
-        raise ValueError(f"bidegree ({p}, {q}) must be non-negative")
-    scalars.check_field(field)
+def _shape(n, degs):
+    return tuple([comb(n, d) for d in degs])
 
 
-def _form(n, p, q, field, num, den=1, mag=None):
-    """The (p, q) form num / den, an exact one brought to lowest terms.
+def _form(cls, n, degs, field, num, den=1, mag=None):
+    """The cls form num / den with slot degrees degs, an exact one brought
+    to lowest terms.
 
-    num has the (p, q) shape, so the constructor's checks are skipped.
+    num has the shape of degs, so the constructor's checks are skipped.
     """
     if den != 1:
         c = _content(num)
@@ -233,9 +280,9 @@ def _form(n, p, q, field, num, den=1, mag=None):
         elif (g := gcd(den, c)) != 1:  # g <= c, so an int64 num divides in range
             num, den = num // g, den // g
             mag = None if mag is None else mag // g
-    out = DoubleForm.__new__(DoubleForm)
-    out.n, out.p, out.q, out.field = n, p, q, field
-    out._mat, out._num, out._den, out._mag = None, num, den, mag
+    out = cls.__new__(cls)
+    out.n, out._degs, out.field = n, degs, field
+    out._vals, out._num, out._den, out._mag = None, num, den, mag
     return out
 
 
@@ -320,7 +367,7 @@ def _identity(n, k, field, scale=1):
     """scale times the identity on Lambda^k, which is g^k / k!."""
     size = comb(n, k)
     num = np.eye(size, dtype=_lane_dtype(field, scale)) * scale
-    return _form(n, k, k, field, num, 1, scale if size else 0)
+    return _form(DoubleForm, n, (k, k), field, num, 1, scale if size else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +376,26 @@ def _identity(n, k, field, scale=1):
 
 def wedge(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     """Exterior product of double forms (slot-wise wedge, shuffle signs)."""
+    return _wedged(w1, w2)
+
+
+def _wedged(w1, w2):
+    """The slot-wise wedge of two forms of one type, through _wedge.
+
+    An exact pair wedges its numerators, with the denominators multiplied;
+    a slot degree past n gives the zero form.
+    """
     w1._check_compatible(w2)
-    n, p, q = w1.n, w1.p + w2.p, w1.q + w2.q
+    n, d1, d2 = w1.n, w1._degs, w2._degs
+    degs = tuple(map(add, d1, d2))
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
-    # each output entry sums C(p, p1) C(q, q1) products
-    dtype = _lane_dtype(w1.field, ma * mb * comb(p, w1.p) * comb(q, w1.q), ma, mb)
-    out = np.zeros((comb(n, p), comb(n, q)), dtype=dtype)
-    if p <= n and q <= n:
-        _wedge(n, _as(a, dtype), w1.bidegree, _as(b, dtype), w2.bidegree, out)
-    return _form(n, p, q, w1.field, out, da * db)
+    # each output entry sums C(x + y, x) products per slot
+    dtype = _lane_dtype(w1.field, ma * mb * prod(map(comb, degs, d1)), ma, mb)
+    out = np.zeros(_shape(n, degs), dtype=dtype)
+    if max(degs) <= n:
+        _wedge(n, _as(a, dtype), d1, _as(b, dtype), d2, out)
+    return _form(type(w1), n, degs, w1.field, out, da * db)
 
 
 def _wedge(n, a, da, b, db, out):
@@ -350,7 +407,7 @@ def _wedge(n, a, da, b, db, out):
     the product lands on out[I|J], negated when an odd number of slot
     merges are odd.  Targets repeat across the nonzeros of a, so they are
     summed with np.add.at.  Any dtype works: int64 or object numerators
-    of the integer lane, float64, or the values of an exterior form.
+    of the integer lane, or float64.
     """
     nz = np.nonzero(a)
     r = len(da)
@@ -464,7 +521,7 @@ def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
     An exact w contracts its numerators, against the lane of Ginv, with
     the denominators multiplied.  Float zeros come out as +0.0.
     """
-    n, p, q, field = w.n, w.p, w.q, w.field
+    n, (p, q), field = w.n, w._degs, w.field
     if p == 0 or q == 0:
         return DoubleForm.zeros(n, max(p - 1, 0), max(q - 1, 0), field)
     num, den, mag = w._lane()
@@ -479,7 +536,7 @@ def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
         den *= den_g
     if field == scalars.FLOAT64:
         res[res == 0] = 0.0  # no -0.0 sums
-    return _form(n, p - 1, q - 1, field, res, den)
+    return _form(DoubleForm, n, (p - 1, q - 1), field, res, den)
 
 
 def _contract(n, p, q, m, Ginv):
@@ -520,7 +577,7 @@ def _invert_metric(G: DoubleForm) -> DoubleForm:
         M = G.mat
         if not np.all(M == M.T):
             raise ValueError("metric must be symmetric")
-        return _form(n, 1, 1, field, _invert_float(M.copy()))
+        return _form(DoubleForm, n, (1, 1), field, _invert_float(M.copy()))
     S, s, _ = G._lane()
     if not np.array_equal(S, S.T):
         raise ValueError("metric must be symmetric")
@@ -541,7 +598,7 @@ def _invert_metric(G: DoubleForm) -> DoubleForm:
     flat = [s * x for row in a for x in row[n:]]
     mag = max(map(abs, flat), default=0)
     num = np.array(flat, dtype=_lane_dtype(field, mag)).reshape(n, n)
-    return _form(n, 1, 1, field, num, abs(prev), mag)
+    return _form(DoubleForm, n, (1, 1), field, num, abs(prev), mag)
 
 
 def _invert_float(a):
@@ -568,13 +625,25 @@ def _invert_float(a):
 
 def hodge(w: DoubleForm) -> DoubleForm:
     """Double Hodge star: applies the usual star to both argument slots."""
-    n, p, q = w.n, w.p, w.q
+    n, (p, q) = w.n, w._degs
     if p > n or q > n:  # an identically-zero spillover from a wedge
         return DoubleForm.zeros(n, max(n - p, 0), max(n - q, 0), w.field)
+    return _starred(w)
+
+
+def _starred(w):
+    """The slot-wise star of a form, through _star.
+
+    A slot degree past n has no star and raises.
+    """
+    n = w.n
+    degs = tuple([n - d for d in w._degs])
+    if min(degs) < 0:
+        raise ValueError(w._NEGATIVE.format(*degs))
     num, den, mag = w._lane()
-    out = np.zeros((comb(n, p), comb(n, q)), dtype=num.dtype)
-    _star(n, num, w.bidegree, out)
-    return _form(n, n - p, n - q, w.field, out, den, mag)
+    out = np.zeros(num.shape, dtype=num.dtype)  # C(n, n - d) = C(n, d)
+    _star(n, num, w._degs, out)
+    return _form(type(w), n, degs, w.field, out, den, mag)
 
 
 def _star(n, a, degs, out):
@@ -606,7 +675,7 @@ def _star(n, a, degs, out):
 
 def transpose(w: DoubleForm) -> DoubleForm:
     num, den, mag = w._lane()
-    return _form(w.n, w.q, w.p, w.field, num.T.copy(), den, mag)
+    return _form(DoubleForm, w.n, (w.q, w.p), w.field, num.T.copy(), den, mag)
 
 
 def inner(w1: DoubleForm, w2: DoubleForm):
@@ -638,13 +707,14 @@ def compose(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     """
     w1._check_compatible(w2)
     n = w1.n
-    if w1.p != w2.q:
-        return DoubleForm.zeros(n, w2.p, w1.q, w1.field)
+    (p, q), (r, s) = w1._degs, w2._degs
+    if p != s:
+        return DoubleForm.zeros(n, r, q, w1.field)
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
     # each output entry sums C(n, p) products
     dtype = _lane_dtype(w1.field, ma * mb * a.shape[0], ma, mb)
-    return _form(n, w2.p, w1.q, w1.field, _as(b, dtype).dot(_as(a, dtype)), da * db)
+    return _form(DoubleForm, n, (r, q), w1.field, _as(b, dtype).dot(_as(a, dtype)), da * db)
 
 
 def compose_power(w: DoubleForm, r: int) -> DoubleForm:

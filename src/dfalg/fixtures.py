@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import scalars
 from .dform import DoubleForm, metric_power, wedge
@@ -130,10 +130,10 @@ def random_form(n: int, k: int, seed: int,
                 field: str = scalars.RATIONAL) -> ExteriorForm:
     """Random degree-k exterior form with integer coefficients in [-3, 3]."""
     rng = SplitMix64(seed)
-    out = ExteriorForm.zeros(n, k, field)
-    for i in range(out.coeffs.shape[0]):
-        out.coeffs[i] = scalars.coerce(rng.next_entry(), field)
-    return out
+    values = scalars.zeros(comb(n, max(k, 0)), field)  # the constructor refuses k < 0
+    for i in range(values.shape[0]):
+        values[i] = scalars.coerce(rng.next_entry(), field)
+    return ExteriorForm(n, k, values, field)
 
 
 @dataclass

@@ -14,15 +14,36 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
+
+import numpy as np
 
 from . import scalars
-from .dform import DoubleForm, transpose, wedge_power
+from .dform import DoubleForm, hodge, transpose, wedge_power
 from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
     wedge_multi_power
 from .identities import IdentityResidual
 from .invariants import s_k
 from .multiindex import _rank_of, merge_sign_tuple, subsets
+from .tensorio import MAX_DENSE_ENTRIES
+
+
+def _check_work(n, degs, steps):
+    """Refuse, before anything is built, the wedge chain w, w^2, ...,
+    w^steps of a form with slot degrees degs if one of its dense arrays or
+    gathers has more than MAX_DENSE_ENTRIES entries.
+
+    w^j has C(n, j d) entries per slot; the wedge that makes it gathers at
+    most C(n, (j - 1) d) C(n - (j - 1) d, d) per slot.
+    """
+    for j in range(1, steps + 1):
+        need = prod(comb(n, j * d) for d in degs)
+        if j > 1:
+            need = max(need, prod(comb(n, (j - 1) * d) * comb(n - (j - 1) * d, d)
+                                  for d in degs))
+        if need > MAX_DENSE_ENTRIES:
+            raise ValueError(f"the computation needs {need} dense entries, "
+                             f"above the limit of {MAX_DENSE_ENTRIES}")
 
 
 def pf(form: ExteriorForm):
@@ -33,6 +54,7 @@ def pf(form: ExteriorForm):
     if n % d:
         raise ValueError(f"dimension {n} is not a multiple of the degree {d}")
     q = n // d
+    _check_work(n, (d,), q)
     top = wedge_form_power(form, q)
     return top.coeffs[0] * Fraction(1, factorial(q))
 
@@ -43,10 +65,8 @@ def skew_to_form(h: DoubleForm) -> ExteriorForm:
         raise ValueError(f"expected a (1, 1) form, got {h.bidegree}")
     if h != -transpose(h):
         raise ValueError("the bilinear form is not skew-symmetric")
-    out = ExteriorForm.zeros(h.n, 2, h.field)
-    for r, (i, j) in enumerate(subsets(h.n, 2)):
-        out.coeffs[r] = h.mat[i, j]
-    return out
+    # the entries i < j in row-major order are the 2-subsets in rank order
+    return ExteriorForm(h.n, 2, h.mat[np.triu_indices(h.n, 1)], h.field)
 
 
 def embed(form: ExteriorForm, r: int):
@@ -64,6 +84,7 @@ def embed(form: ExteriorForm, r: int):
     if d % r:
         raise ValueError(f"degree {d} is not a multiple of the slot count {r}")
     k = d // r
+    _check_work(n, (k,) * r, 1)
     blocks = subsets(n, k)
     target = scalars.zeros((len(blocks),) * r, form.field)
     ranks = _rank_of(n, d)
@@ -90,7 +111,7 @@ def double_form_as_multiform(w: DoubleForm) -> MultiForm:
     """Re-index a (k, k) double form as a two-slot multiform."""
     if w.p != w.q:
         raise ValueError("only square bidegrees correspond to two-slot multiforms")
-    return MultiForm(w.n, w.p, 2, w.mat.copy(), w.field)
+    return MultiForm(w.n, w.p, 2, w.mat, w.field)
 
 
 def multiform_as_double_form(mf: MultiForm) -> DoubleForm:
@@ -106,6 +127,7 @@ def hyperdet(mf: MultiForm):
     if k == 0 or n % k:
         raise ValueError(f"dimension {n} is not a multiple of the slot degree {k}")
     p = n // k
+    _check_work(n, (k,) * mf.r, p)
     top = wedge_multi_power(mf, p)
     starred = hodge_multi(top)
     return starred.coeffs[(0,) * mf.r] * Fraction(1, factorial(p))
@@ -155,16 +177,15 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
     value = pf(form)
     if r == 2:
         w = embed(form, 2)
+        q_exp = n // (d // 2)
+        _check_work(n, w.bidegree, q_exp)  # s_k builds the same chain for d = 2
         if d == 2:
             rhs = s_k(w, n)  # determinant of the skew bilinear form
             rec = ConjectureRecord("pf_squared_det", {"n": n, "degree": d},
                                    value * value, rhs, asserted=True)
             return rec
         # h_(0,n) of the embedded (k, k) form: star of its top wedge power
-        from .dform import hodge as dform_hodge
-
-        q_exp = n // (d // 2)
-        rhs = dform_hodge(wedge_power(w, q_exp)).scalar()
+        rhs = hodge(wedge_power(w, q_exp)).scalar()
         return ConjectureRecord("pf_squared_hn", {"n": n, "degree": d},
                                 value * value, rhs, asserted=False)
     mf = embed(form, r)

@@ -34,34 +34,33 @@ class TensorFormatError(ValueError):
     """Malformed tensor document."""
 
 
+# kind -> (type, degree fields, entry keys).  An entry keys its index lists
+# by slot ("row", "col"), or, under "slots", lists one per slot.
+_KINDS = {
+    "double_form": (DoubleForm, ("p", "q"), ("row", "col")),
+    "form": (ExteriorForm, ("k",), ("row",)),
+    "multiform": (MultiForm, ("k", "r"), "slots"),
+}
+
+
 def tensor_to_doc(obj) -> dict:
-    if isinstance(obj, DoubleForm):
-        entries = []
-        for (i, j), v in np.ndenumerate(obj.mat):
-            if v != 0:
-                entries.append({"row": list(unrank_tuple(i, obj.p, obj.n)),
-                                "col": list(unrank_tuple(j, obj.q, obj.n)),
-                                "value": scalars.format_scalar(v, obj.field)})
-        return {"n": obj.n, "kind": "double_form", "p": obj.p, "q": obj.q,
-                "scalar": obj.field, "entries": entries}
-    if isinstance(obj, ExteriorForm):
-        entries = []
-        for i, v in enumerate(obj.coeffs):
-            if v != 0:
-                entries.append({"row": list(unrank_tuple(i, obj.k, obj.n)),
-                                "value": scalars.format_scalar(v, obj.field)})
-        return {"n": obj.n, "kind": "form", "k": obj.k,
-                "scalar": obj.field, "entries": entries}
-    if isinstance(obj, MultiForm):
-        entries = []
-        for idx, v in np.ndenumerate(obj.coeffs):
-            if v != 0:
-                entries.append({"slots": [list(unrank_tuple(i, obj.k, obj.n))
-                                          for i in idx],
-                                "value": scalars.format_scalar(v, obj.field)})
-        return {"n": obj.n, "kind": "multiform", "k": obj.k, "r": obj.r,
-                "scalar": obj.field, "entries": entries}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    for kind, (cls, fields, keys) in _KINDS.items():
+        if type(obj) is cls:
+            break
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    n, degs = obj.n, obj._degs
+    entries = []
+    for idx, v in np.ndenumerate(obj._values):
+        if v != 0:
+            slots = [list(unrank_tuple(i, d, n)) for i, d in zip(idx, degs)]
+            entry = {"slots": slots} if keys == "slots" else dict(zip(keys, slots))
+            entry["value"] = scalars.format_scalar(v, obj.field)
+            entries.append(entry)
+    doc = {"n": n, "kind": kind}
+    doc.update((f, getattr(obj, f)) for f in fields)
+    doc.update(scalar=obj.field, entries=entries)
+    return doc
 
 
 def tensor_to_json(obj, indent=None) -> str:
@@ -121,70 +120,43 @@ def tensor_from_doc(doc):
     if field not in scalars.FIELDS:
         raise TensorFormatError(f"unknown scalar field {field!r}")
     entries = _need(doc, "entries", list)
+    if kind not in _KINDS:
+        raise TensorFormatError(f"unknown tensor kind {kind!r}")
+    cls, fields, keys = _KINDS[kind]
     try:
-        if kind == "double_form":
-            p = _need(doc, "p", int)
-            q = _need(doc, "q", int)
-            _check_dense_size(math.comb(n, p) * math.comb(n, q))
-            mat = scalars.zeros((math.comb(n, p), math.comb(n, q)), field)
-            seen = set()
-            for e in entries:
-                row = _index_tuple(_need(e, "row", list), n, "row index")
-                col = _index_tuple(_need(e, "col", list), n, "col index")
-                if len(row) != p or len(col) != q:
-                    raise TensorFormatError(
-                        f"entry ({row}, {col}) does not match bidegree ({p}, {q})")
-                if (row, col) in seen:
-                    raise TensorFormatError(f"duplicate entry ({row}, {col})")
-                seen.add((row, col))
-                if "value" not in e:
-                    raise TensorFormatError("entry missing 'value'")
-                mat[rank_tuple(row, n), rank_tuple(col, n)] = _value(e["value"], field)
-            return DoubleForm(n, p, q, mat, field)
-        if kind == "form":
-            k = _need(doc, "k", int)
-            _check_dense_size(math.comb(n, k))
-            out = ExteriorForm.zeros(n, k, field)
-            seen = set()
-            for e in entries:
-                row = _index_tuple(_need(e, "row", list), n, "index")
-                if len(row) != k:
-                    raise TensorFormatError(f"entry {row} does not match degree {k}")
-                if row in seen:
-                    raise TensorFormatError(f"duplicate entry {row}")
-                seen.add(row)
-                if "value" not in e:
-                    raise TensorFormatError("entry missing 'value'")
-                out.coeffs[rank_tuple(row, n)] = _value(e["value"], field)
-            return out
-        if kind == "multiform":
-            k = _need(doc, "k", int)
-            r = _need(doc, "r", int)
+        header = [_need(doc, f, int) for f in fields]
+        if keys == "slots":
+            k, r = header
             if not 1 <= r <= 64:  # numpy arrays have at most 64 axes
                 raise TensorFormatError(f"a multiform needs 1 to 64 slots, got {r}")
-            _check_dense_size(math.comb(n, k) ** r)
-            out = MultiForm.zeros(n, k, r, field)
-            seen = set()
-            for e in entries:
+            degs = (k,) * r
+        else:
+            degs = tuple(header)
+        shape = tuple(math.comb(n, d) for d in degs)
+        _check_dense_size(math.prod(shape))
+        values = scalars.zeros(shape, field)
+        seen = set()
+        for e in entries:
+            if keys == "slots":
                 raw = _need(e, "slots", list)
-                if len(raw) != r:
-                    raise TensorFormatError(f"entry needs {r} slots")
-                slots = tuple(_index_tuple(s, n, "slot index") for s in raw)
-                if any(len(s) != k for s in slots):
-                    raise TensorFormatError(f"entry {raw} does not match slot degree {k}")
-                if slots in seen:
-                    raise TensorFormatError(f"duplicate entry {raw}")
-                seen.add(slots)
-                if "value" not in e:
-                    raise TensorFormatError("entry missing 'value'")
-                out.coeffs[tuple(rank_tuple(s, n) for s in slots)] = \
-                    _value(e["value"], field)
-            return out
+                if len(raw) != len(degs):
+                    raise TensorFormatError(f"entry needs {len(degs)} slots")
+            else:
+                raw = [_need(e, key, list) for key in keys]
+            slots = tuple(_index_tuple(s, n, "index") for s in raw)
+            if tuple(map(len, slots)) != degs:
+                raise TensorFormatError(f"entry {slots} does not match the degrees {degs}")
+            if slots in seen:
+                raise TensorFormatError(f"duplicate entry {slots}")
+            seen.add(slots)
+            if "value" not in e:
+                raise TensorFormatError("entry missing 'value'")
+            values[tuple(rank_tuple(s, n) for s in slots)] = _value(e["value"], field)
+        return cls(n, *header, values, field)
     except ValueError as exc:
         if isinstance(exc, TensorFormatError):
             raise
         raise TensorFormatError(str(exc)) from None
-    raise TensorFormatError(f"unknown tensor kind {kind!r}")
 
 
 def tensor_from_json(text: str):

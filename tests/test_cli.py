@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dfalg import scalars
@@ -42,8 +43,9 @@ def test_round_trip_double_form():
 def test_round_trip_form_and_multiform():
     f = random_form(5, 2, seed=2)
     assert tensor_from_json(tensor_to_json(f)) == f
-    mf = MultiForm.zeros(4, 2, 3)
-    mf.coeffs[0, 1, 2] = Fraction(-7, 2)
+    values = np.zeros((6, 6, 6), dtype=object)
+    values[0, 1, 2] = Fraction(-7, 2)
+    mf = MultiForm(4, 2, 3, values)
     assert tensor_from_json(tensor_to_json(mf)) == mf
 
 
@@ -526,6 +528,30 @@ def test_pfaffian_rejects_non_skew_double_form(tmp_path, capsys):
     path.write_text(tensor_to_json(random_bilinear(4, 14, "symmetric")))
     code, _, err = run_cli(capsys, "pfaffian", str(path))
     assert code == 2
+
+
+def test_pfaffian_refuses_work_past_the_dense_limit(tmp_path, capsys, monkeypatch):
+    # each file is small, but its wedge chain is not: C(5, 2)^8 = 10^8 entries
+    # for the multiform, C(40, 20) ~ 1.4e11 for the 2-form and the skew form
+    from dfalg import pfaffian
+
+    def started(*args):
+        raise AssertionError("a refused computation was started")
+
+    for name in ("wedge_form_power", "wedge_multi_power", "wedge_power", "s_k"):
+        monkeypatch.setattr(pfaffian, name, started)
+    docs = {
+        "multiform": {"n": 5, "kind": "multiform", "k": 1, "r": 8, "entries": []},
+        "form": tensor_to_doc(random_form(40, 2, 3)),
+        "skew": tensor_to_doc(random_bilinear(40, 4, "skew")),
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "pfaffian", str(path))
+        assert code == 2 and out == "", name
+        assert err.startswith("dfalg: error:") and "dense entries" in err, name
+        assert "Traceback" not in err
 
 
 # -- report schema ------------------------------------------------------------------

@@ -185,9 +185,9 @@ def _ref_wedge_gather(w1, w2, mo):
 
 def ref_wedge_form(a, b):
     n, k = a.n, a.k + b.k
-    out = ExteriorForm.zeros(n, k, a.field)
+    out = scalars.zeros(comb(n, k), a.field)
     if k > n:
-        return out
+        return ExteriorForm(n, k, out, a.field)
     table = old_merge_table(n, a.k, b.k)
     for i, va in enumerate(a.coeffs):
         if va == 0:
@@ -200,15 +200,15 @@ def ref_wedge_form(a, b):
             if hit is None:
                 continue
             sign, r = hit
-            out.coeffs[r] += sign * (va * vb)
-    return out
+            out[r] += sign * (va * vb)
+    return ExteriorForm(n, k, out, a.field)
 
 
 def ref_wedge_multi(a, b):
     n, k = a.n, a.k + b.k
-    out = MultiForm.zeros(n, k, a.r, a.field)
+    out = scalars.zeros((comb(n, k),) * a.r, a.field)
     if k > n:
-        return out
+        return MultiForm(n, k, a.r, out, a.field)
     table = old_merge_table(n, a.k, b.k)
     for ia, va in np.ndenumerate(a.coeffs):
         if va == 0:
@@ -225,8 +225,8 @@ def ref_wedge_multi(a, b):
                 sign *= hit[0]
                 target.append(hit[1])
             else:
-                out.coeffs[tuple(target)] += sign * (va * vb)
-    return out
+                out[tuple(target)] += sign * (va * vb)
+    return MultiForm(n, k, a.r, out, a.field)
 
 
 def ref_hodge(w):
@@ -251,18 +251,18 @@ def ref_hodge(w):
 
 def ref_hodge_form(a):
     n = a.n
-    out = ExteriorForm.zeros(n, n - a.k, a.field)
+    out = scalars.zeros(comb(n, n - a.k), a.field)
     table = old_complement_table(n, a.k)
     for i, v in enumerate(a.coeffs):
         if v != 0:
             rc, eps = table[i]
-            out.coeffs[rc] = eps * v
-    return out
+            out[rc] = eps * v
+    return ExteriorForm(n, n - a.k, out, a.field)
 
 
 def ref_hodge_multi(a):
     n = a.n
-    out = MultiForm.zeros(n, n - a.k, a.r, a.field)
+    out = scalars.zeros((comb(n, n - a.k),) * a.r, a.field)
     table = old_complement_table(n, a.k)
     for idx, v in np.ndenumerate(a.coeffs):
         if v == 0:
@@ -273,8 +273,8 @@ def ref_hodge_multi(a):
             rc, eps = table[i]
             sign *= eps
             target.append(rc)
-        out.coeffs[tuple(target)] = sign * v
-    return out
+        out[tuple(target)] = sign * v
+    return MultiForm(n, n - a.k, a.r, out, a.field)
 
 
 def ref_contract(w):
@@ -485,8 +485,7 @@ def test_hodge_matches_loop(n, field):
 # -- exterior forms and multiforms -------------------------------------------------
 
 def form_inputs(n, k, seed, field):
-    dense = ExteriorForm.zeros(n, k, field)
-    fill(dense.coeffs, seed)
+    dense = ExteriorForm(n, k, fill(scalars.zeros(comb(n, k), field), seed), field)
     forms = [dense, ExteriorForm.zeros(n, k, field)]
     if k <= n:
         forms.append(ExteriorForm.unit(n, tuple(range(n - k, n)), field))
@@ -512,10 +511,11 @@ def test_wedge_form_and_hodge_form_match_loops(n, field):
 
 
 def multi_inputs(n, k, r, seed, field, partner_size):
-    dense = MultiForm.zeros(n, k, r, field)
-    fill(dense.coeffs, seed, _keep(dense.coeffs.size, partner_size))
-    sparse = fill(MultiForm.zeros(n, k, r, field).coeffs, seed + 1, keep=1)
-    return [dense, MultiForm(n, k, r, sparse, field), MultiForm.zeros(n, k, r, field)]
+    shape = (comb(n, k),) * r
+    dense = fill(scalars.zeros(shape, field), seed, _keep(math.prod(shape), partner_size))
+    sparse = fill(scalars.zeros(shape, field), seed + 1, keep=1)
+    return [MultiForm(n, k, r, dense, field), MultiForm(n, k, r, sparse, field),
+            MultiForm.zeros(n, k, r, field)]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -695,12 +695,13 @@ def test_float_stars_write_no_negative_zeros(zero):
     for n in range(1, 7):
         for k in range(n + 1):
             v = scalars.zeros((comb(n, k), comb(n, n - k)), f)
-            a = ExteriorForm.zeros(n, k, f)
-            m = MultiForm.zeros(n, k, 3, f)
-            for seed, arr in enumerate((v, a.coeffs, m.coeffs)):
+            c = scalars.zeros(comb(n, k), f)
+            mc = scalars.zeros((comb(n, k),) * 3, f)
+            for seed, arr in enumerate((v, c, mc)):
                 fill(arr, 3 * n + k + seed, keep=max(1, arr.size // 2))
                 arr[arr == 0] = zero
             w = DoubleForm(n, k, n - k, v, f)
+            a, m = ExteriorForm(n, k, c, f), MultiForm(n, k, 3, mc, f)
             for out in (hodge(w).mat, hodge_form(a).coeffs, hodge_multi(m).coeffs):
                 assert not np.any(np.signbit(out) & (out == 0))
 
@@ -833,7 +834,7 @@ def assert_lane(form, values):
     assert type(den) is int and den >= 1
     assert math.gcd(den, *(int(v) for v in num.flat)) == 1
     assert mag == max((abs(int(v)) for v in num.flat), default=0)
-    mat = form.mat
+    mat = form.mat if isinstance(form, DoubleForm) else form.coeffs
     assert all(type(v) in (int, Fraction) for v in mat.flat)
     assert mat.shape == values.shape and bool(np.all(mat == values))
 
@@ -1117,3 +1118,166 @@ def random_lane_form(n):
     """A (1, 1) form held in the lane, with a Fraction denominator."""
     v = fill(np.zeros((n, n), dtype=object), 77 + n)
     return DoubleForm(n, 1, 1, v) * Fraction(2, 3)
+
+
+# -- exterior forms and multiforms in the lane --------------------------------------
+
+def fractions_of(forms):
+    """The exact forms with entry i divided by 1 + i % 5."""
+    out = []
+    for f in forms:
+        v = f.coeffs.copy()
+        for i, x in enumerate(v.flat):
+            v.flat[i] = Fraction(x, 1 + i % 5)
+        out.append(ExteriorForm(f.n, f.k, v) if isinstance(f, ExteriorForm)
+                   else MultiForm(f.n, f.k, f.r, v))
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_fraction_forms_and_multiforms_match_loops(n):
+    for x, y in slot_pairs(n):
+        if x > n or y > n:
+            continue
+        for a in fractions_of(form_inputs(n, x, 3 * x + y, R)):
+            for b in fractions_of(form_inputs(n, y, 5 * y + x, R)):
+                ref = ref_wedge_form(a, b)
+                assert_lane(wedge_form(a, b), ref.coeffs)
+        for r in (2, 3):
+            size_b = comb(n, y) ** r
+            for a in fractions_of(multi_inputs(n, x, r, 3 * x + y, R, size_b)):
+                for b in fractions_of(multi_inputs(n, y, r, 5 * y + x, R, 1)):
+                    assert_lane(wedge_multi(a, b), ref_wedge_multi(a, b).coeffs)
+    for k in range(n + 1):
+        for a in fractions_of(form_inputs(n, k, 11 * k, R)):
+            assert_lane(hodge_form(a), ref_hodge_form(a).coeffs)
+        for a in fractions_of(multi_inputs(n, k, 2, 11 * k, R, 1)):
+            assert_lane(hodge_multi(a), ref_hodge_multi(a).coeffs)
+
+
+def test_fraction_coefficients_share_one_denominator_in_lowest_terms():
+    a = ExteriorForm(3, 1, [Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)])
+    num, den, mag = a._lane()
+    assert (num.tolist(), den, mag) == ([3, 2, 5], 6, 5)
+    b = ExteriorForm(3, 1, [Fraction(2, 3), 0, Fraction(4, 9)])
+    m = MultiForm(2, 1, 2, [[Fraction(1, 2), Fraction(1, 4)], [0, Fraction(3, 8)]])
+    assert m._lane()[1] == 8
+    va, vm = a.coeffs, m.coeffs
+    cases = [(a, va), (m, vm), (wedge_form(a, b), ref_wedge_form(a, b).coeffs),
+             (a * Fraction(4, 3), old_mul(va, Fraction(4, 3))), (a + a, va + va),
+             (a - b, va - b.coeffs), (-m, -vm), (m * 8, old_mul(vm, 8)),
+             (hodge_form(a), ref_hodge_form(a).coeffs), (hodge_multi(m), ref_hodge_multi(m).coeffs),
+             (wedge_multi(m, m), ref_wedge_multi(m, m).coeffs)]
+    for form, values in cases:
+        assert_lane(form, values)
+    # a sum that cancels every denominator
+    half = ExteriorForm(3, 1, [Fraction(1, 2), 0, 0])
+    assert (half + half)._lane()[1] == 1 and (a - a)._lane()[1] == 1
+
+
+def exterior_bound_cases():
+    """(name, operation, lane of the result) on both sides of the bound.
+
+    A wedge of degree-1 slots at n = 2 sums C(2, 1) = 2 products per slot,
+    so a form wedge is bounded by 2 |a| |b| and a two-slot multiform wedge
+    by 4 |a| |b|, with |b| = 2 below.
+    """
+    cases = []
+    for side, k, want in (("below", -1, np.int64), ("at", 0, object)):
+        big = 2 ** 60 + k
+        a, b = ExteriorForm(2, 1, [big, 0]), ExteriorForm(2, 1, [0, 2])
+        cases.append((f"wedge_form {side}", lambda a=a, b=b: wedge_form(a, b), want, 2 * big))
+        big = 2 ** 59 + k
+        a = MultiForm(2, 1, 2, [[big, 0], [0, 0]])
+        b = MultiForm(2, 1, 2, [[0, 0], [0, 2]])
+        cases.append((f"wedge_multi {side}", lambda a=a, b=b: wedge_multi(a, b), want, 2 * big))
+    for big, want in ((3, np.int64), (2 ** 61, object)):
+        a, b = ExteriorForm(2, 1, [big, 0]), ExteriorForm(2, 1, [0, 2])
+        cases.append((f"wedge_form {big}", lambda a=a, b=b: wedge_form(a, b), want, 2 * big))
+        a = MultiForm(2, 1, 2, [[big, 0], [0, 0]])
+        b = MultiForm(2, 1, 2, [[0, 0], [0, 2]])
+        cases.append((f"wedge_multi {big}", lambda a=a, b=b: wedge_multi(a, b), want, 2 * big))
+    return cases
+
+
+@pytest.mark.parametrize("name, op, want, top", exterior_bound_cases(),
+                         ids=[c[0] for c in exterior_bound_cases()])
+def test_exterior_lane_bound_picks_int64_below_and_object_at_the_bound(name, op, want, top):
+    out = op()
+    assert lane_dtype(out) == want
+    assert out.coeffs.flat[0] == top and type(out.coeffs.flat[0]) is int
+
+
+def test_exterior_int64_and_object_lanes_agree(monkeypatch):
+    def run():
+        out = []
+        for n in range(0, 6):
+            for x, y in slot_pairs(n):
+                if x > n or y > n:
+                    continue
+                a = fractions_of(form_inputs(n, x, 7 * x + y, R))[0]
+                b = form_inputs(n, y, 9 * y + x, R)[0]
+                out += [wedge_form(a, b), hodge_form(a), a * 5, a + a]
+                ma = multi_inputs(n, x, 2, 7 * x + y, R, 1)[0]
+                mb = fractions_of(multi_inputs(n, y, 2, 9 * y + x, R, 1))[0]
+                out += [wedge_multi(ma, mb), hodge_multi(mb), mb - mb]
+        return out
+
+    fast = run()
+    assert any(lane_dtype(w) == np.int64 for w in fast)
+    monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    slow = run()
+    assert all(lane_dtype(w) == object for w in slow)
+    for x, y in zip(fast, slow, strict=True):
+        assert x._lane()[1] == y._lane()[1] and x == y
+        assert bool(np.all(x.coeffs == y.coeffs))
+
+
+def exterior_routes(field):
+    """Exterior forms and multiforms of field made by every route."""
+    from dfalg import fixtures, pfaffian, tensorio
+    from dfalg.exterior import wedge_form_power
+
+    f = fixtures.random_form(4, 2, 80, field)
+    e = ExteriorForm.unit(4, (1,), field)
+    m = pfaffian.embed(fixtures.random_form(6, 6, 81, field), 3)
+    h = fixtures.random_bilinear(4, 82, "skew", field)
+    return [f, e, ExteriorForm.zeros(4, 3, field),
+            ExteriorForm.from_coeffs(4, 1, {(2,): 5}, field),
+            ExteriorForm(4, 1, fill(scalars.zeros(4, field), 83), field),
+            wedge_form(f, e), hodge_form(f), wedge_form_power(f, 0), wedge_form_power(f, 2),
+            f + f, f - f, -f, f * 3, 3 * f, f.astype(scalars.FLOAT64 if field == R else R),
+            pfaffian.skew_to_form(h), tensorio.tensor_from_doc(tensorio.tensor_to_doc(f)),
+            m, MultiForm.zeros(3, 1, 2, field), MultiForm.from_slots([e, e, e]),
+            MultiForm(3, 1, 2, fill(scalars.zeros((3, 3), field), 84), field),
+            wedge_multi(m, m), hodge_multi(m), m + m, -m, m * 2,
+            pfaffian.double_form_as_multiform(h),
+            tensorio.tensor_from_doc(tensorio.tensor_to_doc(m))]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_coeffs_are_read_only_on_every_route(field):
+    for w in exterior_routes(field):
+        c = w.coeffs
+        assert not c.flags.writeable and c.dtype == (object if w.field == R else float)
+        if c.size:
+            with pytest.raises(ValueError):
+                c[(0,) * c.ndim] = 1
+            with pytest.raises(ValueError):
+                c += 1
+        assert w.coeffs is c
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_changing_the_callers_array_does_not_change_a_form(field):
+    c = fill(scalars.zeros(6, field), 85)
+    mc = fill(scalars.zeros((4, 4, 4), field), 86)
+    c[0] = scalars.coerce(Fraction(5, 2) if field == R else 2, field)
+    before, mbefore = c.copy(), mc.copy()
+    f, m = ExteriorForm(4, 2, c, field), MultiForm(4, 1, 3, mc, field)
+    c[:2] = mc[0, 0, :2] = scalars.coerce(99, field)
+    mc[1] = 0
+    assert bool(np.all(f.coeffs == before)) and f == ExteriorForm(4, 2, before, field)
+    assert bool(np.all(m.coeffs == mbefore)) and m == MultiForm(4, 1, 3, mbefore, field)
+    assert_same(hodge_form(f).coeffs, ref_hodge_form(ExteriorForm(4, 2, before, field)).coeffs,
+                field)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dfalg import oracle
+from dfalg import oracle, pfaffian
 from dfalg.dform import bianchi_residual, hodge, transpose, wedge_power
-from dfalg.exterior import ExteriorForm, wedge_multi
-from dfalg.fixtures import random_bilinear, random_form
+from dfalg.exterior import ExteriorForm, MultiForm, wedge_multi
+from dfalg.fixtures import SplitMix64, random_bilinear, random_form
 from dfalg.pfaffian import (
     check_pf_squared,
     double_form_as_multiform,
@@ -171,3 +171,52 @@ def test_embed_r3_against_direct_evaluation():
     assert mf.entry([(0, 1), (2, 3), (4, 5)]) == 1
     assert mf.entry([(0, 2), (1, 3), (4, 5)]) == -1
     assert mf.entry([(0, 1), (0, 2), (3, 4)]) == 0
+
+
+# -- the work budget ---------------------------------------------------------------
+
+@pytest.fixture
+def no_chains(monkeypatch):
+    """Fail on any wedge chain or embedding loop: a refused input must
+    raise before one starts."""
+    def started(*args):
+        raise AssertionError("a refused computation was started")
+
+    for name in ("wedge_form_power", "wedge_multi_power", "wedge_power", "s_k", "subsets"):
+        monkeypatch.setattr(pfaffian, name, started)
+
+
+def test_pf_refuses_a_chain_past_the_dense_limit(no_chains):
+    # 780 entries, but w^20 has C(40, 20) ~ 1.4e11
+    f = random_form(40, 2, 1)
+    with pytest.raises(ValueError, match="dense entries"):
+        pf(f)
+    with pytest.raises(ValueError, match="dense entries"):
+        check_pf_squared(f, 2)
+
+
+def test_hyperdet_refuses_a_chain_past_the_dense_limit(no_chains):
+    # 5^8 entries, but w^2 has C(5, 2)^8 = 10^8
+    with pytest.raises(ValueError, match="dense entries"):
+        hyperdet(MultiForm.zeros(5, 1, 8))
+
+
+def test_embed_refuses_an_array_past_the_dense_limit(no_chains):
+    # C(24, 2)^4 = 276^4 ~ 5.8e9 entries
+    with pytest.raises(ValueError, match="dense entries"):
+        embed(ExteriorForm.zeros(24, 8), 4)
+
+
+# the inputs of the benchmark's pfaffian_exterior workload, rebuilt here
+NONZERO_ENTRIES = (1, 2, 3, -1, -2, -3)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4, 5, 1009))
+def test_budget_accepts_the_benchmark_inputs(seed):
+    c = NONZERO_ENTRIES[SplitMix64(seed).next_u64() % len(NONZERO_ENTRIES)]
+    for n, k, s in ((12, 2, seed), (14, 2, seed + 1), (12, 4, seed + 2)):
+        pf(random_form(n, k, s))
+    assert hyperdet(embed(ExteriorForm.from_coeffs(6, 6, {tuple(range(6)): c}), 3)) != 0
+    for i, n in enumerate((4, 6, 8)):
+        rec = check_pf_squared(skew_to_form(random_bilinear(n, seed + 3 + i, "skew")), 2)
+        assert rec.residual == 0
