@@ -435,18 +435,19 @@ def wedge_power(w: DoubleForm, k: int) -> DoubleForm:
 
 
 # The power memo: None outside power_memo(), else a dict mapping id(w) to
-# (w, {(m, k): g^m w^k}).  Holding w keeps its id from being reused while
-# the memo lives.
+# (w, {key: form}), the results computed from w: g^m w^k under (m, k), *w
+# under "star", and the cofactors of invariants.h_rpq under their own keys.
+# Holding w keeps its id from being reused while the memo lives.
 _POWER_MEMO = contextvars.ContextVar("dfalg_power_memo", default=None)
 
 
 @contextlib.contextmanager
 def power_memo():
-    """Share the powers built by metric_wedge_power inside the block.
+    """Share the powers, stars and cofactors built inside the block.
 
-    Each g^m w^k is built once per form w, found by the identity of w, and
+    Each result is built once per form w, found by the identity of w, and
     the same form is handed to every later caller; forms are immutable, so
-    sharing one is safe.  The memo and its powers are dropped when the
+    sharing one is safe.  The memo and its results are dropped when the
     block exits.
     """
     token = _POWER_MEMO.set({})
@@ -456,34 +457,44 @@ def power_memo():
         _POWER_MEMO.reset(token)
 
 
+def _kept(w):
+    """The memo's results computed from w, or None outside power_memo()."""
+    memo = _POWER_MEMO.get()
+    return None if memo is None else memo.setdefault(id(w), (w, {}))[1]
+
+
+def _memoized(w, key, build):
+    """build(), computed once per form w and key inside power_memo()."""
+    kept = _kept(w)
+    if kept is None:
+        return build()
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
 def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
     """g^m w^k, the metric power g^m times the k-fold exterior power of w.
 
     w^k extends w^(k-1) by one wedge with w, and g^m w^k is one more wedge
     from g^m; k = 0 gives g^m.  Inside power_memo() every power built on
-    the way is kept and reused; w itself is never stored or marked.
+    the way is kept and reused; w itself is never stored.
     """
     if k < 0:
         raise ValueError("negative exterior power")
     if k == 0:
         return metric_power(w.n, m, w.field)
-    memo = _POWER_MEMO.get()
-    powers = {} if memo is None else memo.setdefault(id(w), (w, {}))[1]
-
-    def keep(key, form):
-        if memo is not None:
-            powers[key] = form
-        return form
-
-    if (m, k) in powers:
-        return powers[(m, k)]
     if m:
-        return keep((m, k), wedge(metric_power(w.n, m, w.field),
-                                  metric_wedge_power(w, 0, k)))
-    j = max((j for j in range(2, k) if (0, j) in powers), default=1)
+        return _memoized(w, (m, k), lambda: wedge(metric_power(w.n, m, w.field),
+                                                  metric_wedge_power(w, 0, k)))
+    kept = _kept(w)
+    powers = {} if kept is None else kept
+    j = max((j for j in range(2, k + 1) if (0, j) in powers), default=1)
     out = powers.get((0, j), w)
     for j in range(j + 1, k + 1):
-        out = keep((0, j), wedge(out, w))
+        out = wedge(out, w)
+        if kept is not None:  # outside a memo no step outlives the next
+            kept[(0, j)] = out
     return out
 
 
@@ -509,10 +520,13 @@ def contract_with_metric(w: DoubleForm, G: DoubleForm) -> DoubleForm:
     inverse metric from _invert_metric.  G = identity reduces to
     contract(w).
     """
-    n = w.n
-    if G.bidegree != (1, 1) or G.n != n:
-        raise ValueError("metric must be a (1, 1) form on the same space")
+    _check_metric(w, G)
     return _contracted(w, _invert_metric(G))
+
+
+def _check_metric(w, G):
+    if G.bidegree != (1, 1) or G.n != w.n:
+        raise ValueError("metric must be a (1, 1) form on the same space")
 
 
 def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
@@ -628,7 +642,7 @@ def hodge(w: DoubleForm) -> DoubleForm:
     n, (p, q) = w.n, w._degs
     if p > n or q > n:  # an identically-zero spillover from a wedge
         return DoubleForm.zeros(n, max(n - p, 0), max(n - q, 0), w.field)
-    return _starred(w)
+    return _memoized(w, "star", lambda: _starred(w))
 
 
 def _starred(w):

@@ -460,97 +460,96 @@ def run_suite(fixture_sets, mode: str = "exact", only: str | None = None):
     def wanted(*names):
         return only is None or only in names
 
-    def check_set(fx):
-        n = fx.n
+    def check_bilinear(n, h, tag):
+        if wanted("cayley_hamilton"):
+            add(_tag(check_cayley_hamilton(h), tag))
+        if wanted("laplace_inverse"):
+            add(_tag(check_laplace_refined(h), tag))
+        if wanted("laplace_expansion"):
+            for k in range(n):
+                add(_tag(check_laplace(h, k), tag))
+        if wanted("block_laplace"):
+            for r in range(n + 1):
+                add(_tag(check_block_laplace(h, r), tag))
+        if wanted("lower_block_laplace"):
+            for k in range(1, n + 1):
+                for q in range(k + 1):
+                    for p in range(n - k + 1):
+                        add(_tag(check_lower_block(h, k, p, q), tag))
+        if wanted("girard_newton"):
+            for k in range(n):
+                add(_tag(check_girard_newton(h, k), tag))
+        if wanted("newton_recurrence"):
+            for r in range(1, n + 1):
+                add(_tag(check_newton_recurrence(h, r), tag))
+        if wanted("newton_srq"):
+            for q in range(n + 1):
+                for r in range(1, n - q + 1):
+                    add(_tag(check_newton_srq(h, r, q), tag))
+        if wanted("general_laplace_srq"):
+            for q in range(n + 1):
+                for r in range(1, n - q + 1):
+                    add(_tag(check_general_laplace_srq(h, r, q), tag))
 
-        for label, h in fx.bilinear:
-            tag = {"n": n, "fixture": label}
-            if wanted("cayley_hamilton"):
-                add(_tag(check_cayley_hamilton(h), tag))
-            if wanted("laplace_inverse"):
-                add(_tag(check_laplace_refined(h), tag))
-            if wanted("laplace_expansion"):
-                for k in range(n):
-                    add(_tag(check_laplace(h, k), tag))
-            if wanted("block_laplace"):
-                for r in range(n + 1):
-                    add(_tag(check_block_laplace(h, r), tag))
-            if wanted("lower_block_laplace"):
-                for k in range(1, n + 1):
-                    for q in range(k + 1):
-                        for p in range(n - k + 1):
-                            add(_tag(check_lower_block(h, k, p, q), tag))
-            if wanted("girard_newton"):
-                for k in range(n):
-                    add(_tag(check_girard_newton(h, k), tag))
-            if wanted("newton_recurrence"):
-                for r in range(1, n + 1):
-                    add(_tag(check_newton_recurrence(h, r), tag))
-            if wanted("newton_srq"):
-                for q in range(n + 1):
-                    for r in range(1, n - q + 1):
-                        add(_tag(check_newton_srq(h, r, q), tag))
-            if wanted("general_laplace_srq"):
-                for q in range(n + 1):
-                    for r in range(1, n - q + 1):
-                        add(_tag(check_general_laplace_srq(h, r, q), tag))
+    def check_symmetric(n, h, tag):
+        if wanted("general_cayley_hamilton"):
+            for r, i in general_CH_range(n):
+                add(_tag(check_general_CH(h, r, i), tag))
+        if wanted("s2q_contraction_formula"):
+            for q in range(1, n // 2 + 1):
+                add(_tag(check_s2q_formula(h, q), tag))
 
-        for label, h in fx.bilinear_symmetric:
-            tag = {"n": n, "fixture": label}
-            if wanted("general_cayley_hamilton"):
-                for r, i in general_CH_range(n):
-                    add(_tag(check_general_CH(h, r, i), tag))
-            if wanted("s2q_contraction_formula"):
-                for q in range(1, n // 2 + 1):
-                    add(_tag(check_s2q_formula(h, q), tag))
+    def check_bianchi2(n, R, tag):
+        if n % 2 == 0:
+            if wanted("lovelock_top_even"):
+                add(_tag(check_Tn(R), tag))
+            if wanted("second_cofactor_top_even"):
+                add(_tag(check_Nn(R), tag))
+        else:
+            if n >= 3 and wanted("second_cofactor_top_odd"):
+                add(_tag(check_Nn_minus_1(R), tag))
+            if n >= 3 and wanted("odd_scalar_identity"):
+                add(_tag(check_scalar_identity(R), tag))
+        if wanted("cofactor_vanishing_22"):
+            for r, i in even_odd_range(n):
+                add(_tag(check_even_odd_theorem(R, r, i), tag))
+        if n >= 4 and wanted("avez_h4"):
+            add(_tag(check_avez(R), tag))
+        if wanted("gauss_bonnet_recursion"):
+            for k in range(1, (n - 2) // 2 + 1):
+                add(_tag(check_h2k2_corollary(R, k), tag))
+        if n >= 4 and wanted("general_avez"):
+            for q in range(1, n // 4 + 1):
+                add(_tag(check_general_avez(R, q), tag))
+        if wanted("newton_hrpq"):
+            for q in range(1, n // 2 + 1):
+                for r in range(1, n - 2 * q + 1):
+                    add(_tag(check_newton_hrpq(R, r, q), tag))
+        if wanted("laplace_pp"):
+            for q in range(1, n // 4 + 1):
+                add(_tag(check_general_laplace_pp(R, q), tag))
 
-        for label, R in fx.bianchi2:
-            tag = {"n": n, "fixture": label}
-            if n % 2 == 0:
-                if wanted("lovelock_top_even"):
-                    add(_tag(check_Tn(R), tag))
-                if wanted("second_cofactor_top_even"):
-                    add(_tag(check_Nn(R), tag))
-            else:
-                if n >= 3 and wanted("second_cofactor_top_odd"):
-                    add(_tag(check_Nn_minus_1(R), tag))
-                if n >= 3 and wanted("odd_scalar_identity"):
-                    add(_tag(check_scalar_identity(R), tag))
-            if wanted("cofactor_vanishing_22"):
-                for r, i in even_odd_range(n):
-                    add(_tag(check_even_odd_theorem(R, r, i), tag))
-            if n >= 4 and wanted("avez_h4"):
-                add(_tag(check_avez(R), tag))
-            if wanted("gauss_bonnet_recursion"):
-                for k in range(1, (n - 2) // 2 + 1):
-                    add(_tag(check_h2k2_corollary(R, k), tag))
-            if n >= 4 and wanted("general_avez"):
-                for q in range(1, n // 4 + 1):
-                    add(_tag(check_general_avez(R, q), tag))
-            if wanted("newton_hrpq"):
-                for q in range(1, n // 2 + 1):
-                    for r in range(1, n - 2 * q + 1):
-                        add(_tag(check_newton_hrpq(R, r, q), tag))
-            if wanted("laplace_pp"):
-                for q in range(1, n // 4 + 1):
-                    add(_tag(check_general_laplace_pp(R, q), tag))
+    def check_bianchi3(n, w3, tag):
+        if wanted("cofactor_vanishing_pp"):
+            for m, r in higher_identity_range(n, 3):
+                add(_tag(check_higher_identities(w3, 3, m, 0, r), tag))
+        if wanted("newton_hrpq"):
+            for q in range(1, n // 3 + 1):
+                for r in range(1, n - 3 * q + 1):
+                    add(_tag(check_newton_hrpq(w3, r, q), tag))
+        if wanted("laplace_pp") and n >= 6:
+            add(_tag(check_general_laplace_pp(w3, 1), tag))
 
-        for label, w3 in fx.bianchi3:
-            tag = {"n": n, "fixture": label}
-            if wanted("cofactor_vanishing_pp"):
-                for m, r in higher_identity_range(n, 3):
-                    add(_tag(check_higher_identities(w3, 3, m, 0, r), tag))
-            if wanted("newton_hrpq"):
-                for q in range(1, n // 3 + 1):
-                    for r in range(1, n - 3 * q + 1):
-                        add(_tag(check_newton_hrpq(w3, r, q), tag))
-            if wanted("laplace_pp") and n >= 6:
-                add(_tag(check_general_laplace_pp(w3, 1), tag))
-
-    # one memo per fixture set: its powers are freed before the next set
+    # one memo per fixture: its powers, cofactors and stars are freed as
+    # soon as its checks end
     for fx in fixture_sets:
-        with power_memo():
-            check_set(fx)
+        for family, checks in ((fx.bilinear, check_bilinear),
+                               (fx.bilinear_symmetric, check_symmetric),
+                               (fx.bianchi2, check_bianchi2),
+                               (fx.bianchi3, check_bianchi3)):
+            for label, w in family:
+                with power_memo():
+                    checks(fx.n, w, {"n": fx.n, "fixture": label})
     records.sort(key=lambda rec: (rec.name, sorted(rec.params.items(), key=_param_key)))
     return records
 

@@ -23,11 +23,14 @@ from math import comb, factorial, lcm
 from . import scalars
 from .dform import (
     DoubleForm,
+    _check_metric,
+    _contracted,
+    _invert_metric,
+    _memoized,
     compose,
     compose_power,
     contract,
     contract_iter,
-    contract_with_metric,
     hodge,
     inner,
     metric,
@@ -37,6 +40,7 @@ from .dform import (
     wedge,
     wedge_power,
 )
+from .tensorio import MAX_DENSE_ENTRIES
 
 
 def _check_bilinear(h):
@@ -63,7 +67,10 @@ def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleFo
     h_(r,pq)(w) = *(g^(n-pq-r) w^q)/(n-pq-r)! on the Hodge-star path.  The
     contraction path sums (-1)^(i+pq)/(i! m!) g^m c^i(w^q) with
     m = r - pq + i, which extends r past n - pq.  Specializations: p = 1
-    gives q! s_(r,q); p = 2 gives h_2q, T_2q, N_2q at r = 0, 1, 2.
+    gives q! s_(r,q); p = 2 gives h_2q, T_2q, N_2q at r = 0, 1, 2.  Inside
+    power_memo() each result is kept under the path that computed it, so
+    an "auto" call shares the entry of the path it resolves to, and one
+    path never answers a call for the other.
     """
     _check_square(w, p)
     n = w.n
@@ -75,20 +82,51 @@ def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleFo
     if path == "hodge":
         if r > n - pq:
             raise ValueError(f"Hodge-star path needs r <= n - pq = {n - pq}, got {r}")
-        out = metric_wedge_power(w, n - pq - r, q)
-        return hodge(out) * Fraction(1, factorial(n - pq - r))
+        m = n - pq - r
+
+        def build():
+            return hodge(metric_wedge_power(w, m, q)) * Fraction(1, factorial(m))
+    elif path == "contraction":
+        def build():
+            return _contraction_series(w, r, p, q)
+    else:
+        raise ValueError(f"unknown path {path!r}")
+    _check_work(n, p, q, r, path)
+    return _memoized(w, ("h_rpq", r, q, path), build)
+
+
+def _contraction_series(w, r, p, q):
+    """sum_i (-1)^(i+pq)/(i! m!) g^m c^i(w^q), m = r - pq + i in [0, n]."""
+    n, field = w.n, w.field
+    pq = p * q
+    out = DoubleForm.zeros(n, r, r, field)
+    first = max(0, pq - r)
+    ci = contract_iter(wedge_power(w, q), first)
+    for i in range(first, min(pq, n + pq - r) + 1):
+        m = r - pq + i
+        out = out + wedge(metric_power(n, m, field), ci) \
+            * Fraction((-1) ** (i + pq), factorial(i) * factorial(m))
+        if i < pq:
+            ci = contract(ci)
+    return out
+
+
+def _check_work(n, p, q, r, path):
+    """Refuse, before the first wedge, an h_(r,pq) with a dense array of
+    more than MAX_DENSE_ENTRIES entries.
+
+    The chain w, w^2, ..., w^q has slot degrees p, 2p, ..., pq; the result
+    has degree r and the power g^m w^q it is the star of has n - r; the
+    contractions c^i(w^q) run through every degree up to min(pq, r).  A
+    (d, d) array has C(n, d)^2 entries, and C(n, n - r) = C(n, r).
+    """
+    degs = [j * p for j in range(1, q + 1)] + [r]
     if path == "contraction":
-        out = DoubleForm.zeros(n, r, r, w.field)
-        first = max(0, pq - r)
-        ci = contract_iter(wedge_power(w, q), first)
-        for i in range(first, min(pq, n + pq - r) + 1):  # 0 <= m <= n
-            m = r - pq + i
-            out = out + wedge(metric_power(n, m, w.field), ci) \
-                * Fraction((-1) ** (i + pq), factorial(i) * factorial(m))
-            if i < pq:
-                ci = contract(ci)
-        return out
-    raise ValueError(f"unknown path {path!r}")
+        degs += range(min(p * q, r) + 1)
+    need = max(comb(n, d) for d in degs) ** 2
+    if need > MAX_DENSE_ENTRIES:
+        raise ValueError(f"the computation needs {need} dense entries, "
+                         f"above the limit of {MAX_DENSE_ENTRIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +406,12 @@ def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
 
 
 def _full_metric_contraction(w: DoubleForm, G: DoubleForm, weight: Fraction):
-    """weight times c_G^p(w) of a (p, p) form, a scalar."""
-    for _ in range(w.p):
-        w = contract_with_metric(w, G)
+    """weight times c_G^p(w) of a (p, p) form, a scalar; G is inverted once."""
+    if w.p:
+        _check_metric(w, G)
+        Ginv = _invert_metric(G)
+        for _ in range(w.p):
+            w = _contracted(w, Ginv)
     return (w * weight).scalar()
 
 

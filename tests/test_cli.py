@@ -305,6 +305,66 @@ def test_invariants_missing_file_exits_2(capsys):
     assert code == 2
 
 
+# Small files whose invariants are not: a 30 x 30 diagonal (1, 1) file has
+# 900 entries, but s_15 builds h^15 with C(30, 15)^2 ~ 2.4e16 entries; the
+# (2, 2) file's chains of R reach degrees 14 and 16 the same way.
+OVER_BUDGET = [
+    ((1, 1), ["--family", "s", "--k", "15"]),
+    ((1, 1), ["--family", "t", "--k", "15"]),
+    ((1, 1), ["--family", "srq", "--r", "1", "--q", "15"]),
+    ((2, 2), ["--family", "h2k", "--k", "8"]),
+    ((2, 2), ["--family", "T", "--k", "7"]),
+    ((2, 2), ["--family", "N", "--k", "7"]),
+    ((2, 2), ["--family", "hrpq", "--r", "0", "--q", "8"]),
+]
+
+
+@pytest.mark.parametrize("degree,args", OVER_BUDGET)
+def test_invariants_refuses_work_past_the_dense_limit(tmp_path, capsys, monkeypatch,
+                                                       degree, args):
+    from dfalg import invariants
+
+    def started(*args):
+        raise AssertionError("a refused computation was started")
+
+    for name in ("metric_wedge_power", "wedge_power", "wedge", "hodge", "contract_iter"):
+        monkeypatch.setattr(invariants, name, started)
+    p = degree[0]
+    rows = [list(range(i, i + p)) for i in range(0, 30 - p + 1, p)]
+    doc = {"n": 30, "kind": "double_form", "p": p, "q": p, "scalar": "rational",
+           "entries": [{"row": I, "col": I, "value": str(i + 1)}
+                       for i, I in enumerate(rows)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "invariants", str(path), *args)
+    assert code == 2 and out == ""
+    assert err.startswith("dfalg: error:") and "dense entries" in err
+    assert "Traceback" not in err
+
+
+FIXTURE_INVARIANTS = [
+    ("skew_n4.json", ["--family", "s"]),
+    ("skew_n4.json", ["--family", "t"]),
+    ("skew_n4.json", ["--family", "srq", "--r", "1", "--q", "2"]),
+    ("bianchi_n5.json", ["--family", "h2k"]),
+    ("bianchi_n5.json", ["--family", "T"]),
+    ("bianchi_n5.json", ["--family", "N"]),
+    ("bianchi_n5.json", ["--family", "hrpq", "--r", "1", "--q", "2"]),
+    ("constant_curvature_n4.json", ["--family", "h2k"]),
+    ("constant_curvature_n4.json", ["--family", "T"]),
+    ("constant_curvature_n4.json", ["--family", "N"]),
+    ("constant_curvature_n4.json", ["--family", "hrpq", "--r", "3", "--q", "2"]),
+]
+
+
+@pytest.mark.parametrize("name,args", FIXTURE_INVARIANTS)
+def test_invariants_of_every_fixture_file_run(capsys, name, args):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / name
+    code, out, _ = run_cli(capsys, "invariants", str(path), *args)
+    assert code == 0
+    assert json.loads(out)["invariants"]
+
+
 OVERSIZED_HEADERS = [
     # C(20, 10)^2 = 3.4e10 dense entries, about 273 GB of float64
     '{"n": 20, "kind": "double_form", "p": 10, "q": 10, "entries": []}',
@@ -433,6 +493,22 @@ def test_verify_float_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_5_FLOAT_SHA256, (
         "the float verify report changed; if the change to the report is "
         "intended, update VERIFY_2_5_FLOAT_SHA256 and say so in CHANGES.md")
+
+
+# sha256 of the stdout of `dfalg verify --n-range 8:8 --seeds 1 --mode exact`
+# (1513 checks): n = 8 is the first dimension where general_avez and
+# laplace_pp reach q = 2.
+VERIFY_8_SHA256 = "65e2c26842c4a4e39ca9a9ba1749e288accdd9c6fc279ea81f1d2ab9a6f79d15"
+
+
+def test_verify_n8_report_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "8:8", "--seeds", "1",
+                           "--mode", "exact")
+    assert code == 0
+    assert json.loads(out)["summary"]["checks"] == 1513
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_8_SHA256, (
+        "the n = 8 exact verify report changed; if the change to the report is "
+        "intended, update VERIFY_8_SHA256 and say so in CHANGES.md")
 
 
 # sha256 of the stdout of `dfalg pfaffian <fixture> [--r R]`.  verify never

@@ -323,7 +323,7 @@ def test_power_memo_leaves_suite_records_unchanged(monkeypatch, mode):
     assert suite_reports(mode) == memoized
 
 
-def test_power_memo_is_scoped_to_each_fixture_set(monkeypatch):
+def test_power_memo_is_scoped_to_each_fixture(monkeypatch):
     entered = []
 
     @contextlib.contextmanager
@@ -334,10 +334,32 @@ def test_power_memo_is_scoped_to_each_fixture_set(monkeypatch):
 
     monkeypatch.setattr(idn, "power_memo", counting_memo)
     sets = [suite_fixtures(n, 1) for n in (2, 3, 4)]
-    idn.run_suite(sets, only="lower_block_laplace")
-    assert len(entered) == len(sets)
-    # each set had its own memo, and it was filled
-    assert len({id(memo) for memo in entered}) == len(sets) and all(entered)
+    idn.run_suite(sets)
+    fixtures = [w for fx in sets for family in (fx.bilinear, fx.bilinear_symmetric,
+                                                fx.bianchi2, fx.bianchi3)
+                for _, w in family]
+    assert len(entered) == len(fixtures)
+    # each fixture had its own memo, and it was filled
+    assert len({id(memo) for memo in entered}) == len(fixtures) and all(entered)
+    # a memo holds results of its own fixture and of forms derived from it
+    # (its powers, whose stars it keeps), never of another fixture
+    for memo, w in zip(entered, fixtures):
+        others = {id(v) for v in fixtures if v is not w}
+        assert others.isdisjoint(memo)
+
+
+def test_exact_suite_runs_few_star_kernels(monkeypatch):
+    runs = []
+    starred = dform._starred
+
+    def counting(w):
+        runs.append(w)
+        return starred(w)
+
+    monkeypatch.setattr(dform, "_starred", counting)
+    idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
+    # 4258 without the h_rpq and star entries of the memo
+    assert len(runs) <= 1000
 
 
 def no_memo_active():

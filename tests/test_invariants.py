@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import random_dform
-from dfalg import invariants as inv, oracle
+from dfalg import invariants as inv, oracle, scalars
 from dfalg.dform import (
     DoubleForm,
     contract,
     contract_iter,
+    contract_with_metric,
     hodge,
     inner,
     metric,
@@ -738,3 +739,72 @@ def test_metric_invariants_match_endomorphism():
     M = _invert_metric(G).mat.dot(h.mat)
     for k in range(n + 1):
         assert inv.s_k_metric(h, G, k) == oracle.minor_sum_oracle(M, k)
+
+
+def _loop_metric_contraction(w, G, weight):
+    """c_G^p(w) with one contract_with_metric, so one inversion, a step."""
+    for _ in range(w.p):
+        w = contract_with_metric(w, G)
+    return (w * weight).scalar()
+
+
+@pytest.mark.parametrize("field", [scalars.RATIONAL, scalars.FLOAT64])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_metric_invariants_invert_the_metric_once(monkeypatch, n, field):
+    from dfalg import dform
+
+    inversions = []
+    invert = dform._invert_metric
+
+    def counting(G):
+        inversions.append(G)
+        return invert(G)
+
+    for module in (dform, inv):
+        monkeypatch.setattr(module, "_invert_metric", counting, raising=False)
+    h = random_bilinear(n, 120 + n, field=field)
+    R = random_bianchi(n, 2, 2, seed=130 + n, field=field)
+    G = random_bilinear(n, 140 + n, "symmetric", field) + (4 * n) * metric(n, field)
+    cases = [(inv.s_k_metric, h, k, Fraction(1, factorial(k) ** 2))
+             for k in range(1, n + 1)]
+    cases += [(inv.h_2k_metric, R, k, Fraction(1, factorial(2 * k)))
+              for k in range(1, n // 2 + 1)]
+    for fn, w, k, weight in cases:
+        inversions.clear()
+        got = fn(w, G, k)
+        assert len(inversions) == 1, (fn.__name__, k)
+        want = _loop_metric_contraction(wedge_power(w, k), G, weight)
+        assert got == want  # the same inverse and contractions, float too
+
+
+def test_h_rpq_memo_keeps_the_two_paths_apart(monkeypatch):
+    from dfalg import dform
+
+    runs = {"star": 0, "contract": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            runs[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dform, "_starred", counted("star", dform._starred))
+    monkeypatch.setattr(dform, "contract", counted("contract", dform.contract))
+    monkeypatch.setattr(inv, "contract", dform.contract)
+    R = random_bianchi(6, 2, 2, seed=150)
+    with dform.power_memo():
+        star = inv.h_rpq(R, 1, 2, 2, "hodge")
+        assert runs == {"star": 1, "contract": 0}
+        series = inv.h_rpq(R, 1, 2, 2, "contraction")
+        assert runs["star"] == 1 and runs["contract"] > 0
+        assert series is not star and series == star
+        seen = dict(runs)
+        # repeats, and the "auto" call that resolves to the star path, reuse
+        assert inv.h_rpq(R, 1, 2, 2, "hodge") is star
+        assert inv.h_rpq(R, 1, 2, 2) is star
+        assert inv.h_rpq(R, 1, 2, 2, "contraction") is series
+        assert runs == seen
+        # past the star path's range "auto" resolves to the contraction path
+        top = inv.h_rpq(R, 3, 2, 2)
+        assert inv.h_rpq(R, 3, 2, 2, "contraction") is top
+    assert inv.h_rpq(R, 1, 2, 2, "hodge") is not star
