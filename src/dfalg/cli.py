@@ -266,6 +266,9 @@ def cmd_verify(args) -> int:
                      f"dimension {MAX_VERIFY_DIM}")
     if not seeds:
         return _fail(f"--seeds names no seed: {args.seeds!r}")
+    if len(set(seeds)) < len(seeds):
+        # a repeated seed would report each of its checks twice
+        return _fail(f"--seeds repeats a seed: {args.seeds!r}")
     try:
         for seed in seeds:
             _check_seed(seed)
@@ -275,7 +278,7 @@ def cmd_verify(args) -> int:
     fixture_sets = [suite_fixtures(n, seed, field)
                     for n in range(lo, hi + 1) for seed in seeds]
     try:
-        records = run_suite(fixture_sets, mode=mode, only=args.only)
+        records = run_suite(fixture_sets, only=args.only)
     except ValueError as exc:
         return _fail(str(exc))
     failures = [r for r in records if r.asserted and not r.passed]

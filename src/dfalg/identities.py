@@ -414,150 +414,96 @@ def check_general_laplace_pp(w: DoubleForm, q: int) -> IdentityResidual:
 # ---------------------------------------------------------------------------
 # suite driver
 
-ALL_IDENTITY_NAMES = (
-    "cayley_hamilton",
-    "general_cayley_hamilton",
-    "laplace_expansion",
-    "laplace_inverse",
-    "block_laplace",
-    "lower_block_laplace",
-    "girard_newton",
-    "newton_recurrence",
-    "newton_srq",
-    "general_laplace_srq",
-    "s2q_contraction_formula",
-    "lovelock_top_even",
-    "second_cofactor_top_even",
-    "second_cofactor_top_odd",
-    "odd_scalar_identity",
-    "cofactor_vanishing_22",
-    "avez_h4",
-    "gauss_bonnet_recursion",
-    "general_avez",
-    "cofactor_vanishing_pp",
-    "newton_hrpq",
-    "laplace_pp",
-)
+
+def _when(cond):
+    """One call with no argument if cond holds, else none."""
+    return [()] if cond else []
 
 
-def run_suite(fixture_sets, mode: str = "exact", only: str | None = None):
-    """Run every identity check over the given fixture sets.
+def _suite_table(n: int):
+    """The single declaration of the suite: one row (name, family, check,
+    argument tuples) per identity and fixture family at dimension n.
+
+    family names a fixtures.SuiteFixtures field; each fixture w of it gets
+    one call check(w, *args) per argument tuple.  Every row is present at
+    every n, with no tuple where the identity does not apply.  Built per
+    call, so a check replaced on the module is the one that runs.
+    """
+    srq = [(r, q) for q in range(n + 1) for r in range(1, n - q + 1)]
+
+    def hrpq(p):
+        return [(r, q) for q in range(1, n // p + 1) for r in range(1, n - p * q + 1)]
+
+    return (
+        ("cayley_hamilton", "bilinear", check_cayley_hamilton, [()]),
+        ("general_cayley_hamilton", "bilinear_symmetric", check_general_CH,
+         general_CH_range(n)),
+        ("laplace_expansion", "bilinear", check_laplace, [(k,) for k in range(n)]),
+        ("laplace_inverse", "bilinear", check_laplace_refined, [()]),
+        ("block_laplace", "bilinear", check_block_laplace,
+         [(r,) for r in range(n + 1)]),
+        ("lower_block_laplace", "bilinear", check_lower_block,
+         [(k, p, q) for k in range(1, n + 1) for q in range(k + 1)
+          for p in range(n - k + 1)]),
+        ("girard_newton", "bilinear", check_girard_newton, [(k,) for k in range(n)]),
+        ("newton_recurrence", "bilinear", check_newton_recurrence,
+         [(r,) for r in range(1, n + 1)]),
+        ("newton_srq", "bilinear", check_newton_srq, srq),
+        ("general_laplace_srq", "bilinear", check_general_laplace_srq, srq),
+        ("s2q_contraction_formula", "bilinear_symmetric", check_s2q_formula,
+         [(q,) for q in range(1, n // 2 + 1)]),
+        ("lovelock_top_even", "bianchi2", check_Tn, _when(n % 2 == 0)),
+        ("second_cofactor_top_even", "bianchi2", check_Nn, _when(n % 2 == 0)),
+        ("second_cofactor_top_odd", "bianchi2", check_Nn_minus_1,
+         _when(n % 2 == 1 and n >= 3)),
+        ("odd_scalar_identity", "bianchi2", check_scalar_identity,
+         _when(n % 2 == 1 and n >= 3)),
+        ("cofactor_vanishing_22", "bianchi2", check_even_odd_theorem, even_odd_range(n)),
+        ("avez_h4", "bianchi2", check_avez, _when(n >= 4)),
+        ("gauss_bonnet_recursion", "bianchi2", check_h2k2_corollary,
+         [(k,) for k in range(1, (n - 2) // 2 + 1)]),
+        ("general_avez", "bianchi2", check_general_avez,
+         [(q,) for q in range(1, n // 4 + 1)]),
+        ("cofactor_vanishing_pp", "bianchi3", check_higher_identities,
+         [(3, m, 0, r) for m, r in higher_identity_range(n, 3)]),
+        ("newton_hrpq", "bianchi2", check_newton_hrpq, hrpq(2)),
+        ("newton_hrpq", "bianchi3", check_newton_hrpq, hrpq(3)),
+        ("laplace_pp", "bianchi2", check_general_laplace_pp,
+         [(q,) for q in range(1, n // 4 + 1)]),
+        ("laplace_pp", "bianchi3", check_general_laplace_pp,
+         [(1,)] if n >= 6 else []),
+    )
+
+
+# the rows are the same at every n, so any n lists the names
+ALL_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _suite_table(0)))
+
+
+def run_suite(fixture_sets, only: str | None = None):
+    """Run every identity check, or only the named one, over the given
+    fixture sets.
 
     fixture_sets is an iterable of fixtures.SuiteFixtures.  Records are
-    sorted by identity name and parameters; exact mode demands literal
-    zeros, float mode a relative residual within tolerance.
+    sorted by identity name and parameters.  A fixture's field decides its
+    records: exact fixtures demand literal zeros, float fixtures a
+    relative residual within tolerance.
     """
     if only is not None and only not in ALL_IDENTITY_NAMES:
         raise ValueError(f"unknown identity {only!r}; known: "
                          + ", ".join(ALL_IDENTITY_NAMES))
-    field = scalars.FLOAT64 if mode == "float" else scalars.RATIONAL
     records = []
-
-    def add(rec):
-        if only is None or rec.name == only:
-            records.append(rec)
-
-    def wanted(*names):
-        return only is None or only in names
-
-    def check_bilinear(n, h, tag):
-        if wanted("cayley_hamilton"):
-            add(_tag(check_cayley_hamilton(h), tag))
-        if wanted("laplace_inverse"):
-            add(_tag(check_laplace_refined(h), tag))
-        if wanted("laplace_expansion"):
-            for k in range(n):
-                add(_tag(check_laplace(h, k), tag))
-        if wanted("block_laplace"):
-            for r in range(n + 1):
-                add(_tag(check_block_laplace(h, r), tag))
-        if wanted("lower_block_laplace"):
-            for k in range(1, n + 1):
-                for q in range(k + 1):
-                    for p in range(n - k + 1):
-                        add(_tag(check_lower_block(h, k, p, q), tag))
-        if wanted("girard_newton"):
-            for k in range(n):
-                add(_tag(check_girard_newton(h, k), tag))
-        if wanted("newton_recurrence"):
-            for r in range(1, n + 1):
-                add(_tag(check_newton_recurrence(h, r), tag))
-        if wanted("newton_srq"):
-            for q in range(n + 1):
-                for r in range(1, n - q + 1):
-                    add(_tag(check_newton_srq(h, r, q), tag))
-        if wanted("general_laplace_srq"):
-            for q in range(n + 1):
-                for r in range(1, n - q + 1):
-                    add(_tag(check_general_laplace_srq(h, r, q), tag))
-
-    def check_symmetric(n, h, tag):
-        if wanted("general_cayley_hamilton"):
-            for r, i in general_CH_range(n):
-                add(_tag(check_general_CH(h, r, i), tag))
-        if wanted("s2q_contraction_formula"):
-            for q in range(1, n // 2 + 1):
-                add(_tag(check_s2q_formula(h, q), tag))
-
-    def check_bianchi2(n, R, tag):
-        if n % 2 == 0:
-            if wanted("lovelock_top_even"):
-                add(_tag(check_Tn(R), tag))
-            if wanted("second_cofactor_top_even"):
-                add(_tag(check_Nn(R), tag))
-        else:
-            if n >= 3 and wanted("second_cofactor_top_odd"):
-                add(_tag(check_Nn_minus_1(R), tag))
-            if n >= 3 and wanted("odd_scalar_identity"):
-                add(_tag(check_scalar_identity(R), tag))
-        if wanted("cofactor_vanishing_22"):
-            for r, i in even_odd_range(n):
-                add(_tag(check_even_odd_theorem(R, r, i), tag))
-        if n >= 4 and wanted("avez_h4"):
-            add(_tag(check_avez(R), tag))
-        if wanted("gauss_bonnet_recursion"):
-            for k in range(1, (n - 2) // 2 + 1):
-                add(_tag(check_h2k2_corollary(R, k), tag))
-        if n >= 4 and wanted("general_avez"):
-            for q in range(1, n // 4 + 1):
-                add(_tag(check_general_avez(R, q), tag))
-        if wanted("newton_hrpq"):
-            for q in range(1, n // 2 + 1):
-                for r in range(1, n - 2 * q + 1):
-                    add(_tag(check_newton_hrpq(R, r, q), tag))
-        if wanted("laplace_pp"):
-            for q in range(1, n // 4 + 1):
-                add(_tag(check_general_laplace_pp(R, q), tag))
-
-    def check_bianchi3(n, w3, tag):
-        if wanted("cofactor_vanishing_pp"):
-            for m, r in higher_identity_range(n, 3):
-                add(_tag(check_higher_identities(w3, 3, m, 0, r), tag))
-        if wanted("newton_hrpq"):
-            for q in range(1, n // 3 + 1):
-                for r in range(1, n - 3 * q + 1):
-                    add(_tag(check_newton_hrpq(w3, r, q), tag))
-        if wanted("laplace_pp") and n >= 6:
-            add(_tag(check_general_laplace_pp(w3, 1), tag))
-
-    # one memo per fixture: its powers, cofactors and stars are freed as
-    # soon as its checks end
     for fx in fixture_sets:
-        for family, checks in ((fx.bilinear, check_bilinear),
-                               (fx.bilinear_symmetric, check_symmetric),
-                               (fx.bianchi2, check_bianchi2),
-                               (fx.bianchi3, check_bianchi3)):
-            for label, w in family:
+        rows = [row for row in _suite_table(fx.n) if only in (None, row[0])]
+        for family in dict.fromkeys(row[1] for row in rows):
+            calls = [(check, args) for _, fam, check, arg_tuples in rows
+                     if fam == family for args in arg_tuples]
+            for label, w in getattr(fx, family):
+                # one memo per fixture: its powers, cofactors and stars are
+                # freed as soon as its checks end
                 with power_memo():
-                    checks(fx.n, w, {"n": fx.n, "fixture": label})
-    records.sort(key=lambda rec: (rec.name, sorted(rec.params.items(), key=_param_key)))
+                    for check, args in calls:
+                        rec = check(w, *args)
+                        rec.params = {"n": fx.n, "fixture": label, **rec.params}
+                        records.append(rec)
+    records.sort(key=lambda rec: (rec.name, sorted(rec.params.items())))
     return records
-
-
-def _param_key(item):
-    return (item[0], str(item[1]))
-
-
-def _tag(rec: IdentityResidual, tag: dict) -> IdentityResidual:
-    rec.params = {**tag, **rec.params}
-    return rec

@@ -465,6 +465,15 @@ def test_verify_empty_seed_list_exits_2(capsys):
         assert err.startswith("dfalg: error:")
 
 
+def test_verify_repeated_seed_exits_2(capsys):
+    # a repeated seed would report every check of its fixtures twice
+    for seeds in ("1,1", "1,2,01"):
+        code, out, err = run_cli(capsys, "verify", "--n-range", "2:2", "--seeds", seeds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dfalg: error:")
+
+
 # sha256 of the stdout of `dfalg verify --n-range 2:5 --seeds 1 --mode exact`
 # (1375 checks).  It guards refactors that must leave every number alone.
 VERIFY_2_5_SHA256 = "59a2a243da368d2a4b902b1687a19c34169be484f3bce4b3fc6dc0409ac046c6"
@@ -511,6 +520,26 @@ def test_verify_n8_report_is_pinned(capsys):
         "intended, update VERIFY_8_SHA256 and say so in CHANGES.md")
 
 
+# sha256 of the stdout of `dfalg verify --n-range 6:7 --seeds 1 --mode M`
+# (1998 checks): n = 6 and 7 are the first dimensions with (3, 3) Bianchi
+# fixtures, which the 2:5 pins do not reach.
+VERIFY_6_7_SHA256 = {
+    "exact": "00f3c62ed80a3b2359cc902b190f98997367c09389cd46b83d217edc5fe4a84c",
+    "float": "15d510d723cba4c00d445b4a3a945012b16a731f2154889302c1a4e0de1f92dc",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_6_7_SHA256))
+def test_verify_6_7_report_is_pinned(capsys, mode):
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "6:7", "--seeds", "1",
+                           "--mode", mode)
+    assert code == 0
+    assert json.loads(out)["summary"]["checks"] == 1998
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_6_7_SHA256[mode], (
+        f"the {mode} n = 6..7 verify report changed; if the change to the report "
+        "is intended, update VERIFY_6_7_SHA256 and say so in CHANGES.md")
+
+
 # sha256 of the stdout of `dfalg pfaffian <fixture> [--r R]`.  verify never
 # reaches the exterior layer, so these guard its wedge and star.
 PFAFFIAN_SHA256 = {
@@ -538,7 +567,7 @@ def test_verify_exit_one_on_asserted_failure(monkeypatch, capsys):
     from dfalg import cli as cli_mod
     from dfalg.identities import IdentityResidual
 
-    def fake_suite(fixture_sets, mode="exact", only=None):
+    def fake_suite(fixture_sets, only=None):
         return [
             IdentityResidual("cayley_hamilton", {"n": 2}, 0, True, "t_n(h) = 0"),
             IdentityResidual("cayley_hamilton", {"n": 3}, 1, False, "t_n(h) = 0"),
