@@ -45,8 +45,8 @@ SEED_LIMIT = 1 << 64
 
 # The largest dimension `verify` accepts.  With one seed on a 2-core host,
 # timed in-process around run_suite (three runs each), the exact suite
-# takes 0.25-0.29 s at n = 8, 0.97-1.07 s at n = 9 and 4.4-5.2 s at
-# n = 10, with peak RSS 45, 152 and 788 MB.  Time is no longer the limit;
+# takes 0.16-0.18 s at n = 8, 0.52-0.56 s at n = 9 and 2.4-2.5 s at
+# n = 10, with peak RSS 45, 156 and 797 MB.  Time is no longer the limit;
 # memory is: RSS grows about 5x per added dimension, from the wedge's
 # gather buffers, so n = 11 would need several GB.
 MAX_VERIFY_DIM = 10

@@ -436,14 +436,17 @@ def wedge_power(w: DoubleForm, k: int) -> DoubleForm:
 
 # The power memo: None outside power_memo(), else a dict mapping id(w) to
 # (w, {key: form}), the results computed from w: g^m w^k under (m, k), *w
-# under "star", and the cofactors of invariants.h_rpq under their own keys.
-# Holding w keeps its id from being reused while the memo lives.
+# under "star", c(w) under "contract", and the cofactors of
+# invariants.h_rpq under their own keys.  A chain c^i(w^k) is kept link by
+# link, each under the form it contracts.  Holding w keeps its id from
+# being reused while the memo lives.
 _POWER_MEMO = contextvars.ContextVar("dfalg_power_memo", default=None)
 
 
 @contextlib.contextmanager
 def power_memo():
-    """Share the powers, stars and cofactors built inside the block.
+    """Share the powers, stars, contractions and cofactors built inside the
+    block.
 
     Each result is built once per form w, found by the identity of w, and
     the same form is handed to every later caller; forms are immutable, so
@@ -457,17 +460,12 @@ def power_memo():
         _POWER_MEMO.reset(token)
 
 
-def _kept(w):
-    """The memo's results computed from w, or None outside power_memo()."""
-    memo = _POWER_MEMO.get()
-    return None if memo is None else memo.setdefault(id(w), (w, {}))[1]
-
-
 def _memoized(w, key, build):
     """build(), computed once per form w and key inside power_memo()."""
-    kept = _kept(w)
-    if kept is None:
+    memo = _POWER_MEMO.get()
+    if memo is None:
         return build()
+    kept = memo.setdefault(id(w), (w, {}))[1]
     if key not in kept:
         kept[key] = build()
     return kept[key]
@@ -487,15 +485,9 @@ def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
     if m:
         return _memoized(w, (m, k), lambda: wedge(metric_power(w.n, m, w.field),
                                                   metric_wedge_power(w, 0, k)))
-    kept = _kept(w)
-    powers = {} if kept is None else kept
-    j = max((j for j in range(2, k + 1) if (0, j) in powers), default=1)
-    out = powers.get((0, j), w)
-    for j in range(j + 1, k + 1):
-        out = wedge(out, w)
-        if kept is not None:  # outside a memo no step outlives the next
-            kept[(0, j)] = out
-    return out
+    if k == 1:
+        return w
+    return _memoized(w, (0, k), lambda: wedge(metric_wedge_power(w, 0, k - 1), w))
 
 
 def contract(w: DoubleForm) -> DoubleForm:
@@ -503,7 +495,7 @@ def contract(w: DoubleForm) -> DoubleForm:
 
     Vanishes by convention when p = 0 or q = 0.
     """
-    return _contracted(w, None)
+    return _memoized(w, "contract", lambda: _contracted(w, None))
 
 
 def contract_iter(w: DoubleForm, r: int) -> DoubleForm:

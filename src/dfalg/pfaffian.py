@@ -22,7 +22,7 @@ from . import scalars
 from .dform import DoubleForm, hodge, transpose, wedge_power
 from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
     wedge_multi_power
-from .identities import IdentityResidual
+from .identities import IdentityResidual, residual_record
 from .invariants import s_k
 from .multiindex import _rank_of, merge_sign_tuple, subsets
 from .tensorio import MAX_DENSE_ENTRIES
@@ -196,10 +196,5 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
 
 def conjecture_to_residual(rec: ConjectureRecord, field: str) -> IdentityResidual:
     """View an asserted conjecture record as an identity residual."""
-    residual = rec.residual
-    rel = None
-    if field == scalars.FLOAT64:
-        scale = max(1.0, abs(float(rec.lhs)), abs(float(rec.rhs)))
-        rel = float(residual) / scale
-    return IdentityResidual(rec.name, rec.params, residual, residual == 0,
-                            "Pf(h)^2 = det(h)", rel, asserted=rec.asserted)
+    return residual_record(rec.name, rec.params, rec.residual, (rec.lhs, rec.rhs),
+                           "Pf(h)^2 = det(h)", field, rec.asserted)

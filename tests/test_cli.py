@@ -520,6 +520,22 @@ def test_verify_n8_report_is_pinned(capsys):
         "intended, update VERIFY_8_SHA256 and say so in CHANGES.md")
 
 
+# sha256 of the stdout of `dfalg verify --n-range 9:9 --seeds 1 --mode exact`
+# (1934 checks): n = 9 is where the fixtures' memos share the most powers,
+# contractions and cofactors.
+VERIFY_9_SHA256 = "d38c8e35028f1e923becfdecf748d1a069d214aec807d1699887fea4b7174e2e"
+
+
+def test_verify_n9_report_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "9:9", "--seeds", "1",
+                           "--mode", "exact")
+    assert code == 0
+    assert json.loads(out)["summary"]["checks"] == 1934
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_9_SHA256, (
+        "the n = 9 exact verify report changed; if the change to the report is "
+        "intended, update VERIFY_9_SHA256 and say so in CHANGES.md")
+
+
 # sha256 of the stdout of `dfalg verify --n-range 6:7 --seeds 1 --mode M`
 # (1998 checks): n = 6 and 7 are the first dimensions with (3, 3) Bianchi
 # fixtures, which the 2:5 pins do not reach.

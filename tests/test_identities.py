@@ -1,12 +1,23 @@
 import contextlib
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from conftest import random_dform
 from dfalg import dform, identities as idn, scalars
-from dfalg.dform import DoubleForm, metric, metric_power, transpose, wedge, wedge_power
+from dfalg.dform import (
+    DoubleForm,
+    contract,
+    contract_iter,
+    inner,
+    metric,
+    metric_power,
+    transpose,
+    wedge,
+    wedge_power,
+)
 from dfalg.fixtures import (
     constant_curvature,
     jordan_block,
@@ -169,15 +180,11 @@ def test_top_identities_odd(n):
 
 def test_weyl_vanishing_dimension_three():
     # n = 3: R - (cR) g + (c^2 R / 4) g^2 = 0
-    from dfalg.dform import contract, contract_iter
-
     R = random_bianchi(3, 2, 2, seed=61)
     val = R - wedge(contract(R), metric(3)) \
         + Fraction(1, 4) * contract_iter(R, 2).scalar() * metric_power(3, 2)
     assert val.max_abs() == 0
     # and the scalar identity reads |R|^2 - |cR|^2 + (c^2 R)^2 / 4 = 0
-    from dfalg.dform import inner
-
     cR = contract(R)
     c2R = contract(cR).scalar()
     assert inner(R, R) - inner(cR, cR) + Fraction(1, 4) * c2R * c2R == 0
@@ -376,6 +383,27 @@ def test_exact_suite_runs_few_star_kernels(monkeypatch):
     assert len(runs) <= 1000
 
 
+def test_exact_suite_runs_few_contraction_kernels(monkeypatch):
+    runs = []
+    contracted = dform._contracted
+
+    def counting(w, Ginv):
+        runs.append(w)
+        return contracted(w, Ginv)
+
+    monkeypatch.setattr(dform, "_contracted", counting)
+    idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
+    # 1658 while each caller walked its own chain c^i(w^q)
+    assert len(runs) <= 1000
+
+
+def test_laplace_pp_rows_reach_every_q():
+    # n = 12 is past the CLI's dimensions: read the table, run nothing
+    rows = {family: args for name, family, _, args in idn._suite_table(12)
+            if name == "laplace_pp"}
+    assert rows == {"bianchi2": [(1,), (2,), (3,)], "bianchi3": [(1,), (2,)]}
+
+
 def no_memo_active():
     h = random_bilinear(3, 1)
     return dform._POWER_MEMO.get() is None and wedge_power(h, 2) is not wedge_power(h, 2)
@@ -411,3 +439,86 @@ def test_residual_records_carry_formula_strings():
     doc = recs[0].to_json()
     assert set(doc) >= {"name", "params", "residual", "exact_zero", "passed",
                         "asserted", "formula"}
+
+
+# -- the contraction sides against hand-written sums ------------------------------------
+#
+# The references write out the sums the checks once spelled by hand, walking
+# their own chain of contractions outside any power memo; the checks now read
+# the same values off h_rpq's contraction path.
+
+
+def _contraction_norms(wq, top):
+    """sum_(r <= top) (-1)^(r+top)/(r!)^2 |c^r wq|^2."""
+    total = 0
+    c = wq
+    for r in range(top + 1):
+        total += Fraction((-1) ** (r + top), factorial(r) ** 2) * inner(c, c)
+        if r < top:
+            c = contract(c)
+    return total
+
+
+def _gauss_bonnet_tail(R, k):
+    """<c^(2k-2)R^k/(2k-2)!, R> - <c^(2k-1)R^k/(2k-1)!, cR> + <c^(2k)R^k/(2k)!, c^2R/2>."""
+    cR = contract(R)
+    c = contract_iter(wedge_power(R, k), 2 * k - 2)
+    total = inner(c * Fraction(1, factorial(2 * k - 2)), R)
+    c = contract(c)
+    total -= inner(c * Fraction(1, factorial(2 * k - 1)), cR)
+    c = contract(c)
+    return total + inner(c * Fraction(1, factorial(2 * k)), contract(cR) * Fraction(1, 2))
+
+
+def _contraction_references(name, w, params):
+    """{index of a side: its hand-written value} for one check's call."""
+    if name == "s2q_contraction_formula":
+        return {1: _contraction_norms(wedge_power(w, params["q"]), params["q"])}
+    if name == "general_avez":
+        return {1: _contraction_norms(wedge_power(w, params["q"]), 2 * params["q"])}
+    if name == "gauss_bonnet_recursion":
+        return {1: _gauss_bonnet_tail(w, params["k"])}
+    if name == "odd_scalar_identity":
+        return {0: _gauss_bonnet_tail(w, (w.n - 1) // 2)}
+    p, q = w.p, params["q"]
+    top = contract_iter(wedge_power(w, 2 * q), 2 * p * q).scalar() \
+        * Fraction(1, factorial(2 * p * q))
+    return {0: top, 2: _contraction_norms(wedge_power(w, q), p * q)}
+
+
+REWRITTEN = ("s2q_contraction_formula", "general_avez", "gauss_bonnet_recursion",
+             "odd_scalar_identity", "laplace_pp")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_contraction_sides_match_hand_written_sums(monkeypatch, n, mode):
+    field = scalars.FLOAT64 if mode == "float" else scalars.RATIONAL
+    fx = suite_fixtures(n, 1, field)
+    record = idn.residual_record
+    seen = []
+
+    def spy(name, params, residual, sides, *args):
+        seen.append(sides)
+        return record(name, params, residual, sides, *args)
+
+    monkeypatch.setattr(idn, "residual_record", spy)
+    compared = 0
+    for name, family, check, arg_tuples in idn._suite_table(n):
+        if name not in REWRITTEN:
+            continue
+        for _, w in getattr(fx, family):
+            for args in arg_tuples:
+                seen.clear()
+                with dform.power_memo():
+                    rec = check(w, *args)
+                (sides,) = seen
+                for i, want in _contraction_references(name, w, rec.params).items():
+                    got = sides[i]
+                    if mode == "exact":
+                        assert got == want, (name, rec.params)
+                    else:
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                            (name, rec.params, got, want)
+                    compared += 1
+    assert compared

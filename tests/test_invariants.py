@@ -777,6 +777,25 @@ def test_metric_invariants_invert_the_metric_once(monkeypatch, n, field):
         assert got == want  # the same inverse and contractions, float too
 
 
+def test_contraction_path_walks_one_chain_per_power(monkeypatch):
+    from dfalg import dform
+
+    runs = []
+    contracted = dform._contracted
+
+    def counting(w, Ginv):
+        runs.append(w.bidegree)
+        return contracted(w, Ginv)
+
+    monkeypatch.setattr(dform, "_contracted", counting)
+    R = random_bianchi(6, 2, 2, seed=150)
+    with dform.power_memo():
+        for r in range(7):
+            inv.h_rpq(R, r, 2, 2, "contraction")
+    # c(R^2), ..., c^4(R^2) once each; 28 when every r walked its own chain
+    assert runs == [(4, 4), (3, 3), (2, 2), (1, 1)]
+
+
 def test_h_rpq_memo_keeps_the_two_paths_apart(monkeypatch):
     from dfalg import dform
 
