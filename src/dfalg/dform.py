@@ -569,64 +569,85 @@ def _contract(n, p, q, m, Ginv):
 
 
 def _invert_metric(G: DoubleForm) -> DoubleForm:
-    """Inverse of a symmetric invertible (1, 1) form, as a (1, 1) form.
+    """Inverse of a symmetric invertible (1, 1) form, as a (1, 1) form,
+    from _eliminate.  Raises on a non-symmetric or singular matrix.
+    """
+    S = G._lane()[0]
+    if not np.array_equal(S, S.T):
+        raise ValueError("metric must be symmetric")
+    inv = _eliminate(G, invert=True)[1]
+    if inv is None:
+        raise ValueError("metric is singular")
+    return inv
 
-    Rational mode runs fraction-free (Bareiss) Gauss-Jordan elimination on
-    [S | I] in Python ints, S = s G the numerators of G's lane: every
-    division is exact, and at the end each row reads d e_i | d S^-1 with
-    d = +-det S, so G^-1 = s S^-1 is the lane s sgn(d) (d S^-1) over |d|.
-    Float mode runs Gauss-Jordan elimination with partial pivoting.
-    Raises on a non-symmetric or singular matrix.
+
+def _eliminate(G: DoubleForm, invert: bool):
+    """det G of a (1, 1) form, and G^-1 as a (1, 1) form when invert is set.
+
+    The inverse is None when invert is unset or det G = 0.  Rational mode
+    runs fraction-free (Bareiss) Gauss-Jordan elimination on S = s G, the
+    numerators of G's lane, in Python ints, extended to [S | I] when
+    inverting: every division is exact.  A column with no nonzero pivot
+    left means det G = 0.  Otherwise, with P the row swaps, each row ends
+    as d e_i | d S^-1 with d = det PS = sgn(P) det S, the last pivot; so
+    det G = sgn(P) d / s^n and G^-1 = s S^-1 is the lane s sgn(d) (d S^-1)
+    over |d|.  Float mode runs _eliminate_float on G or [G | I].
     """
     n, field = G.n, G.field
     if field == scalars.FLOAT64:
-        M = G.mat
-        if not np.all(M == M.T):
-            raise ValueError("metric must be symmetric")
-        return _form(DoubleForm, n, (1, 1), field, _invert_float(M.copy()))
+        a = np.hstack([G.mat, np.eye(n)]) if invert else G.mat.copy()
+        det = _eliminate_float(a, n)
+        if not invert or det == 0:
+            return det, None
+        return det, _form(DoubleForm, n, (1, 1), field, a[:, n:].copy())
     S, s, _ = G._lane()
-    if not np.array_equal(S, S.T):
-        raise ValueError("metric must be symmetric")
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(S.tolist())]
-    prev = 1
+    a = [row + [int(i == j) for j in range(n)] if invert else row
+         for i, row in enumerate(S.tolist())]
+    prev, sign = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
-            raise ValueError("metric is singular")
-        a[k], a[piv] = a[piv], a[k]
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
         ak, akk = a[k], a[k][k]
         for i in range(n):
             if i != k:
                 ai, aik = a[i], a[i][k]
                 a[i] = [(akk * x - aik * y) // prev for x, y in zip(ai, ak)]
         prev = akk
+    det = _value(sign * prev, s ** n)
+    if not invert:
+        return det, None
     s = s if prev > 0 else -s
     flat = [s * x for row in a for x in row[n:]]
     mag = max(map(abs, flat), default=0)
     num = np.array(flat, dtype=_lane_dtype(field, mag)).reshape(n, n)
-    return _form(DoubleForm, n, (1, 1), field, num, abs(prev), mag)
+    return det, _form(DoubleForm, n, (1, 1), field, num, abs(prev), mag)
 
 
-def _invert_float(a):
-    """Gauss-Jordan inverse of a float64 matrix with partial pivoting."""
-    n = a.shape[0]
-    inv = np.eye(n)
+def _eliminate_float(a, n):
+    """Gauss-Jordan elimination with partial pivoting, in place, of the
+    first n columns of the float64 rows a; returns the determinant of
+    their n x n block, the signed product of the pivots, 0.0 when a
+    pivot is exactly zero.
+    """
+    det = 1.0
     for col in range(n):
         piv_row = max(range(col, n), key=lambda r: abs(a[r, col]))
         if a[piv_row, col] == 0:
-            raise ValueError("metric is singular")
+            return 0.0
         if piv_row != col:
             a[[col, piv_row]] = a[[piv_row, col]]
-            inv[[col, piv_row]] = inv[[piv_row, col]]
+            det = -det
         piv = a[col, col]
+        det *= piv
         a[col] = a[col] / piv
-        inv[col] = inv[col] / piv
         for r in range(n):
             if r != col and a[r, col] != 0:
-                f = a[r, col]
-                a[r] = a[r] - f * a[col]
-                inv[r] = inv[r] - f * inv[col]
-    return inv
+                a[r] = a[r] - a[r, col] * a[col]
+    return det
 
 
 def hodge(w: DoubleForm) -> DoubleForm:

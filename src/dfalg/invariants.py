@@ -25,6 +25,7 @@ from .dform import (
     DoubleForm,
     _check_metric,
     _contracted,
+    _eliminate,
     _invert_metric,
     _memoized,
     compose,
@@ -401,7 +402,7 @@ def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
 #
 # When the metric varies, invariants are computed with the metric
 # contraction c_G in place of c; every sampled value is then a rational
-# function N(t)/det(G(t))^m whose numerator degree is bounded, so the
+# function N(t)/det(G(t)) whose numerator degree is at most n, so the
 # derivative at t = 0 comes out of exact interpolation of N and det(G).
 
 
@@ -428,34 +429,36 @@ def h_2k_metric(R: DoubleForm, G: DoubleForm, k: int):
 
 
 def _det_bilinear(G: DoubleForm):
-    return s_k(G, G.n)
+    """det G, from the elimination that inverts a metric."""
+    return _eliminate(G, invert=False)[0]
 
 
-def _rational_derivative_at_zero(sample_fn, metric_fn, m: int, num_degree: int, n: int):
-    """d/dt at 0 of f(t) = N(t)/det(G(t))^m with N polynomial, det(G(0)) = 1.
+def _rational_derivative_at_zero(sample_fn, metric_fn, num_degree: int, n: int):
+    """d/dt at 0 of f(t) = N(t)/D(t), D(t) = det(G(t)) with D(0) = 1.
 
-    Samples at integer points (skipping any where G degenerates), then
-    interpolates N and D = det(G) exactly.  D has degree at most n, so once
-    n + 1 nonzero determinants are sampled, later ones are Horner values
-    of D rather than new determinants.
+    N(t) = f(t) D(t) is a polynomial of degree num_degree <= n, and D one
+    of degree at most n.  One power of D suffices for the full
+    G-contractions f of s_k and h_2k: f pairs a power of h(t) or R(t), of
+    degree k in t, with the k- or 2k-minors of G^-1, and each of these is
+    the complementary (n - k)- or (n - 2k)-minor of G over det G
+    (Jacobi), so N has degree n or n - k.  Samples run at integer points,
+    skipping any where G degenerates, until D has n + 1 nonzero values;
+    f is sampled at the first num_degree + 1 of them only.  N and D are
+    interpolated exactly, and f'(0) = N'(0) - N(0) D'(0).
     """
-    need_n = num_degree + 1
     xs, ys, ds = [], [], []
-    D = None
     t = 0
-    while len(xs) < max(need_n, n + 1):
-        d = _det_bilinear(metric_fn(t)) if D is None else D(t)
+    while len(xs) <= n:
+        d = _det_bilinear(metric_fn(t))
         if d != 0:
+            if len(xs) <= num_degree:
+                ys.append(sample_fn(t) * d)
             xs.append(t)
             ds.append(d)
-            ys.append(sample_fn(t) * d ** m)
-            if len(ds) == n + 1:
-                D = CharPoly("det", interpolate(zip(xs, ds)))
         t += 1
-    ncoef = interpolate(list(zip(xs, ys))[:need_n])
-    n0 = ncoef[0]
+    ncoef = interpolate(zip(xs, ys))
     n1 = ncoef[1] if len(ncoef) > 1 else 0
-    return n1 - m * n0 * D.coeffs[1]
+    return n1 - ncoef[0] * interpolate(zip(xs, ds))[1]
 
 
 def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
@@ -481,7 +484,7 @@ def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
         return s_k_metric(h0 + t * v, g0 + t * w, k)
 
     # s_k(h, G) det(G) is a coefficient of det(H - x G): degree <= n in t
-    lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, 1, n, n)
+    lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, n, n)
     rhs = inner(t_k(h0, k - 1), v) + inner(t_or_top(h0, k) - s_k(h0, k) * metric(n, h0.field), w)
     return lhs, rhs
 
@@ -504,7 +507,11 @@ def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm
                                    w: DoubleForm, k: int):
     """Metric-variation Jacobi identity for h_2k at t = 0.
 
-    Returns (d/dt h_2k, <k N_(2k-2), V> + <T_2k - h_2k g, w>).
+    Returns (d/dt h_2k, <k N_(2k-2), V> + <T_2k - h_2k g, w>).  The
+    derivative interpolates N(t) = h_2k(R(t), G(t)) det(G(t)): the full
+    G-contraction pairs R(t)^k, of degree k in t, with the 2k-minors of
+    G^-1, and by Jacobi's complementary-minor theorem each of these is
+    an (n - 2k)-minor of G over det G, so N has degree at most n - k.
     """
     _check_square(R0, 2)
     _check_square(V, 2)
@@ -521,11 +528,7 @@ def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm
     def sample(t):
         return h_2k_metric(R0 + t * V, g0 + t * w, k)
 
-    # 2k metric contractions each contribute adj(G)/det(G); R(t)^k entries
-    # have degree k, so N(t) = f det^[2k] has degree <= 2k(n-1) + k
-    num_degree = 2 * k * (n - 1) + k
-    lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, 2 * k,
-                                       num_degree, n)
+    lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, n - k, n)
     rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V) \
         + inner(T_2k(R0, k) - h_2k(R0, k) * metric(n, R0.field), w)
     return lhs, rhs

@@ -658,7 +658,7 @@ SINGULAR_PENCIL_LHS = {
 @pytest.mark.parametrize("n,k", sorted(SINGULAR_PENCIL_LHS))
 def test_jacobi_double_form_with_metric_skips_a_late_singular_sample(monkeypatch, n, k):
     # G(t) = (1 - t/(n + 3)) g is singular at t = n + 3, past the n + 1
-    # determinants sampled, so only the Horner value of D can skip it
+    # determinants sampled, so the sampling never reaches it
     R0 = random_bianchi(n, 2, 2, seed=1900 + n)
     V = random_bianchi(n, 2, 1, seed=2000 + n)
     g = metric(n)
@@ -727,6 +727,98 @@ def test_jacobi_values_are_pinned():
         lines.append(f"{fn} n={n} k={k} lhs={lhs} rhs={rhs}\n")
     assert len(lines) == 55
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == JACOBI_SEED_1_SHA256
+
+
+def test_jacobi_metric_kernel_counts(monkeypatch):
+    # counts are deterministic where times are not; the bound fails if
+    # f det(G)^(2k) is sampled at degree 2k(n - 1) + k (1278 wedges here)
+    # or det G is taken as s_n(G), n - 1 wedges and a star
+    from dfalg import dform
+
+    cases = _bench_jacobi_cases(1)
+    runs = {"wedge": 0, "star": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            runs[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dform, "_wedge", counted("wedge", dform._wedge))
+    monkeypatch.setattr(dform, "_star", counted("star", dform._star))
+    det = inv._det_bilinear
+
+    def det_without_kernels(G):
+        before = dict(runs)
+        d = det(G)
+        assert runs == before
+        return d
+
+    monkeypatch.setattr(inv, "_det_bilinear", det_without_kernels)
+    for fn, n, k, args in cases:
+        getattr(inv, fn)(*args)
+    assert runs["wedge"] <= 700
+
+
+def _finite_differences(values):
+    """The forward differences of values at the first point, orders 0, 1, ..."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def _metric_samples(f, h0, v, g, w, k, count):
+    """f(h0 + t v, g + t w, k) det(g + t w) at t = 0, ..., count - 1."""
+    out = []
+    for t in range(count):
+        G = g + t * w
+        d = inv._det_bilinear(G)
+        assert d != 0
+        out.append(f(h0 + t * v, G, k) * d)
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_metric_samples_times_det_have_the_sampled_degree(n):
+    # N(t) = f det(G): degree n - k for h_2k (complementary minors), n for s_k
+    g = metric(n)
+    w = random_bilinear(n, 2100 + n, "symmetric")
+    R0 = random_bianchi(n, 2, 2, seed=1900 + n)
+    V = random_bianchi(n, 2, 1, seed=2000 + n)
+    h0 = random_bilinear(n, 1600 + n)
+    v = random_bilinear(n, 1700 + n)
+    cases = [(inv.h_2k_metric, R0, V, k, n - k) for k in range(1, n // 2 + 1)]
+    cases += [(inv.s_k_metric, h0, v, k, n) for k in range(1, n + 1)]
+    for f, x0, dx, k, degree in cases:
+        diffs = _finite_differences(_metric_samples(f, x0, dx, g, w, k, degree + 3))
+        assert diffs[degree] != 0, (f.__name__, k)  # the bound is tight
+        assert diffs[degree + 1] == diffs[degree + 2] == 0, (f.__name__, k)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_float_metric_jacobi_matches_exact(n):
+    def args(field):
+        h0 = random_bilinear(n, 1600 + n, field=field)
+        v = random_bilinear(n, 1700 + n, field=field)
+        w = random_bilinear(n, 1800 + n, "symmetric", field)
+        R0 = random_bianchi(n, 2, 2, seed=1900 + n, field=field)
+        V = random_bianchi(n, 2, 1, seed=2000 + n, field=field)
+        W = random_bilinear(n, 2100 + n, "symmetric", field)
+        g = metric(n, field)
+        out = [(inv.jacobi_with_metric, (h0, v, g, w, k)) for k in range(1, n + 1)]
+        out += [(inv.jacobi_double_form_with_metric, (R0, V, g, W, k))
+                for k in range(1, (n - 1) // 2 + 1)]
+        return out
+
+    for (fn, exact), (_, approx) in zip(args(scalars.RATIONAL), args(scalars.FLOAT64)):
+        want = fn(*exact)
+        got = fn(*approx)
+        assert want[0] == want[1]
+        for a, b in zip(got, want):
+            assert isinstance(a, float)
+            assert a == pytest.approx(float(b), rel=1e-6), (fn.__name__, exact[-1])
 
 
 def test_metric_invariants_match_endomorphism():

@@ -666,6 +666,82 @@ def test_invert_metric_refuses_bad_metrics(field):
             contract_with_metric(metric_power(n, 2, field), G)
 
 
+def ref_bareiss_inverse(G):
+    """The fraction-free inverse, as _invert_metric ran it before its loop
+    became _eliminate's; an exact form's inverse as its lane."""
+    n = G.n
+    S, s, _ = G._lane()
+    if not np.array_equal(S, S.T):
+        raise ValueError("metric must be symmetric")
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(S.tolist())]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("metric is singular")
+        a[k], a[piv] = a[piv], a[k]
+        ak, akk = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                ai, aik = a[i], a[i][k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(ai, ak)]
+        prev = akk
+    s = s if prev > 0 else -s
+    flat = [s * x for row in a for x in row[n:]]
+    mag = max(map(abs, flat), default=0)
+    num = np.array(flat, dtype=dform._lane_dtype(scalars.RATIONAL, mag)).reshape(n, n)
+    return dform._form(DoubleForm, n, (1, 1), scalars.RATIONAL, num, abs(prev), mag)._lane()
+
+
+def determinant_inputs(n):
+    """Exact (1, 1) forms: general and symmetric, with denominators, an
+    object lane of entries about 2^40, and singular ones."""
+    from dfalg.fixtures import random_bilinear, rank_one_bilinear
+
+    forms = [random_bilinear(n, 60 + n, kind) for kind in ("general", "symmetric")]
+    forms += [f * Fraction(5, 3) for f in forms]
+    forms += [random_metric(n, 5 * n + 1, scalars.RATIONAL, True), swapped_metric(
+        n, scalars.RATIONAL, [(a, n - 1 - a) for a in range(n // 2)])]
+    big = forms[1].mat * 2 ** 40 + np.eye(n, dtype=object)
+    forms.append(dform._form(DoubleForm, n, (1, 1), scalars.RATIONAL,
+                             np.array(big, dtype=object), 1))
+    forms += [DoubleForm.zeros(n, 1, 1), rank_one_bilinear(n, 80 + n)]
+    if n >= 2:
+        # rows 0 and 1 agree, so the second column runs out of pivots
+        equal = forms[1].mat.copy()
+        equal[1] = equal[0]
+        forms.append(DoubleForm(n, 1, 1, equal))
+    return forms
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_determinant_matches_s_n_and_oracle(n):
+    from dfalg.invariants import _det_bilinear, s_k
+
+    forms = determinant_inputs(n)
+    assert forms[6]._lane()[0].dtype == object
+    for G in forms:
+        want = oracle.det_oracle(G.mat)
+        got = _det_bilinear(G)
+        assert got == want == s_k(G, n)
+        assert type(got) in (int, Fraction)
+        F = G.astype(scalars.FLOAT64)
+        assert _det_bilinear(F) == pytest.approx(float(want), rel=1e-9, abs=1e-9)
+        try:
+            ref = ref_bareiss_inverse(G)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _invert_metric(G)
+            with pytest.raises(ValueError):
+                _invert_metric(F)
+            continue
+        assert want != 0
+        num, den, mag = _invert_metric(G)._lane()
+        assert num.dtype == ref[0].dtype and np.array_equal(num, ref[0])
+        assert (den, mag) == ref[1:]
+        assert np.array_equal(_invert_metric(F).mat, ref_invert_metric(F))
+
+
 def test_contract_matches_oracle():
     for n in range(0, 6):
         for p in range(n + 1):
