@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import add
 
@@ -41,6 +42,10 @@ from .multiindex import (
 # (input magnitudes times the terms summed per entry) reaches it runs on
 # Python ints instead.
 LANE_BOUND = 1 << 62
+
+# The most (nonzero, partner) pairs one step of the wedge kernel gathers:
+# about 2^21 entries keep each of its index and value arrays near 16 MB.
+WEDGE_CHUNK = 1 << 21
 
 
 class _LaneForm:
@@ -364,10 +369,20 @@ def metric_power(n, k, field=scalars.RATIONAL):
 
 
 def _identity(n, k, field, scale=1):
-    """scale times the identity on Lambda^k, which is g^k / k!."""
+    """scale times the identity on Lambda^k, which is g^k / k!.
+
+    Each call is a new form over one shared read-only array.
+    """
     size = comb(n, k)
-    num = np.eye(size, dtype=_lane_dtype(field, scale)) * scale
+    num = _scaled_eye(size, _lane_dtype(field, scale), scale)
     return _form(DoubleForm, n, (k, k), field, num, 1, scale if size else 0)
+
+
+@lru_cache(maxsize=64)
+def _scaled_eye(size, dtype, scale):
+    num = np.eye(size, dtype=dtype) * scale
+    num.flags.writeable = False
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -406,27 +421,34 @@ def _wedge(n, a, da, b, db, out):
     Each nonzero a[I] meets b[J] for every J disjoint from I slot by slot;
     the product lands on out[I|J], negated when an odd number of slot
     merges are odd.  Targets repeat across the nonzeros of a, so they are
-    summed with np.add.at.  Any dtype works: int64 or object numerators
-    of the integer lane, or float64.
+    summed with np.add.at.  The nonzeros of a are taken in chunks whose
+    gather has at most WEDGE_CHUNK entries (at least one nonzero each), in
+    order, so the sums run in the same order as one gather would.  Any
+    dtype works: int64 or object numerators of the integer lane, or
+    float64.
     """
     nz = np.nonzero(a)
     r = len(da)
-    src = tgt = 0
-    neg = False
-    for s, (x, y) in enumerate(zip(da, db)):
-        cols, targets, negs = merge_table(n, x, y)
-        shape = [len(nz[s])] + [1] * r
-        shape[s + 1] = cols.shape[1]
-        src = src * b.shape[s] + cols[nz[s]].reshape(shape)
-        tgt = tgt * out.shape[s] + targets[nz[s]].reshape(shape)
-        neg = neg ^ negs[nz[s]].reshape(shape)
-    vals = b.reshape(-1)[src]
-    keep = vals != 0
-    prod = np.broadcast_to(a[nz].reshape((-1,) + (1,) * r), vals.shape)[keep] \
-        * vals[keep]
-    flip = neg[keep]
-    prod[flip] = -prod[flip]
-    np.add.at(out.reshape(-1), tgt[keep], prod)
+    tables = [merge_table(n, x, y) for x, y in zip(da, db)]
+    per = prod(cols.shape[1] for cols, _, _ in tables)
+    step = max(1, WEDGE_CHUNK // per)
+    for lo in range(0, len(nz[0]), step):
+        part = tuple(ix[lo:lo + step] for ix in nz)
+        src = tgt = 0
+        neg = False
+        for s, (cols, targets, negs) in enumerate(tables):
+            shape = [len(part[s])] + [1] * r
+            shape[s + 1] = cols.shape[1]
+            src = src * b.shape[s] + cols[part[s]].reshape(shape)
+            tgt = tgt * out.shape[s] + targets[part[s]].reshape(shape)
+            neg = neg ^ negs[part[s]].reshape(shape)
+        vals = b.reshape(-1)[src]
+        keep = vals != 0
+        terms = np.broadcast_to(a[part].reshape((-1,) + (1,) * r), vals.shape)[keep] \
+            * vals[keep]
+        flip = neg[keep]
+        terms[flip] = -terms[flip]
+        np.add.at(out.reshape(-1), tgt[keep], terms)
 
 
 def wedge_power(w: DoubleForm, k: int) -> DoubleForm:

@@ -71,29 +71,35 @@ def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleFo
     gives q! s_(r,q); p = 2 gives h_2q, T_2q, N_2q at r = 0, 1, 2.  Inside
     power_memo() each result is kept under the path that computed it, so
     an "auto" call shares the entry of the path it resolves to, and one
-    path never answers a call for the other.
+    path never answers a call for the other.  The work budget is checked
+    when a result is built, so a kept result comes back with no check.
     """
     _check_square(w, p)
     n = w.n
     pq = p * q
     if r < 0 or q < 0 or pq > n:
         raise ValueError(f"(r, pq) = ({r}, {pq}) out of range for dimension {n}")
-    if path == "auto":
-        path = "hodge" if r <= n - pq else "contraction"
-    if path == "hodge":
-        if r > n - pq:
-            raise ValueError(f"Hodge-star path needs r <= n - pq = {n - pq}, got {r}")
-        m = n - pq - r
+    path = _resolve_path(n, pq, r, path)
 
-        def build():
-            return hodge(metric_wedge_power(w, m, q)) * Fraction(1, factorial(m))
-    elif path == "contraction":
-        def build():
+    def build():
+        _check_work(n, p, q, r, path)
+        if path == "contraction":
             return _contraction_series(w, r, p, q)
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    _check_work(n, p, q, r, path)
+        m = n - pq - r
+        return hodge(metric_wedge_power(w, m, q)) * Fraction(1, factorial(m))
     return _memoized(w, ("h_rpq", r, q, path), build)
+
+
+def _resolve_path(n, pq, r, path):
+    """The path of an (r, pq) cofactor: "auto" is the Hodge-star path where
+    that is defined, r <= n - pq, and the contraction path past it."""
+    if path == "auto":
+        return "hodge" if r <= n - pq else "contraction"
+    if path == "hodge" and r > n - pq:
+        raise ValueError(f"Hodge-star path needs r <= n - pq = {n - pq}, got {r}")
+    if path not in ("hodge", "contraction"):
+        raise ValueError(f"unknown path {path!r}")
+    return path
 
 
 def _contraction_series(w, r, p, q):
@@ -177,15 +183,20 @@ def s_rq(h: DoubleForm, r: int, q: int, path: str = "auto") -> DoubleForm:
     s_(r,q)(h) = h_(r,1q)(h)/q!.  The Hodge-star definition covers
     r <= n - q; the expansion in metric powers and contractions extends it
     to all r <= n, which is required by the generalized vanishing theorems.
-    The extension assumes h symmetric.
+    The extension assumes h symmetric.  Inside power_memo() the scaled
+    result is kept like h_rpq's, under the path it resolves to.
     """
     _check_bilinear(h)
     n = h.n
     if not (0 <= q <= n and 0 <= r <= n):
         raise ValueError(f"(r, q) = ({r}, {q}) out of range for dimension {n}")
-    if r > n - q and path != "hodge" and not is_symmetric(h):
-        raise ValueError("the extended (r, q) cofactor assumes a symmetric form")
-    return h_rpq(h, r, 1, q, path) * Fraction(1, factorial(q))
+    path = _resolve_path(n, q, r, path)
+
+    def build():
+        if r > n - q and not is_symmetric(h):  # only the contraction path goes past n - q
+            raise ValueError("the extended (r, q) cofactor assumes a symmetric form")
+        return h_rpq(h, r, 1, q, path) * Fraction(1, factorial(q))
+    return _memoized(h, ("s_rq", r, q, path), build)
 
 
 def power_sums(h: DoubleForm, r: int):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -445,6 +447,24 @@ def test_verify_bad_range_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--n-range", "2:40")
     assert code == 2 and out == "" and err.startswith("dfalg: error:")
     assert run_cli(capsys, "verify", "--n-range", "11")[0] == 2
+
+
+def run_module(*argv):
+    """python -m dfalg from a checkout, with only its src/ on the path."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-m", "dfalg", *argv], cwd=root, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_python_m_dfalg_runs_the_cli(capsys):
+    proc = run_module("verify", "--n-range", "2:3")
+    code, out, _ = run_cli(capsys, "verify", "--n-range", "2:3")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+    bad = run_module("verify", "--n-range", "4:2")
+    assert bad.returncode == 2 and bad.stdout == b""
+    assert bad.stderr.startswith(b"dfalg: error:")
 
 
 def test_verify_bogus_env_mode_exits_2(monkeypatch, capsys):

@@ -36,6 +36,20 @@ def test_metric_is_identity_matrix():
     assert np.all(metric(3).mat == np.eye(3, dtype=object))
 
 
+@pytest.mark.parametrize("field", [scalars.RATIONAL, scalars.FLOAT64])
+def test_metric_calls_share_one_read_only_array(field):
+    a, b = metric(4, field), metric(4, field)
+    assert a is not b and a == b
+    for g in (a, b, metric_power(4, 2, field), compose_power(metric(4, field), 0)):
+        num = g._lane()[0]
+        assert not num.flags.writeable
+        with pytest.raises(ValueError):
+            num[0, 0] = 5
+    # operations on the shared array build fresh ones and leave it as it was
+    assert (a + b)._lane()[0].flags.writeable
+    assert metric(4, field) == a and a.entry((0,), (0,)) == 1
+
+
 def test_metric_power_values():
     g2 = metric_power(3, 2)
     assert g2.entry((0, 1), (0, 1)) == 2

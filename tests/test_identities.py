@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from conftest import random_dform
-from dfalg import dform, identities as idn, scalars
+from dfalg import dform, identities as idn, invariants as inv, scalars
 from dfalg.dform import (
     DoubleForm,
     contract,
@@ -395,6 +395,34 @@ def test_exact_suite_runs_few_contraction_kernels(monkeypatch):
     idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
     # 1658 while each caller walked its own chain c^i(w^q)
     assert len(runs) <= 1000
+
+
+def test_exact_suite_checks_each_cofactor_once(monkeypatch):
+    runs = {"check": 0, "built": 0, "contract": 0}
+    check_work, memoized, contracted = inv._check_work, inv._memoized, dform._contracted
+
+    def counting_check(*args):
+        runs["check"] += 1
+        return check_work(*args)
+
+    def counting_memo(w, key, build):
+        def counted():
+            runs["built"] += key[0] == "h_rpq"
+            return build()
+        return memoized(w, key, counted)
+
+    def counting_contract(w, Ginv):
+        runs["contract"] += 1
+        return contracted(w, Ginv)
+
+    monkeypatch.setattr(inv, "_check_work", counting_check)
+    monkeypatch.setattr(inv, "_memoized", counting_memo)
+    monkeypatch.setattr(dform, "_contracted", counting_contract)
+    idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
+    # 3623 checks for 715 built cofactors, and 887 contractions, while
+    # every memo hit re-ran the check and s_rq rescaled its kept cofactor
+    assert 0 < runs["check"] <= runs["built"]
+    assert runs["contract"] <= 800
 
 
 def test_laplace_pp_rows_reach_every_q():

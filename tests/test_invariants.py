@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dform
-from dfalg import invariants as inv, oracle, scalars
+from dfalg import dform, invariants as inv, oracle, scalars
 from dfalg.dform import (
     DoubleForm,
     contract,
@@ -919,3 +921,80 @@ def test_h_rpq_memo_keeps_the_two_paths_apart(monkeypatch):
         top = inv.h_rpq(R, 3, 2, 2)
         assert inv.h_rpq(R, 3, 2, 2, "contraction") is top
     assert inv.h_rpq(R, 1, 2, 2, "hodge") is not star
+
+
+def count_builds(monkeypatch):
+    """Count the kernels a call starts, and the work checks it runs."""
+    runs = dict.fromkeys(["wedge", "star", "contract", "check"], 0)
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            runs[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dform, "_wedge", counted("wedge", dform._wedge))
+    monkeypatch.setattr(dform, "_starred", counted("star", dform._starred))
+    monkeypatch.setattr(dform, "_contracted", counted("contract", dform._contracted))
+    monkeypatch.setattr(inv, "_check_work", counted("check", inv._check_work))
+    return runs
+
+
+# each cofactor family at n = 6, on both paths
+FAMILY_CALLS = {
+    "s_k": lambda h, R: inv.s_k(h, 3),
+    "t_k": lambda h, R: inv.t_k(h, 2),
+    "s_rq_hodge": lambda h, R: inv.s_rq(h, 2, 3),
+    "s_rq_contraction": lambda h, R: inv.s_rq(h, 5, 3),
+    "h_2k": lambda h, R: inv.h_2k(R, 2),
+    "T_2k": lambda h, R: inv.T_2k(R, 2),
+    "N_2k": lambda h, R: inv.N_2k(R, 1),
+    "h_rpq_hodge": lambda h, R: inv.h_rpq(R, 1, 2, 2, "hodge"),
+    "h_rpq_contraction": lambda h, R: inv.h_rpq(R, 4, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_CALLS)
+def test_memo_hit_starts_no_kernel_and_no_check(monkeypatch, name):
+    h = random_bilinear(6, 160, "symmetric")
+    R = random_bianchi(6, 2, 2, seed=161)
+    call = functools.partial(FAMILY_CALLS[name], h, R)
+    runs = count_builds(monkeypatch)
+    with dform.power_memo():
+        first = call()
+        built = dict(runs)
+        assert built["check"] >= 1 and built["wedge"] + built["star"] >= 1, name
+        assert call() is first if isinstance(first, DoubleForm) else call() == first
+        assert runs == built, name
+    # outside a memo every call builds again
+    for i in (2, 3):
+        assert call() == first
+        assert runs["check"] == i * built["check"], name
+        assert runs["wedge"] >= i * built["wedge"], name
+
+
+def test_fresh_over_budget_call_in_a_memo_raises_before_any_wedge(monkeypatch):
+    runs = count_builds(monkeypatch)
+    h = random_bilinear(20, 162)
+    with dform.power_memo():
+        assert inv.s_k(h, 1) == inv.s_k(h, 1)
+        seen = dict(runs)
+        # C(20, 10)^2 = 3.4e10 dense entries
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dense entries"):
+                inv.s_k(h, 10)
+        assert runs["wedge"] == seen["wedge"] and runs["check"] == seen["check"] + 2
+
+
+def test_non_symmetric_contraction_path_raises_in_and_out_of_a_memo():
+    h = random_bilinear(5, 163, "general")
+    assert not inv.is_symmetric(h)
+    for scope in (dform.power_memo, contextlib.nullcontext):
+        with scope():
+            for _ in range(2):
+                with pytest.raises(ValueError, match="symmetric"):
+                    inv.s_rq(h, 4, 3)
+                with pytest.raises(ValueError, match="symmetric"):
+                    inv.s_rq(h, 4, 3, "contraction")
+            # the star path asks for no symmetry
+            assert inv.s_rq(h, 2, 3) == inv.s_rq(h, 2, 3, "hodge")

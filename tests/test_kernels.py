@@ -536,6 +536,65 @@ def test_wedge_multi_and_hodge_multi_match_loops(n, r, field):
             assert_same(hodge_multi(a).coeffs, ref_hodge_multi(a).coeffs, field)
 
 
+# -- the chunked wedge gather ----------------------------------------------------
+
+def chunk_wedges(field):
+    """Wedges of double, exterior and multi forms at n = 4, dense first
+    factors among them, so the kernel splits their nonzeros into many
+    chunks."""
+    n, out = 4, []
+    for x, y in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]:
+        for a in double_inputs(n, x, y, 7 * x + y, field, 1):
+            for b in double_inputs(n, y, x, 11 * y + x, field, 1):
+                out.append(wedge(a, b))
+        for a in form_inputs(n, x, 3 * x + y, field):
+            for b in form_inputs(n, y, 5 * y + x, field):
+                out.append(wedge_form(a, b))
+        for r in (2, 3):
+            for a in multi_inputs(n, x, r, 13 * x + y, field, 1):
+                for b in multi_inputs(n, y, r, 17 * y + x, field, 1):
+                    out.append(wedge_multi(a, b))
+    return out
+
+
+def same_bits(x, y):
+    (a, da, _), (b, db, _) = x._lane(), y._lane()
+    if type(x) is not type(y) or x._degs != y._degs or da != db:
+        return False
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == object:
+        return [(type(v), v) for v in a.flat] == [(type(v), v) for v in b.flat]
+    return a.tobytes() == b.tobytes()  # float64 bit for bit, -0.0 included
+
+
+@pytest.mark.parametrize("lane", ["int64", "object", "float"])
+def test_chunked_wedge_matches_one_gather(monkeypatch, lane):
+    field = scalars.FLOAT64 if lane == "float" else scalars.RATIONAL
+    if lane == "object":
+        monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    chunks = []
+    broadcast_to = np.broadcast_to
+
+    def counting(*args, **kwargs):  # the kernel broadcasts once per chunk
+        chunks.append(1)
+        return broadcast_to(*args, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_to", counting)
+    whole = chunk_wedges(field)  # WEDGE_CHUNK is far above every gather here
+    one_gather = len(chunks)
+    want = np.int64 if lane == "int64" else np.float64 if lane == "float" else object
+    assert any(w._lane()[0].dtype == want for w in whole)
+    for size in (1, 50):
+        monkeypatch.setattr(dform, "WEDGE_CHUNK", size)
+        chunks.clear()
+        split = chunk_wedges(field)
+        assert len(chunks) > one_gather
+        assert len(split) == len(whole)
+        for x, y in zip(split, whole):
+            assert same_bits(x, y), (size, x)
+
+
 # -- contractions -------------------------------------------------------------------
 
 def contract_inputs(n, p, q, seed, field):
