@@ -398,9 +398,21 @@ def _wedged(w1, w2):
     """The slot-wise wedge of two forms of one type, through _wedge.
 
     An exact pair wedges its numerators, with the denominators multiplied;
-    a slot degree past n gives the zero form.
+    a slot degree past n gives the zero form.  A factor whose every slot
+    degree is 0 holds one value, and the wedge is the other factor times
+    it, with no gather.  _wedge adds only products of two nonzero entries
+    onto +0.0, so there a float zero, or a product with a zero factor,
+    comes out as +0.0.
     """
     w1._check_compatible(w2)
+    for s, w in ((w1, w2), (w2, w1)):
+        if not any(s._degs):
+            v = s._at((0,) * len(s._degs))
+            out = w * v
+            if w.field == scalars.FLOAT64:
+                num = out._num  # a new array from __mul__
+                num[(num == 0) | (w._num == 0) | (v == 0)] = 0.0
+            return out
     n, d1, d2 = w1.n, w1._degs, w2._degs
     degs = tuple(map(add, d1, d2))
     a, da, ma = w1._lane()
@@ -683,13 +695,19 @@ def hodge(w: DoubleForm) -> DoubleForm:
 def _starred(w):
     """The slot-wise star of a form, through _star.
 
-    A slot degree past n has no star and raises.
+    A slot degree past n has no star and raises.  A form whose every slot
+    degree is 0 or n has one entry, which the star keeps with sign +1: its
+    lane is returned as it is, a float -0.0 read as +0.0 as _star writes it.
     """
     n = w.n
     degs = tuple([n - d for d in w._degs])
     if min(degs) < 0:
         raise ValueError(w._NEGATIVE.format(*degs))
     num, den, mag = w._lane()
+    if all(d in (0, n) for d in degs):
+        if w.field == scalars.FLOAT64:
+            num = num + 0.0  # -0.0 + 0.0 is +0.0; every other value is kept
+        return _form(type(w), n, degs, w.field, num, den, mag)
     out = np.zeros(num.shape, dtype=num.dtype)  # C(n, n - d) = C(n, d)
     _star(n, num, w._degs, out)
     return _form(type(w), n, degs, w.field, out, den, mag)

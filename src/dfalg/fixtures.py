@@ -160,11 +160,9 @@ def suite_fixtures(n: int, seed: int, field: str = scalars.RATIONAL) -> SuiteFix
         ("rank_one", rank_one_bilinear(n, seed + 2, field)),
         ("jordan_block", jordan_block(n, field)),
     ]
-    fx.bilinear_symmetric = [
-        ("metric", g),
-        ("random_symmetric", random_bilinear(n, seed + 1, "symmetric", field)),
-        ("rank_one", rank_one_bilinear(n, seed + 2, field)),
-    ]
+    # the symmetric ones, as the same objects, so run_suite shares their memos
+    fx.bilinear_symmetric = [(label, w) for label, w in fx.bilinear
+                             if label in ("metric", "random_symmetric", "rank_one")]
     if n >= 2:
         fx.bianchi2 = [
             ("constant_curvature", constant_curvature(n, 1, field)),

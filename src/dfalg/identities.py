@@ -475,17 +475,21 @@ def run_suite(fixture_sets, only: str | None = None):
                          + ", ".join(ALL_IDENTITY_NAMES))
     records = []
     for fx in fixture_sets:
-        rows = [row for row in _suite_table(fx.n) if only in (None, row[0])]
-        for family in dict.fromkeys(row[1] for row in rows):
-            calls = [(check, args) for _, fam, check, arg_tuples in rows
-                     if fam == family for args in arg_tuples]
-            for label, w in getattr(fx, family):
-                # one memo per fixture: its powers, cofactors and stars are
-                # freed as soon as its checks end
-                with power_memo():
-                    for check, args in calls:
-                        rec = check(w, *args)
-                        rec.params = {"n": fx.n, "fixture": label, **rec.params}
-                        records.append(rec)
+        # every (label, check, args) call of each fixture object, from every
+        # family that lists it
+        calls = {}
+        for name, family, check, arg_tuples in _suite_table(fx.n):
+            if only in (None, name):
+                for label, w in getattr(fx, family):
+                    calls.setdefault(id(w), (w, []))[1].extend(
+                        (label, check, args) for args in arg_tuples)
+        for w, todo in calls.values():
+            # one memo per fixture object: its powers, cofactors and stars
+            # are freed as soon as its checks end
+            with power_memo():
+                for label, check, args in todo:
+                    rec = check(w, *args)
+                    rec.params = {"n": fx.n, "fixture": label, **rec.params}
+                    records.append(rec)
     records.sort(key=lambda rec: (rec.name, sorted(rec.params.items())))
     return records

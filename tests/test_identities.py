@@ -345,7 +345,7 @@ def test_power_memo_leaves_suite_records_unchanged(monkeypatch, mode):
 
 
 def test_power_memo_is_scoped_to_each_fixture(monkeypatch):
-    entered = []
+    entered, calls = [], []
 
     @contextlib.contextmanager
     def counting_memo():
@@ -353,20 +353,47 @@ def test_power_memo_is_scoped_to_each_fixture(monkeypatch):
             entered.append(dform._POWER_MEMO.get())
             yield
 
+    table = idn._suite_table
+
+    def recording_table(n):
+        # each check call records the memo it ran in and its fixture
+        def recording(check):
+            def run(w, *args):
+                calls.append((id(dform._POWER_MEMO.get()), id(w)))
+                return check(w, *args)
+            return run
+        return tuple((name, family, recording(check), args)
+                     for name, family, check, args in table(n))
+
     monkeypatch.setattr(idn, "power_memo", counting_memo)
+    monkeypatch.setattr(idn, "_suite_table", recording_table)
     sets = [suite_fixtures(n, 1) for n in (2, 3, 4)]
+    for fx in sets:
+        # the symmetric family lists the bilinear objects themselves
+        bilinear = dict(fx.bilinear)
+        assert fx.bilinear_symmetric
+        assert all(w is bilinear[label] for label, w in fx.bilinear_symmetric)
     idn.run_suite(sets)
-    fixtures = [w for fx in sets for family in (fx.bilinear, fx.bilinear_symmetric,
-                                                fx.bianchi2, fx.bianchi3)
-                for _, w in family]
+    fixtures = {id(w): w for fx in sets for family in (fx.bilinear, fx.bilinear_symmetric,
+                                                       fx.bianchi2, fx.bianchi3)
+                for _, w in family}
+    # one memo per distinct fixture object, and each was filled
     assert len(entered) == len(fixtures)
-    # each fixture had its own memo, and it was filled
-    assert len({id(memo) for memo in entered}) == len(fixtures) and all(entered)
+    assert len({id(memo) for memo in entered}) == len(entered) and all(entered)
+    # every check of a fixture, from every family, ran in that fixture's
+    # one memo, and no memo ran the checks of two fixtures
+    owner = {}
+    for memo, w in set(calls):
+        owner.setdefault(memo, set()).add(w)
+    assert sorted(owner) == sorted(id(memo) for memo in entered)
+    assert all(len(ws) == 1 for ws in owner.values())
+    assert sorted(w for ws in owner.values() for w in ws) == sorted(fixtures)
     # a memo holds results of its own fixture and of forms derived from it
     # (its powers, whose stars it keeps), never of another fixture
-    for memo, w in zip(entered, fixtures):
-        others = {id(v) for v in fixtures if v is not w}
-        assert others.isdisjoint(memo)
+    for memo in entered:
+        (own,) = owner[id(memo)]
+        assert own in memo
+        assert (fixtures.keys() - {own}).isdisjoint(memo)
 
 
 def test_exact_suite_runs_few_star_kernels(monkeypatch):
@@ -395,6 +422,28 @@ def test_exact_suite_runs_few_contraction_kernels(monkeypatch):
     idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
     # 1658 while each caller walked its own chain c^i(w^q)
     assert len(runs) <= 1000
+
+
+def test_exact_suite_gathers_no_single_entry_operand(monkeypatch):
+    runs = {"wedge": 0, "star": 0}
+    wedge_kernel, star_kernel = dform._wedge, dform._star
+
+    def counting_wedge(*args):
+        runs["wedge"] += 1
+        return wedge_kernel(*args)
+
+    def counting_star(*args):
+        runs["star"] += 1
+        return star_kernel(*args)
+
+    monkeypatch.setattr(dform, "_wedge", counting_wedge)
+    monkeypatch.setattr(dform, "_star", counting_star)
+    idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
+    # 1163 wedge and 773 star kernels while a wedge with a 0-form and the
+    # star of a one-entry form ran the gathers, and each symmetric bilinear
+    # fixture had a second memo
+    assert runs["wedge"] <= 700
+    assert runs["star"] <= 500
 
 
 def test_exact_suite_checks_each_cofactor_once(monkeypatch):

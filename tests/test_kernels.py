@@ -595,6 +595,143 @@ def test_chunked_wedge_matches_one_gather(monkeypatch, lane):
             assert same_bits(x, y), (size, x)
 
 
+# -- single-entry operands ------------------------------------------------------
+#
+# A wedge with a 0-form is a scalar multiple and the star of a form whose
+# every slot degree is 0 or n keeps its one entry, so neither runs a gather.
+# The references run the kernels as every such operation did before.
+
+GATHER, STAR = dform._wedge, dform._star
+WEDGES = {DoubleForm: wedge, ExteriorForm: wedge_form, MultiForm: wedge_multi}
+HODGES = {DoubleForm: hodge, ExteriorForm: hodge_form, MultiForm: hodge_multi}
+
+
+def no_kernel(*args):
+    raise AssertionError("a single-entry operand started a gather kernel")
+
+
+def gather_wedge(w1, w2):
+    """w1 ^ w2 through the gather kernel, whatever the slot degrees."""
+    n, d1, d2 = w1.n, w1._degs, w2._degs
+    degs = tuple(x + y for x, y in zip(d1, d2))
+    a, da, ma = w1._lane()
+    b, db, mb = w2._lane()
+    dtype = dform._lane_dtype(w1.field, ma * mb * math.prod(map(comb, degs, d1)), ma, mb)
+    out = np.zeros(dform._shape(n, degs), dtype=dtype)
+    if max(degs) <= n:
+        GATHER(n, dform._as(a, dtype), d1, dform._as(b, dtype), d2, out)
+    return dform._form(type(w1), n, degs, w1.field, out, da * db)
+
+
+def kernel_star(w):
+    """The star of w through the star kernel."""
+    n = w.n
+    num, den, mag = w._lane()
+    out = np.zeros(num.shape, dtype=num.dtype)
+    STAR(n, num, w._degs, out)
+    return dform._form(type(w), n, tuple(n - d for d in w._degs), w.field, out, den, mag)
+
+
+def lane_form(cls, n, degs, values, field):
+    return cls._built(n, degs, np.array(values, dtype=object if field == scalars.RATIONAL
+                                        else np.float64), field)
+
+
+def zero_form(like, v):
+    """The form of like's type and slot count whose one value is v."""
+    r = len(like._degs)
+    return lane_form(type(like), like.n, (0,) * r,
+                     np.full((1,) * r, scalars.coerce(v, like.field), dtype=object), like.field)
+
+
+def zero_holding_forms(n, field, zero):
+    """Double forms (one of them past n), exterior forms and multiforms of
+    dimension n, about half their entries zero, stored as zero."""
+    degrees = [(DoubleForm, (p, q)) for p, q in [(0, 0), (1, 0), (1, 2), (2, 2), (3, 1),
+                                                 (n + 1, 1)]]
+    degrees += [(ExteriorForm, (k,)) for k in range(n + 1)]
+    degrees += [(MultiForm, (k,) * r) for k, r in [(0, 2), (1, 2), (2, 3)]]
+    forms = []
+    for seed, (cls, degs) in enumerate(degrees):
+        shape = dform._shape(n, degs)
+        values = fill(scalars.zeros(shape, field), seed, keep=max(1, math.prod(shape) // 2))
+        if field == scalars.FLOAT64:
+            values[values == 0] = zero
+        forms.append(lane_form(cls, n, degs, values, field))
+    return forms
+
+
+def same_wedge(x, y):
+    """same_bits, except that a zero exact result may sit in another lane:
+    the scalar multiple gives the int64 zero where the gather kept the
+    object lane of a factor at the bound."""
+    if x.field == scalars.RATIONAL and x.is_zero():
+        return y.is_zero() and type(x) is type(y) and x._degs == y._degs \
+            and x._lane()[0].shape == y._lane()[0].shape and x._den == y._den == 1
+    return same_bits(x, y)
+
+
+@pytest.mark.parametrize("lane", ["int64", "object", "float"])
+def test_zero_form_wedge_matches_the_gather(monkeypatch, lane):
+    field = scalars.FLOAT64 if lane == "float" else scalars.RATIONAL
+    bound = 1 << 62
+    if lane == "object":
+        monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    if field == scalars.FLOAT64:
+        # 5e-324 times an entry below 1 underflows to a signed zero
+        values = [0.0, -0.0, 1.0, -1.0, -2.5, 3 / 7, 5e-324, -5e-324]
+        forms = [w for zero in (0.0, -0.0) for w in zero_holding_forms(3, field, zero)]
+    else:
+        values = [0, 1, -1, Fraction(-2, 3), bound - 1, -(bound + 1), Fraction(bound, 7)]
+        forms = zero_holding_forms(3, field, 0)
+        forms += [w * (1 << 61) for w in forms]
+    monkeypatch.setattr(dform, "_wedge", no_kernel)
+    dtypes = set()
+    for w in forms:
+        wedge_of = WEDGES[type(w)]
+        for v in values:
+            s = zero_form(w, v)
+            for x, y in ((s, w), (w, s)):
+                new, ref = wedge_of(x, y), gather_wedge(x, y)
+                assert same_wedge(new, ref), (x, y, v)
+                dtypes.add(new._lane()[0].dtype)
+    want = {"int64": {np.dtype(np.int64), np.dtype(object)}, "object": {np.dtype(object)},
+            "float": {np.dtype(np.float64)}}[lane]
+    assert dtypes == want
+
+
+def single_entry_forms(n, field, entries):
+    """Every double form of dimension n with slot degrees 0 or n, the
+    exterior forms of degree 0 and n and the multiforms of 1 to 3 such
+    slots, one of each per entry value."""
+    tops = sorted({0, n})
+    degrees = [(DoubleForm, (p, q)) for p in tops for q in tops]
+    degrees += [(ExteriorForm, (k,)) for k in tops]
+    degrees += [(MultiForm, (k,) * r) for k in tops for r in (1, 2, 3)]
+    return [lane_form(cls, n, degs, np.full((1,) * len(degs), v, dtype=object), field)
+            for v in entries for cls, degs in degrees]
+
+
+@pytest.mark.parametrize("lane", ["int64", "object", "float"])
+@pytest.mark.parametrize("n", range(0, 5))
+def test_single_entry_star_matches_the_kernel(monkeypatch, n, lane):
+    if lane == "float":
+        field, entries = scalars.FLOAT64, [0.0, -0.0, 3.0, -3.0, -2 / 3, 2.0 ** 70]
+    else:
+        field, entries = scalars.RATIONAL, [0, 3, -3, Fraction(-2, 3), 2 ** 70, -(2 ** 70) - 1]
+    if lane == "object":
+        monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    monkeypatch.setattr(dform, "_star", no_kernel)
+    forms = single_entry_forms(n, field, entries)
+    for w in forms:
+        new, ref = HODGES[type(w)](w), kernel_star(w)
+        assert same_bits(new, ref), (w, w._lane()[0])
+        assert new._lane()[0].dtype == w._lane()[0].dtype and new._den == w._den
+    dtypes = {w._lane()[0].dtype for w in forms}
+    assert dtypes == {"int64": {np.dtype(np.int64), np.dtype(object)},
+                      "object": {np.dtype(object)}, "float": {np.dtype(np.float64)}}[lane]
+
+
 # -- contractions -------------------------------------------------------------------
 
 def contract_inputs(n, p, q, seed, field):
