@@ -44,12 +44,11 @@ EXIT_USAGE = 2
 SEED_LIMIT = 1 << 64
 
 # The largest dimension `verify` accepts.  With one seed on a 2-core host,
-# timed in-process around run_suite (three runs each), the exact suite
-# takes 0.16-0.18 s at n = 8, 0.52-0.56 s at n = 9 and 2.4-2.5 s at
-# n = 10, with peak RSS 45, 156 and 797 MB.  Time is no longer the limit;
-# memory is: RSS grows about 5x per added dimension, from the wedge's
-# gather buffers, so n = 11 would need several GB.
-MAX_VERIFY_DIM = 10
+# timed in-process around run_suite, the exact suite takes 1.6 s at n = 9,
+# 7.4 s at n = 10 and 38 s at n = 11 (2979 checks), with peak RSS 126, 176
+# and 335-346 MB.  Time grows about 5x per added dimension, so n = 12 is
+# left out.
+MAX_VERIFY_DIM = 11
 
 
 def _default_mode():

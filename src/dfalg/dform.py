@@ -32,10 +32,8 @@ from .multiindex import (
     MAX_DIM,
     complement_table,
     insertion_table,
-    merge_sign_tuple,
     merge_table,
     rank_tuple,
-    subsets,
 )
 
 # int64 numerators stay below this magnitude; an operation whose bound
@@ -397,8 +395,9 @@ def wedge(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
 def _wedged(w1, w2):
     """The slot-wise wedge of two forms of one type, through _wedge.
 
-    An exact pair wedges its numerators, with the denominators multiplied;
-    a slot degree past n gives the zero form.  A factor whose every slot
+    An exact pair wedges its numerators, with the denominators multiplied.
+    A slot degree past n, or an exact zero factor, gives the zero form of
+    _zeros with no gather, so its lane is int64.  A factor whose every slot
     degree is 0 holds one value, and the wedge is the other factor times
     it, with no gather.  _wedge adds only products of two nonzero entries
     onto +0.0, so there a float zero, or a product with a zero factor,
@@ -417,11 +416,12 @@ def _wedged(w1, w2):
     degs = tuple(map(add, d1, d2))
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
+    if max(degs) > n or (w1.field != scalars.FLOAT64 and not (ma and mb)):
+        return type(w1)._zeros(n, degs, w1.field)
     # each output entry sums C(x + y, x) products per slot
     dtype = _lane_dtype(w1.field, ma * mb * prod(map(comb, degs, d1)), ma, mb)
     out = np.zeros(_shape(n, degs), dtype=dtype)
-    if max(degs) <= n:
-        _wedge(n, _as(a, dtype), d1, _as(b, dtype), d2, out)
+    _wedge(n, _as(a, dtype), d1, _as(b, dtype), d2, out)
     return _form(type(w1), n, degs, w1.field, out, da * db)
 
 
@@ -799,25 +799,25 @@ def compose_power(w: DoubleForm, r: int) -> DoubleForm:
 def bianchi_residual(w: DoubleForm):
     """Largest absolute value of the first-Bianchi alternating sum.
 
-    Zero exactly when w satisfies the first Bianchi identity.
+    Zero exactly when w satisfies the first Bianchi identity.  One gather:
+    b(w)[I|a, Y] sums (-1)^(p+1) eps(I||a) eps(a||Y) w[I, a|Y] over (I, a),
+    an a in Y reading the zero column padded onto w.  An exact form gives
+    an int or Fraction, a float form a float, and p + 1 > n gives 0.
     """
-    n, p, q = w.n, w.p, w.q
+    n, p, q, field = w.n, w.p, w.q, w.field
     if p < 1 or q < 1:
         raise ValueError("Bianchi sum needs p >= 1 and q >= 1")
-    m = w.mat
-    worst = 0
-    ranks_p = {s: r for r, s in enumerate(subsets(n, p))}
-    for X in subsets(n, p + 1):
-        for Y in subsets(n, q - 1):
-            acc = 0
-            for j, xj in enumerate(X):
-                rest = X[:j] + X[j + 1:]
-                merged = merge_sign_tuple((xj,), Y)
-                if merged is None:
-                    continue
-                sign, col = merged
-                v = m[ranks_p[rest], rank_tuple(col, n)]
-                term = sign * v
-                acc += -term if j % 2 == 0 else term  # (-1)^j with 1-based j
-            worst = max(worst, abs(acc))
-    return worst
+    if p + 1 > n:
+        return 0
+    num, den, mag = w._lane()
+    dtype = _lane_dtype(field, mag * (p + 1))  # p + 1 terms per entry
+    pad = np.hstack([_as(num, dtype), np.zeros((len(num), 1), dtype=dtype)])
+    cols, targets, negp = merge_table(n, p, 1)
+    rq, negq = insertion_table(n, q)
+    x = pad[np.arange(len(pad))[:, None, None], rq.T[cols]]
+    neg = negp[:, :, None] ^ negq.T[cols] ^ bool((p + 1) % 2)
+    x[neg] = -x[neg]
+    out = np.zeros((comb(n, p + 1), len(rq)), dtype=dtype)
+    np.add.at(out, targets, x)
+    worst = np.abs(out).max(initial=0)
+    return float(worst) if field == scalars.FLOAT64 else _value(int(worst), den)

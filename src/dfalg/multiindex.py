@@ -173,23 +173,18 @@ def _lex_ranks(K, n):
 
 @lru_cache(maxsize=None)
 def split_table(n: int, k: int, p: int):
-    """For each k-subset K: all (rank_I, rank_J, sign) with I|J = K, |I| = p.
+    """For each k-subset K: all (rank_I, rank_J, sign) with I|J = K, |I| = p,
+    in rank_I order, read from merge_table(n, p, k - p).
 
     No kernel uses it; bench/spans.py traces it by name.
     """
-    rank_p = _rank_of(n, p)
-    rank_q = _rank_of(n, k - p)
-    table = []
-    for K in subsets(n, k):
-        entries = []
-        for pos in itertools.combinations(range(k), p):
-            I = tuple(K[s] for s in pos)
-            J = tuple(K[s] for s in range(k) if s not in pos)
-            inv = sum(s - idx for idx, s in enumerate(pos))
-            sign = -1 if inv % 2 else 1
-            entries.append((rank_p[I], rank_q[J], sign))
-        table.append(tuple(entries))
-    return tuple(table)
+    table = [[] for _ in subsets(n, k)]
+    if 0 <= p <= k <= n:
+        cols, targets, neg = merge_table(n, p, k - p)
+        for I, row in enumerate(zip(cols.tolist(), targets.tolist(), neg.tolist())):
+            for J, K, odd in zip(*row):
+                table[K].append((I, J, -1 if odd else 1))
+    return tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=None)
@@ -199,23 +194,22 @@ def insertion_table(n: int, p: int):
     Returns (ranks, neg), each of shape (C(n, p-1), n).  ranks[rank(I), a]
     is the rank of {a}|I, or the sentinel C(n, p) when a is in I; neg holds
     whether sorting a||I is an odd permutation (False at the sentinel).
+    Scattered from merge_table(n, p - 1, 1), as a||I is p - 1 transpositions
+    from I||a; a degree p past n is all sentinel.
     """
-    rank_p = _rank_of(n, p)
-    rows = subsets(n, p - 1)
-    ranks = np.full((len(rows), n), comb(n, p), dtype=np.intp)
-    neg = np.zeros((len(rows), n), dtype=bool)
-    for i, I in enumerate(rows):
-        for a in complement_tuple(I, n):
-            sign, merged = merge_sign_tuple((a,), I)
-            ranks[i, a] = rank_p[merged]
-            neg[i, a] = sign < 0
+    rows = len(subsets(n, p - 1))
+    ranks = np.full((rows, n), comb(n, p), dtype=np.intp)
+    neg = np.zeros((rows, n), dtype=bool)
+    if 1 <= p <= n:
+        cols, targets, negs = merge_table(n, p - 1, 1)
+        at = (np.arange(rows)[:, None], cols)
+        ranks[at], neg[at] = targets, negs ^ bool((p - 1) % 2)
     return ranks, neg
 
 
 @lru_cache(maxsize=None)
 def complement_table(n: int, k: int):
-    """Arrays over the k-subsets I: rank of I^c, and whether eps(I) = -1."""
-    ranks = _rank_of(n, n - k)
-    subs = subsets(n, k)
-    return (np.array([ranks[complement_tuple(I, n)] for I in subs], dtype=np.intp),
-            np.array([complement_sign_tuple(I, n) < 0 for I in subs], dtype=bool))
+    """Arrays over the k-subsets I: rank of I^c, and whether eps(I) = -1,
+    read from merge_table(n, k, n - k), where I^c is I's one partner."""
+    cols, _, neg = merge_table(n, k, n - k)
+    return cols[:, 0], neg[:, 0]

@@ -11,7 +11,6 @@ not assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -19,12 +18,12 @@ from math import comb, factorial, prod
 import numpy as np
 
 from . import scalars
-from .dform import DoubleForm, hodge, transpose, wedge_power
+from .dform import DoubleForm, _form, hodge, transpose, wedge_power
 from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
     wedge_multi_power
 from .identities import IdentityResidual, residual_record
 from .invariants import s_k
-from .multiindex import _rank_of, merge_sign_tuple, subsets
+from .multiindex import merge_table
 from .tensorio import MAX_DENSE_ENTRIES
 
 
@@ -85,26 +84,27 @@ def embed(form: ExteriorForm, r: int):
         raise ValueError(f"degree {d} is not a multiple of the slot count {r}")
     k = d // r
     _check_work(n, (k,) * r, 1)
-    blocks = subsets(n, k)
-    target = scalars.zeros((len(blocks),) * r, form.field)
-    ranks = _rank_of(n, d)
-    for idx in itertools.product(range(len(blocks)), repeat=r):
-        sign = 1
-        merged = blocks[idx[0]]
-        for s in idx[1:]:
-            hit = merge_sign_tuple(merged, blocks[s])
-            if hit is None:
-                sign = 0
-                break
-            sign *= hit[0]
-            merged = hit[1]
-        if sign:
-            v = form.coeffs[ranks[merged]]
-            if v != 0:
-                target[idx] = sign * v
-    if r == 2:
-        return DoubleForm(n, k, k, target, form.field)
-    return MultiForm(n, k, r, target, form.field)
+    cls = DoubleForm if r == 2 else MultiForm
+    if d > n:
+        return cls._zeros(n, (k,) * r, form.field)
+    # ranks[I_1, ..., I_s]: the rank of I_1|...|I_s, or the sentinel once
+    # two blocks meet; neg: whether its merge sign is odd
+    size = comb(n, k)
+    ranks, neg = np.arange(size), np.zeros(size, dtype=bool)
+    for s in range(1, r):
+        cols, targets, negs = merge_table(n, s * k, k)
+        at = (np.arange(len(cols))[:, None], cols)
+        step = np.full((len(cols) + 1, size), comb(n, (s + 1) * k), dtype=np.intp)
+        flip = np.zeros(step.shape, dtype=bool)
+        step[at], flip[at] = targets, negs
+        at = (ranks[..., None], np.arange(size))
+        ranks, neg = step[at], neg[..., None] ^ flip[at]
+    num, den, _ = form._lane()
+    out = np.concatenate([num, np.zeros(1, dtype=num.dtype)])[ranks]
+    out[neg] = -out[neg]
+    if form.field == scalars.FLOAT64:
+        out[out == 0] = 0.0  # a zero, negated or -0.0, reads +0.0
+    return _form(cls, n, (k,) * r, form.field, out, den)
 
 
 def double_form_as_multiform(w: DoubleForm) -> MultiForm:

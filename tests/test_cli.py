@@ -443,10 +443,10 @@ def test_verify_bad_range_exits_2(capsys):
     assert run_cli(capsys, "verify", "--n-range", "six")[0] == 2
     assert run_cli(capsys, "verify", "--n-range", "4:2")[0] == 2
     assert run_cli(capsys, "verify", "--n-range", "2:3", "--seeds", "a,b")[0] == 2
-    # past the n = 10 frontier no suite fixture is built
+    # past the n = 11 frontier no suite fixture is built
     code, out, err = run_cli(capsys, "verify", "--n-range", "2:40")
     assert code == 2 and out == "" and err.startswith("dfalg: error:")
-    assert run_cli(capsys, "verify", "--n-range", "11")[0] == 2
+    assert run_cli(capsys, "verify", "--n-range", "12")[0] == 2
 
 
 def run_module(*argv):

@@ -2,9 +2,11 @@
 the gather contraction kernel and of the exact integer lane.
 
 The references below are the loops the kernels replaced: the
-merge_table build, the scatter and gather double-form wedges, the exterior-form and multiform wedge loops,
-the three Hodge-star loops, the contract and contract_with_metric loops
-and the Gauss-Jordan metric inverse.  They run on their own copies of the
+merge_table build, the scatter and gather double-form wedges, the
+exterior-form and multiform wedge loops, the three Hodge-star loops, the
+contract and contract_with_metric loops, the Gauss-Jordan metric inverse,
+the split, insertion and complement table builds, the first-Bianchi sum
+and the multiform embedding.  They run on their own copies of the
 tuple- and dict-format tables they were written against.  Exact mode must
 agree entry for entry; float mode sums in another order, so it is held to
 a relative tolerance of 1e-12.  The integer lane is held to the
@@ -21,10 +23,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from dfalg import dform, oracle, scalars
+from dfalg import dform, fixtures, oracle, pfaffian, scalars
 from dfalg.dform import (
     DoubleForm,
     _invert_metric,
+    bianchi_residual,
     compose,
     compose_power,
     contract,
@@ -49,6 +52,7 @@ from dfalg.invariants import power_sums
 from dfalg.multiindex import (
     _rank_of,
     complement_sign_tuple,
+    complement_table,
     complement_tuple,
     insertion_table,
     merge_sign_tuple,
@@ -107,6 +111,23 @@ def old_complement_table(n, k):
 
 
 @lru_cache(maxsize=None)
+def old_split_table(n, k, p):
+    """For each k-subset K: all (rank_I, rank_J, sign) with I|J = K, |I| = p."""
+    rank_p = _rank_of(n, p)
+    rank_q = _rank_of(n, k - p)
+    table = []
+    for K in subsets(n, k):
+        entries = []
+        for pos in itertools.combinations(range(k), p):
+            I = tuple(K[s] for s in pos)
+            J = tuple(K[s] for s in range(k) if s not in pos)
+            inv = sum(s - idx for idx, s in enumerate(pos))
+            entries.append((rank_p[I], rank_q[J], -1 if inv % 2 else 1))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def old_insertion_table(n, p):
     """For each (p-1)-subset I: dict a -> (sign, rank of {a}|I) over a not in I."""
     ranks = _rank_of(n, p)
@@ -121,6 +142,52 @@ def old_insertion_table(n, p):
             row[a] = (res[0], ranks[res[1]])
         table.append(row)
     return tuple(table)
+
+
+def old_bianchi_residual(w):
+    """The first-Bianchi sum, one merge_sign_tuple call per term."""
+    n, p, q = w.n, w.p, w.q
+    m = w.mat
+    worst = 0
+    ranks_p = _rank_of(n, p)
+    for X in subsets(n, p + 1):
+        for Y in subsets(n, q - 1):
+            acc = 0
+            for j, xj in enumerate(X):
+                rest = X[:j] + X[j + 1:]
+                merged = merge_sign_tuple((xj,), Y)
+                if merged is None:
+                    continue
+                sign, col = merged
+                term = sign * m[ranks_p[rest], _rank_of(n, q)[col]]
+                acc += -term if j % 2 == 0 else term  # (-1)^j with 1-based j
+            worst = max(worst, abs(acc))
+    return worst
+
+
+def old_embed(form, r):
+    """The rk-form as r slots of degree k, one merge per slot tuple."""
+    n, k = form.n, form.k // r
+    blocks = subsets(n, k)
+    target = scalars.zeros((len(blocks),) * r, form.field)
+    ranks = _rank_of(n, form.k)
+    for idx in itertools.product(range(len(blocks)), repeat=r):
+        sign = 1
+        merged = blocks[idx[0]]
+        for s in idx[1:]:
+            hit = merge_sign_tuple(merged, blocks[s])
+            if hit is None:
+                sign = 0
+                break
+            sign *= hit[0]
+            merged = hit[1]
+        if sign:
+            v = form.coeffs[ranks[merged]]
+            if v != 0:
+                target[idx] = sign * v
+    if r == 2:
+        return DoubleForm(n, k, k, target, form.field)
+    return MultiForm(n, k, r, target, form.field)
 
 
 def ref_wedge(w1, w2, path):
@@ -162,8 +229,8 @@ def _ref_wedge_scatter(w1, w2, mo):
 def _ref_wedge_gather(w1, w2, mo):
     n = w1.n
     P, Q = w1.p + w2.p, w1.q + w2.q
-    rows = split_table(n, P, w1.p)
-    cols = split_table(n, Q, w1.q)
+    rows = old_split_table(n, P, w1.p)
+    cols = old_split_table(n, Q, w1.q)
     m1, m2 = w1.mat, w2.mat
     for ri in range(mo.shape[0]):
         row_splits = rows[ri]
@@ -611,14 +678,19 @@ def no_kernel(*args):
 
 
 def gather_wedge(w1, w2):
-    """w1 ^ w2 through the gather kernel, whatever the slot degrees."""
+    """w1 ^ w2 through the gather kernel, whatever the slot degrees.
+
+    A wedge that runs no gather (a degree past n, or an exact zero factor)
+    is the int64 zero form, as DoubleForm.zeros builds it."""
     n, d1, d2 = w1.n, w1._degs, w2._degs
     degs = tuple(x + y for x, y in zip(d1, d2))
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
-    dtype = dform._lane_dtype(w1.field, ma * mb * math.prod(map(comb, degs, d1)), ma, mb)
+    gather = max(degs) <= n and (w1.field == scalars.FLOAT64 or ma * mb != 0)
+    dtype = dform._lane_dtype(w1.field, ma * mb * math.prod(map(comb, degs, d1)),
+                              *((ma, mb) if gather else ()))
     out = np.zeros(dform._shape(n, degs), dtype=dtype)
-    if max(degs) <= n:
+    if gather:
         GATHER(n, dform._as(a, dtype), d1, dform._as(b, dtype), d2, out)
     return dform._form(type(w1), n, degs, w1.field, out, da * db)
 
@@ -661,16 +733,6 @@ def zero_holding_forms(n, field, zero):
     return forms
 
 
-def same_wedge(x, y):
-    """same_bits, except that a zero exact result may sit in another lane:
-    the scalar multiple gives the int64 zero where the gather kept the
-    object lane of a factor at the bound."""
-    if x.field == scalars.RATIONAL and x.is_zero():
-        return y.is_zero() and type(x) is type(y) and x._degs == y._degs \
-            and x._lane()[0].shape == y._lane()[0].shape and x._den == y._den == 1
-    return same_bits(x, y)
-
-
 @pytest.mark.parametrize("lane", ["int64", "object", "float"])
 def test_zero_form_wedge_matches_the_gather(monkeypatch, lane):
     field = scalars.FLOAT64 if lane == "float" else scalars.RATIONAL
@@ -693,11 +755,25 @@ def test_zero_form_wedge_matches_the_gather(monkeypatch, lane):
             s = zero_form(w, v)
             for x, y in ((s, w), (w, s)):
                 new, ref = wedge_of(x, y), gather_wedge(x, y)
-                assert same_wedge(new, ref), (x, y, v)
+                assert same_bits(new, ref), (x, y, v)
                 dtypes.add(new._lane()[0].dtype)
     want = {"int64": {np.dtype(np.int64), np.dtype(object)}, "object": {np.dtype(object)},
             "float": {np.dtype(np.float64)}}[lane]
     assert dtypes == want
+
+
+def test_wedge_with_no_gather_is_the_int64_zero(monkeypatch):
+    """An exact zero factor, or a degree past n, gives DoubleForm.zeros,
+    whatever the magnitude of the other factor."""
+    monkeypatch.setattr(dform, "_wedge", no_kernel)
+    big = DoubleForm(3, 1, 1, np.full((3, 3), (1 << 62) + 1, dtype=object))
+    assert big._lane()[0].dtype == object
+    for x, y in ((DoubleForm.zeros(3, 1, 1), big), (big, DoubleForm.zeros(3, 2, 1)),
+                 (big, DoubleForm(3, 3, 0, [[1]]))):
+        out = wedge(x, y)
+        p, q = x.p + y.p, x.q + y.q
+        assert same_bits(out, DoubleForm.zeros(3, p, q)), (x, y)
+        assert out._lane()[0].dtype == np.int64
 
 
 def single_entry_forms(n, field, entries):
@@ -1313,7 +1389,7 @@ def construction_routes(field):
     """Forms of field made by every route: the constructor, zeros,
     from_entries, each operation, the fixtures, a tensor load, an
     embedded exterior form, the oracles and the power memo."""
-    from dfalg import fixtures, pfaffian, tensorio
+    from dfalg import tensorio
 
     n = 4
     v = fill(scalars.zeros((n, n), field), 90)
@@ -1507,7 +1583,7 @@ def test_exterior_int64_and_object_lanes_agree(monkeypatch):
 
 def exterior_routes(field):
     """Exterior forms and multiforms of field made by every route."""
-    from dfalg import fixtures, pfaffian, tensorio
+    from dfalg import tensorio
     from dfalg.exterior import wedge_form_power
 
     f = fixtures.random_form(4, 2, 80, field)
@@ -1553,3 +1629,98 @@ def test_changing_the_callers_array_does_not_change_a_form(field):
     assert bool(np.all(m.coeffs == mbefore)) and m == MultiForm(4, 1, 3, mbefore, field)
     assert_same(hodge_form(f).coeffs, ref_hodge_form(ExteriorForm(4, 2, before, field)).coeffs,
                 field)
+
+
+# -- the sign tables, the Bianchi sum and the embedding read merge_table ------------
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_insertion_table_matches_loop(n):
+    # p = n + 1 and n + 2 are the spillover degrees a wedge past n contracts
+    for p in range(1, n + 3):
+        ranks, neg = insertion_table(n, p)
+        old = old_insertion_table(n, p)
+        assert ranks.dtype == np.intp and neg.dtype == bool
+        assert ranks.shape == neg.shape == (len(old), n), (n, p)
+        for i, row in enumerate(old):
+            for a in range(n):
+                sign, rank = row.get(a, (1, comb(n, p)))
+                assert (ranks[i, a], neg[i, a]) == (rank, sign < 0), (n, p, i, a)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_split_table_matches_loop(n):
+    for k in range(n + 2):
+        for p in range(k + 1):
+            new = split_table(n, k, p)
+            assert new == old_split_table(n, k, p), (n, k, p)
+            assert all(type(x) is int for K in new for e in K for x in e)
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_complement_table_matches_loop(n):
+    for k in range(n + 1):
+        ranks, neg = complement_table(n, k)
+        old = old_complement_table(n, k)
+        assert ranks.dtype == np.intp and neg.dtype == bool
+        assert ranks.tolist() == [rank for rank, _ in old], (n, k)
+        assert neg.tolist() == [sign < 0 for _, sign in old], (n, k)
+
+
+def bianchi_inputs(n, p, q, field, seed):
+    """Dense, sparse and zero (p, q) forms, a Bianchi one when p = q = 2,
+    and in exact mode a dense form of Fraction entries and one whose sums
+    pass the int64 lane."""
+    forms = double_inputs(n, p, q, seed, field, 1)
+    if (p, q) == (2, 2) and n >= 2:
+        forms.append(fixtures.random_bianchi(n, 2, 2, seed=seed, field=field))
+    if field == R:
+        v = forms[0].mat.copy()
+        for i in range(v.size):
+            v.flat[i] = Fraction(v.flat[i], 1 + i % 5)
+        forms += [DoubleForm(n, p, q, v), forms[0] * (1 << 60)]
+    return forms
+
+
+@pytest.mark.parametrize("lane", ["int64", "object", "float"])
+@pytest.mark.parametrize("n", range(0, 8))
+def test_bianchi_residual_matches_loop(monkeypatch, n, lane):
+    field = scalars.FLOAT64 if lane == "float" else R
+    if lane == "object":
+        monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    for p in range(1, 4):
+        for q in range(1, 4):
+            for w in bianchi_inputs(n, p, q, field, 13 * n + 4 * p + q):
+                new, ref = bianchi_residual(w), old_bianchi_residual(w)
+                if field == R:
+                    assert new == ref and type(new) in (int, Fraction), (n, p, q)
+                else:
+                    assert abs(new - ref) <= FLOAT_RTOL * max(1.0, ref), (n, p, q)
+                    assert type(new) is float or (new == 0 and p + 1 > n)
+
+
+def embed_inputs(n, d, field, seed):
+    """Dense, sparse and zero d-forms; in float mode half the zeros are
+    -0.0, in exact mode one form has Fraction entries and one sits past
+    the int64 lane."""
+    forms = form_inputs(n, d, seed, field)
+    forms.append(ExteriorForm(n, d, fill(scalars.zeros(comb(n, d), field), seed + 1, 2), field))
+    if field == R:
+        forms += fractions_of(forms[:1]) + [forms[0] * (1 << 62)]
+    else:
+        v = forms[0].coeffs.copy()
+        v[(v == 0) & (np.arange(v.size) % 2 == 1)] = -0.0
+        forms.append(ExteriorForm(n, d, v, field))
+    return forms
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", range(0, 9))
+def test_embed_matches_loop(n, field):
+    for r in (2, 3, 4):
+        for k in range(n // r + 2):
+            if comb(n, k) ** r > 20_000:
+                continue
+            for form in embed_inputs(n, r * k, field, 7 * n + 3 * r + k):
+                new, ref = pfaffian.embed(form, r), old_embed(form, r)
+                # float zeros, -0.0 included, and the int64 or object lane alike
+                assert same_bits(new, ref), (n, r, k)

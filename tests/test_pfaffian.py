@@ -182,7 +182,7 @@ def no_chains(monkeypatch):
     def started(*args):
         raise AssertionError("a refused computation was started")
 
-    for name in ("wedge_form_power", "wedge_multi_power", "wedge_power", "s_k", "subsets"):
+    for name in ("wedge_form_power", "wedge_multi_power", "wedge_power", "s_k", "merge_table"):
         monkeypatch.setattr(pfaffian, name, started)
 
 
