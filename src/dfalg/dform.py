@@ -68,7 +68,7 @@ class _LaneForm:
             raise ValueError(self._SHAPE.format(got=values.shape, n=n, degs=degs,
                                                 shape=shape, r=len(degs)))
         if field == scalars.FLOAT64:
-            num, den, mag = np.array(values, dtype=np.float64), 1, 0
+            num, den, mag = np.array(values, dtype=np.float64), 1, None
         else:
             num, den, mag = _lane_of(values)
         self.n, self._degs, self.field = n, degs, field
@@ -88,7 +88,7 @@ class _LaneForm:
     def _zeros(cls, n, degs, field):
         cls._check(n, degs, field)
         num = np.zeros([comb(n, d) for d in degs], dtype=_lane_dtype(field, 0))
-        return _form(cls, n, degs, field, num, 1, 0)
+        return _form(cls, n, degs, field, num, 1, scalars.coerce(0, field) if num.size else 0)
 
     @classmethod
     def _from_entries(cls, n, degs, entries, field):
@@ -118,12 +118,13 @@ class _LaneForm:
         return self._vals
 
     def _lane(self):
-        """(num, den, mag) of an exact form, mag the largest |num| entry.
+        """(num, den, mag), mag the largest |num| entry.
 
-        A float form is its float64 values num over 1 (mag unused, 0).
+        A float form is its float64 values num over 1, and mag is a float
+        (the int 0 when the form has no entries).
         """
         if self._mag is None:
-            self._mag = 0 if self.field == scalars.FLOAT64 else _magnitude(self._num)
+            self._mag = _magnitude(self._num)
         return self._num, self._den, self._mag
 
     def _at(self, idx):
@@ -133,16 +134,10 @@ class _LaneForm:
         return _value(int(self._num[idx]), self._den)
 
     def max_abs(self):
-        if self.field == scalars.FLOAT64:
-            if self._num.size == 0:
-                return 0
-            return max(abs(v) for v in self._num.flat)
         _, den, mag = self._lane()
-        return _value(mag, den)
+        return mag if self.field == scalars.FLOAT64 else _value(mag, den)
 
     def is_zero(self):
-        if self.field == scalars.FLOAT64:
-            return all(v == 0 for v in self._num.flat)
         return self._lane()[2] == 0
 
     def astype(self, field):
@@ -306,11 +301,14 @@ def _as(a, dtype):
 
 
 def _magnitude(num):
+    """The largest |entry| of a lane: a float for float64 num, an int
+    otherwise, and the int 0 when num has no entries."""
     if num.size == 0:
         return 0
     if num.dtype == object:
         return max(map(abs, num.flat))
-    return int(np.abs(num).max())
+    top = np.abs(num).max()
+    return float(top) if num.dtype.kind == "f" else int(top)
 
 
 def _content(num):
@@ -373,7 +371,8 @@ def _identity(n, k, field, scale=1):
     """
     size = comb(n, k)
     num = _scaled_eye(size, _lane_dtype(field, scale), scale)
-    return _form(DoubleForm, n, (k, k), field, num, 1, scale if size else 0)
+    return _form(DoubleForm, n, (k, k), field, num, 1,
+                 scalars.coerce(scale, field) if size else 0)
 
 
 @lru_cache(maxsize=64)
@@ -396,8 +395,8 @@ def _wedged(w1, w2):
     """The slot-wise wedge of two forms of one type, through _wedge.
 
     An exact pair wedges its numerators, with the denominators multiplied.
-    A slot degree past n, or an exact zero factor, gives the zero form of
-    _zeros with no gather, so its lane is int64.  A factor whose every slot
+    A slot degree past n, or a zero factor, gives the zero form of _zeros
+    with no gather, so an exact one's lane is int64.  A factor whose every slot
     degree is 0 holds one value, and the wedge is the other factor times
     it, with no gather.  _wedge adds only products of two nonzero entries
     onto +0.0, so there a float zero, or a product with a zero factor,
@@ -416,7 +415,7 @@ def _wedged(w1, w2):
     degs = tuple(map(add, d1, d2))
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
-    if max(degs) > n or (w1.field != scalars.FLOAT64 and not (ma and mb)):
+    if max(degs) > n or not (ma and mb):
         return type(w1)._zeros(n, degs, w1.field)
     # each output entry sums C(x + y, x) products per slot
     dtype = _lane_dtype(w1.field, ma * mb * prod(map(comb, degs, d1)), ma, mb)
@@ -751,18 +750,14 @@ def inner(w1: DoubleForm, w2: DoubleForm):
     if w1.bidegree != w2.bidegree:
         raise ValueError(f"inner product needs equal bidegrees, "
                          f"got {w1.bidegree} and {w2.bidegree}")
-    if w1.field == scalars.FLOAT64:
-        acc = 0
-        for v1, v2 in zip(w1._num.flat, w2._num.flat):
-            if v1 != 0 and v2 != 0:
-                acc += v1 * v2
-        return scalars.coerce(acc, w1.field)
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
     if a.size == 0:
-        return 0
+        return scalars.coerce(0, w1.field)
     dtype = _lane_dtype(w1.field, ma * mb * a.size, ma, mb)
     total = np.dot(_as(a, dtype).reshape(-1), _as(b, dtype).reshape(-1))
+    if w1.field == scalars.FLOAT64:
+        return float(total) + 0.0  # no -0.0 sum
     return _value(int(total), da * db)
 
 

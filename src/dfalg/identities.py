@@ -90,14 +90,8 @@ def _record(name, params, lhs, rhs, formula, field) -> IdentityResidual:
                            field)
 
 
-def _zero_like(x, n, field):
-    if isinstance(x, DoubleForm):
-        return DoubleForm.zeros(n, x.p, x.q, field)
-    return scalars.coerce(0, field)
-
-
-def _vanishing(name, params, value, formula, field, n) -> IdentityResidual:
-    return _record(name, params, value, _zero_like(value, n, field), formula, field)
+def _vanishing(name, params, value, formula, field) -> IdentityResidual:
+    return residual_record(name, params, _scale_of(value), (value,), formula, field)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +101,7 @@ def _vanishing(name, params, value, formula, field, n) -> IdentityResidual:
 def check_cayley_hamilton(h: DoubleForm) -> IdentityResidual:
     """t_n(h) = sum_r (-1)^r s_(n-r)(h) (h^t)^(o r) vanishes."""
     n = h.n
-    return _vanishing("cayley_hamilton", {"n": n}, t_or_top(h, n), "t_n(h) = 0",
-                      h.field, n)
+    return _vanishing("cayley_hamilton", {"n": n}, t_or_top(h, n), "t_n(h) = 0", h.field)
 
 
 def check_general_CH(h: DoubleForm, r: int, i: int) -> IdentityResidual:
@@ -118,7 +111,7 @@ def check_general_CH(h: DoubleForm, r: int, i: int) -> IdentityResidual:
         raise ValueError(f"(r, i) = ({r}, {i}) outside the theorem range")
     val = s_rq(h, r, n - i, path="contraction")
     return _vanishing("general_cayley_hamilton", {"n": n, "r": r, "i": i}, val,
-                      "s_(r, n-i)(h) = 0", h.field, n)
+                      "s_(r, n-i)(h) = 0", h.field)
 
 
 def general_CH_range(n: int):
@@ -238,7 +231,7 @@ def check_Tn(R: DoubleForm) -> IdentityResidual:
     if n % 2:
         raise ValueError("T_n(R) = 0 is an even-dimension identity")
     val = h_rpq(R, 1, 2, n // 2, path="contraction")
-    return _vanishing("lovelock_top_even", {"n": n}, val, "T_n(R) = 0", R.field, n)
+    return _vanishing("lovelock_top_even", {"n": n}, val, "T_n(R) = 0", R.field)
 
 
 def check_Nn(R: DoubleForm) -> IdentityResidual:
@@ -247,8 +240,7 @@ def check_Nn(R: DoubleForm) -> IdentityResidual:
     if n % 2:
         raise ValueError("N_n(R) = 0 is an even-dimension identity")
     val = h_rpq(R, 2, 2, n // 2, path="contraction")
-    return _vanishing("second_cofactor_top_even", {"n": n}, val, "N_n(R) = 0",
-                      R.field, n)
+    return _vanishing("second_cofactor_top_even", {"n": n}, val, "N_n(R) = 0", R.field)
 
 
 def check_Nn_minus_1(R: DoubleForm) -> IdentityResidual:
@@ -258,7 +250,7 @@ def check_Nn_minus_1(R: DoubleForm) -> IdentityResidual:
         raise ValueError("N_(n-1)(R) = 0 is an odd-dimension identity, n >= 3")
     val = h_rpq(R, 2, 2, (n - 1) // 2, path="contraction")
     return _vanishing("second_cofactor_top_odd", {"n": n}, val, "N_(n-1)(R) = 0",
-                      R.field, n)
+                      R.field)
 
 
 def check_scalar_identity(R: DoubleForm) -> IdentityResidual:
@@ -269,7 +261,7 @@ def check_scalar_identity(R: DoubleForm) -> IdentityResidual:
     val = inner(h_rpq(R, 2, 2, (n - 1) // 2, path="contraction"), R)
     return _vanishing("odd_scalar_identity", {"n": n}, val,
                       "<c^(n-3)R^k/(n-3)!, R> - <c^(n-2)R^k/(n-2)!, cR> "
-                      "+ <c^(n-1)R^k/(n-1)!, c^2R/2> = 0", R.field, n)
+                      "+ <c^(n-1)R^k/(n-1)!, c^2R/2> = 0", R.field)
 
 
 def check_even_odd_theorem(R: DoubleForm, r: int, i: int) -> IdentityResidual:
@@ -286,7 +278,7 @@ def check_even_odd_theorem(R: DoubleForm, r: int, i: int) -> IdentityResidual:
     val = h_rpq(R, r, 2, q_deg // 2, path="contraction")
     return _vanishing("cofactor_vanishing_22", {"n": n, "r": r, "i": i}, val,
                       "h_(r, n-2i)(R) = 0 (even n) / h_(r, n-2i-1)(R) = 0 (odd n)",
-                      R.field, n)
+                      R.field)
 
 
 def even_odd_range(n: int):
@@ -356,7 +348,7 @@ def check_higher_identities(w: DoubleForm, p: int, k: int, i: int,
         raise ValueError(f"r = {r} outside [{n - p * m + 1}, {p * m}]")
     val = h_rpq(w, r, p, m, path="contraction")
     return _vanishing("cofactor_vanishing_pp", {"n": n, "p": p, "k": k, "i": i, "r": r},
-                      val, "h_(r, p(k-i))(w) = 0", w.field, n)
+                      val, "h_(r, p(k-i))(w) = 0", w.field)
 
 
 def higher_identity_range(n: int, p: int):

@@ -1,8 +1,9 @@
 """Scalar field handling: exact rationals (default) and binary64 floats.
 
 Rational mode stores plain Python ints and fractions.Fraction values and
-performs no rounding; it is the mode every identity check runs in.  Float
-mode exists for larger scale runs and compares residuals against
+performs no rounding; every identity check requires a literal zero there.
+Float mode runs the same checks on binary64 values and compares each
+residual, relative to max(1, the largest side), against
 FLOAT_RELATIVE_TOLERANCE instead of literal zero.
 """
 

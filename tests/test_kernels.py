@@ -680,8 +680,9 @@ def no_kernel(*args):
 def gather_wedge(w1, w2):
     """w1 ^ w2 through the gather kernel, whatever the slot degrees.
 
-    A wedge that runs no gather (a degree past n, or an exact zero factor)
-    is the int64 zero form, as DoubleForm.zeros builds it."""
+    An exact wedge that runs no gather (a degree past n, or a zero factor)
+    is the int64 zero form, as DoubleForm.zeros builds it.  A float zero
+    factor is gathered."""
     n, d1, d2 = w1.n, w1._degs, w2._degs
     degs = tuple(x + y for x, y in zip(d1, d2))
     a, da, ma = w1._lane()
@@ -751,11 +752,17 @@ def test_zero_form_wedge_matches_the_gather(monkeypatch, lane):
     dtypes = set()
     for w in forms:
         wedge_of = WEDGES[type(w)]
-        for v in values:
-            s = zero_form(w, v)
+        # zero factors of degree 1 per slot: the wedge starts no gather,
+        # and equals the gather bit for bit in every lane
+        degs = (1,) * len(w._degs)
+        zeros = [type(w)._zeros(w.n, degs, field)]
+        if field == scalars.FLOAT64:
+            zeros.append(lane_form(type(w), w.n, degs, np.full(dform._shape(w.n, degs), -0.0),
+                                   field))
+        for s in [zero_form(w, v) for v in values] + zeros:
             for x, y in ((s, w), (w, s)):
                 new, ref = wedge_of(x, y), gather_wedge(x, y)
-                assert same_bits(new, ref), (x, y, v)
+                assert same_bits(new, ref), (x, y)
                 dtypes.add(new._lane()[0].dtype)
     want = {"int64": {np.dtype(np.int64), np.dtype(object)}, "object": {np.dtype(object)},
             "float": {np.dtype(np.float64)}}[lane]
@@ -1724,3 +1731,73 @@ def test_embed_matches_loop(n, field):
                 new, ref = pfaffian.embed(form, r), old_embed(form, r)
                 # float zeros, -0.0 included, and the int64 or object lane alike
                 assert same_bits(new, ref), (n, r, k)
+
+
+# -- the float lane's magnitude ---------------------------------------------------
+#
+# A float form keeps the largest |entry| as its lane magnitude, as an exact
+# form does, and max_abs, is_zero and inner read the lane.  The references
+# are the per-entry loops the float lane ran before: old_max_abs and
+# old_inner above, and old_is_zero.
+
+F = scalars.FLOAT64
+
+
+def old_is_zero(v):
+    return all(x == 0 for x in v.flat)
+
+
+def float_lane_forms(n):
+    """Float forms of dimension n made by every route that sets or skips
+    the magnitude, their entries dyadic so every sum is exact: constructor
+    forms with +-0.0 entries, zero forms, metric powers, zero-factor wedges,
+    one-entry stars and forms with no entries (a degree past n)."""
+    values = [0.0, -0.0, 1.0, -2.5, 0.75, -3.0]
+    rng = SplitMix64(n)
+    forms = []
+    for p, q in [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)]:
+        shape = dform._shape(n, (p, q))
+        for k in (2, len(values)):  # only signed zeros, then all values
+            mat = [values[rng.next_u64() % k] for _ in range(math.prod(shape))]
+            forms.append(DoubleForm(n, p, q, np.reshape(mat, shape), F))
+        forms.append(DoubleForm.zeros(n, p, q, F))
+    forms += [metric_power(n, k, F) for k in range(n + 1)]
+    forms += [wedge(DoubleForm.zeros(n, 1, 1, F), w) for w in forms[:6]]
+    forms += [hodge(DoubleForm(n, n, 0, [[v]], F)) for v in (-0.0, 2.5)]
+    forms += [DoubleForm.zeros(n, n + 1, 1, F), DoubleForm(n, 1, n + 1, np.zeros((n, 0)), F),
+              wedge(metric_power(n, n, F), metric(n, F))]
+    forms += [ExteriorForm.zeros(n, 1, F), ExteriorForm(n, 1, values[:n], F),
+              hodge_form(ExteriorForm(n, 0, [-0.0], F)), ExteriorForm.zeros(n, n + 1, F),
+              MultiForm.zeros(n, 1, 2, F), MultiForm(n, 1, 2, np.full((n, n), -0.0), F)]
+    return forms
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_float_max_abs_and_is_zero_match_loops(n):
+    for w in float_lane_forms(n):
+        new, ref = w.max_abs(), old_max_abs(w._num)
+        assert new == ref and str(new) == str(ref), w
+        assert type(new) is (int if w._num.size == 0 else float), w
+        assert w.is_zero() == old_is_zero(w._num), w
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_float_inner_matches_loop(n):
+    forms = [w for w in float_lane_forms(n) if type(w) is DoubleForm]
+    pairs = 0
+    for x in forms:
+        for y in forms:
+            if x.bidegree == y.bidegree:
+                new, ref = inner(x, y), scalars.coerce(old_inner(x._num, y._num), F)
+                assert new == ref and str(new) == str(ref), (x, y)
+                assert type(new) is float, (x, y)
+                pairs += 1
+    assert pairs > len(forms)
+
+
+def test_float_max_abs_propagates_nan_wherever_it_sits():
+    for i in range(4):
+        mat = np.ones(4)
+        mat[i] = np.nan
+        w = DoubleForm(2, 1, 1, mat.reshape(2, 2), F)
+        assert math.isnan(w.max_abs()) and not w.is_zero(), i
