@@ -109,8 +109,13 @@ def _meta(mode, seeds=None, n_values=None):
 
 
 def _print_report(report):
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`dfalg verify | head`): keep the flush at exit quiet
+        sys.stdout = open(os.devnull, "w")
 
 
 def _fail(msg):

@@ -143,19 +143,21 @@ def merge_table(n: int, p: int, q: int):
 
     Returns (cols, targets, neg), each of shape (C(n, p), C(n - p, q)).  Row
     rank(I) runs over the q-subsets J disjoint from I in lexicographic order:
-    cols holds rank(J), targets the rank of I|J, and neg whether sorting
-    the concatenation I|J is an odd permutation, that is whether the pairs
-    (a in I, b in J) with b < a are odd in number.  Needs p + q <= n.
+    cols holds rank(J), targets the rank of I|J, and neg whether sorting I|J
+    is odd.  J_j is entry S_j of I's ascending complement, so b = J_j has
+    b - S_j members of I below it and p - b + S_j above: the pairs (a in I,
+    b in J) with b < a number pq - sum(J) + sum(S).  Needs p + q <= n.
     """
-    # int8 indices (n <= 64) keep the (rows, cols, p + q) temporaries small
+    # int8 indices (n <= 64) keep the sorted (rows, cols, p + q) IJ small
     I = np.array(subsets(n, p), dtype=np.int8).reshape(comb(n, p), p)
     free = np.ones((len(I), n), dtype=bool)
     free[np.arange(len(I))[:, None], I] = False
     rest = np.nonzero(free)[1].astype(np.int8).reshape(len(I), n - p)
-    J = rest[:, np.array(subsets(n - p, q), dtype=np.intp).reshape(comb(n - p, q), q)]
+    S = np.array(subsets(n - p, q), dtype=np.intp).reshape(comb(n - p, q), q)
+    J = rest[:, S]
     IJ = np.concatenate([np.broadcast_to(I[:, None, :], J.shape[:2] + (p,)), J], axis=2)
     IJ.sort(axis=2)
-    neg = (J[:, :, None, :] < I[:, None, :, None]).sum(axis=(2, 3)) % 2 == 1
+    neg = (J.sum(axis=2, dtype=np.intp) + S.sum(axis=1) + p * q) % 2 == 1
     return _lex_ranks(J, n), _lex_ranks(IJ, n), neg
 
 

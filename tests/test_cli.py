@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -465,6 +466,40 @@ def test_python_m_dfalg_runs_the_cli(capsys):
     bad = run_module("verify", "--n-range", "4:2")
     assert bad.returncode == 2 and bad.stdout == b""
     assert bad.stderr.startswith(b"dfalg: error:")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as under `dfalg verify | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_report_into_a_closed_pipe_keeps_the_exit_code(monkeypatch, failing):
+    from dfalg import cli as cli_mod
+    from dfalg.identities import IdentityResidual
+
+    if failing:
+        monkeypatch.setattr(cli_mod, "run_suite", lambda fixture_sets, only=None: [
+            IdentityResidual("cayley_hamilton", {"n": 3}, 1, False, "t_n(h) = 0")])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["verify", "--n-range", "2:3", "--seeds", "1"]) == (1 if failing else 0)
+    # later writes, and the flush at exit, go to the null device
+    assert sys.stdout.name == os.devnull
+    print("dropped")
+    sys.stdout.close()
+
+
+def test_python_m_dfalg_into_a_closed_pipe_leaves_no_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "dfalg", "verify", "--n-range", "2:3",
+                             "--seeds", "1"], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
 
 
 def test_verify_bogus_env_mode_exits_2(monkeypatch, capsys):

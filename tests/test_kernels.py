@@ -50,6 +50,7 @@ from dfalg.exterior import (
 from dfalg.fixtures import SplitMix64
 from dfalg.invariants import power_sums
 from dfalg.multiindex import (
+    MAX_DIM,
     _rank_of,
     complement_sign_tuple,
     complement_table,
@@ -499,6 +500,19 @@ def test_merge_table_matches_loop(n):
 @pytest.mark.parametrize("n, p, q", PFAFFIAN_TABLES)
 def test_merge_table_matches_loop_on_pfaffian_tables(n, p, q):
     assert_same_table(n, p, q)
+
+
+def test_merge_table_matches_loop_at_n11():
+    for p in range(12):
+        for q in range(12 - p):
+            assert_same_table(11, p, q)
+
+
+# shapes at the largest dimension that the reference loop walks quickly: the
+# index arithmetic and the sum of int8 indices must hold up to index 63
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (0, 3), (62, 2), (63, 1)])
+def test_merge_table_matches_loop_at_max_dim(p, q):
+    assert_same_table(MAX_DIM, p, q)
 
 
 def assert_same(new, ref, field):
