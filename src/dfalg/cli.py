@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import comb
 
 from . import __version__, scalars
 from .dform import DoubleForm, transpose
@@ -33,8 +32,7 @@ from .invariants import N_2k, T_2k, h_2k, h_rpq, s_k, s_rq, t_k
 from .multiindex import MAX_DIM
 from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, \
     pf, skew_to_form
-from .tensorio import MAX_DENSE_ENTRIES, TensorFormatError, _check_dense_size, \
-    load_tensor, tensor_to_doc
+from .tensorio import TensorFormatError, load_tensor, tensor_to_doc
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -42,6 +40,12 @@ EXIT_USAGE = 2
 
 # seeds of `verify --seeds` and `generate --seed`: the SplitMix64 state range
 SEED_LIMIT = 1 << 64
+
+# The largest decimal exponent `generate --kappa` accepts.  It is checked
+# before the value is built: Fraction("1e300000000") builds a
+# 300-million-digit integer, and a report writes no integer of more than
+# 4300 digits, Python's int-to-string limit.
+KAPPA_EXPONENT_LIMIT = 4300
 
 # The largest dimension `verify` accepts.  With one seed on a 2-core host,
 # timed in-process around run_suite, the exact suite takes 1.6 s at n = 9,
@@ -123,29 +127,6 @@ def _fail(msg):
     return EXIT_USAGE
 
 
-def _generated_entries(args):
-    """The dense entry count of the largest array a generate request builds."""
-    n = args.n
-    if args.kind in ("general", "symmetric", "skew"):
-        return n * n
-    if args.kind == "bianchi":
-        # the p-fold wedge passes through every degree up to p
-        return comb(n, max(min(args.p, n // 2), 0)) ** 2
-    if args.kind == "constant_curvature":
-        return comb(n, 2) ** 2
-    return comb(n, max(args.k, 0))
-
-
-def _generated_work(args):
-    """The dense entries a generate request computes: bianchi builds p - 1
-    wedges and one sum for each of its terms, each at most the largest
-    array."""
-    entries = _generated_entries(args)
-    if args.kind == "bianchi":
-        return entries * max(args.terms, 1) * max(args.p, 1)
-    return entries
-
-
 def _check_seed(seed):
     # SplitMix64 keeps 64 bits of its seed, so -1 and 2^64 - 1 would build
     # the same fixtures under different report metadata
@@ -153,18 +134,28 @@ def _check_seed(seed):
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
 
 
+def _kappa(text):
+    """--kappa as a Fraction, its exponent bounded before the value is built."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        huge = e and abs(int(exponent)) > KAPPA_EXPONENT_LIMIT
+    except ValueError:
+        raise ValueError(f"invalid --kappa {text!r}") from None
+    if huge:
+        raise ValueError(f"--kappa {text!r} has an exponent outside "
+                         f"[-{KAPPA_EXPONENT_LIMIT}, {KAPPA_EXPONENT_LIMIT}]")
+    return Fraction(text)
+
+
 def cmd_generate(args) -> int:
     field = args.scalar
     n = args.n
     try:
+        # up to MAX_DIM a bilinear or constant-curvature form is under the
+        # dense limit; the bianchi and form generators check their own cost
         if not 0 <= n <= MAX_DIM:
             raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
         _check_seed(args.seed)
-        _check_dense_size(_generated_entries(args))
-        work = _generated_work(args)
-        if work > MAX_DENSE_ENTRIES:
-            raise ValueError(f"the request computes {work} dense entries over its "
-                             f"terms and wedges, above the limit of {MAX_DENSE_ENTRIES}")
         if field is None:
             field = scalars.FLOAT64 if _default_mode() == "float" else scalars.RATIONAL
         if args.kind in ("general", "symmetric", "skew"):
@@ -172,12 +163,13 @@ def cmd_generate(args) -> int:
         elif args.kind == "bianchi":
             obj = random_bianchi(n, args.p, args.terms, args.seed, field=field)
         elif args.kind == "constant_curvature":
-            obj = constant_curvature(n, Fraction(args.kappa), field)
+            obj = constant_curvature(n, _kappa(args.kappa), field)
         else:
             obj = random_form(n, args.k, args.seed, field)
-    except (ValueError, ZeroDivisionError) as exc:
+        doc = tensor_to_doc(obj)  # an exact value past 4300 digits is refused here
+    except (ValueError, ArithmeticError) as exc:  # a float kappa past 1e308 overflows
         return _fail(str(exc))
-    _print_report(tensor_to_doc(obj))
+    _print_report(doc)
     return EXIT_OK
 
 

@@ -45,6 +45,17 @@ LANE_BOUND = 1 << 62
 # about 2^21 entries keep each of its index and value arrays near 16 MB.
 WEDGE_CHUNK = 1 << 21
 
+# The most dense entries one request may build, 128 MiB of float64 values
+# or object pointers: every entry point whose input can ask for more works
+# out its largest array or gather and calls check_dense before allocating.
+MAX_DENSE_ENTRIES = 1 << 24
+
+
+def check_dense(need, what="the computation"):
+    if need > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{what} needs {need} dense entries, "
+                         f"above the limit of {MAX_DENSE_ENTRIES}")
+
 
 class _LaneForm:
     """Immutable dense form: n, the slot degrees, the field and the lane.

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import scalars
-from .dform import DoubleForm, metric_power, wedge
+from .dform import DoubleForm, check_dense, metric_power, wedge
 from .exterior import ExteriorForm
 
 _MASK = (1 << 64) - 1
@@ -89,6 +89,9 @@ def random_bianchi(n: int, p: int, terms: int, seed: int,
     """
     if p < 1 or terms < 1:
         raise ValueError("need p >= 1 and terms >= 1")
+    # each term's p - 1 wedges and its sum pass through every degree up to
+    # p, so each builds at most the largest array, C(n, min(p, n // 2))^2
+    check_dense(comb(n, min(p, n // 2)) ** 2 * terms * p, "the chain of terms and wedges")
     rng = SplitMix64(seed)
     total = DoubleForm.zeros(n, p, p, field)
     for _ in range(terms):
@@ -129,8 +132,10 @@ def jordan_block(n: int, field: str = scalars.RATIONAL) -> DoubleForm:
 def random_form(n: int, k: int, seed: int,
                 field: str = scalars.RATIONAL) -> ExteriorForm:
     """Random degree-k exterior form with integer coefficients in [-3, 3]."""
+    size = comb(n, max(k, 0))  # the constructor refuses k < 0
+    check_dense(size, "the form")
     rng = SplitMix64(seed)
-    values = scalars.zeros(comb(n, max(k, 0)), field)  # the constructor refuses k < 0
+    values = scalars.zeros(size, field)
     for i in range(values.shape[0]):
         values[i] = scalars.coerce(rng.next_entry(), field)
     return ExteriorForm(n, k, values, field)

@@ -28,6 +28,7 @@ from .dform import (
     _eliminate,
     _invert_metric,
     _memoized,
+    check_dense,
     compose,
     compose_power,
     contract,
@@ -41,7 +42,6 @@ from .dform import (
     wedge,
     wedge_power,
 )
-from .tensorio import MAX_DENSE_ENTRIES
 
 
 def _check_bilinear(h):
@@ -120,7 +120,7 @@ def _contraction_series(w, r, p, q):
 
 def _check_work(n, p, q, r, path):
     """Refuse, before the first wedge, an h_(r,pq) with a dense array of
-    more than MAX_DENSE_ENTRIES entries.
+    more than dform.MAX_DENSE_ENTRIES entries.
 
     The chain w, w^2, ..., w^q has slot degrees p, 2p, ..., pq; the result
     has degree r and the power g^m w^q it is the star of has n - r; the
@@ -130,10 +130,7 @@ def _check_work(n, p, q, r, path):
     degs = [j * p for j in range(1, q + 1)] + [r]
     if path == "contraction":
         degs += range(min(p * q, r) + 1)
-    need = max(comb(n, d) for d in degs) ** 2
-    if need > MAX_DENSE_ENTRIES:
-        raise ValueError(f"the computation needs {need} dense entries, "
-                         f"above the limit of {MAX_DENSE_ENTRIES}")
+    check_dense(max(comb(n, d) for d in degs) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,18 @@ from math import comb, factorial, prod
 import numpy as np
 
 from . import scalars
-from .dform import DoubleForm, _form, hodge, transpose, wedge_power
+from .dform import DoubleForm, _form, check_dense, hodge, transpose, wedge_power
 from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
     wedge_multi_power
 from .identities import IdentityResidual, residual_record
 from .invariants import s_k
 from .multiindex import merge_table
-from .tensorio import MAX_DENSE_ENTRIES
 
 
 def _check_work(n, degs, steps):
     """Refuse, before anything is built, the wedge chain w, w^2, ...,
     w^steps of a form with slot degrees degs if one of its dense arrays or
-    gathers has more than MAX_DENSE_ENTRIES entries.
+    gathers has more than dform.MAX_DENSE_ENTRIES entries.
 
     w^j has C(n, j d) entries per slot; the wedge that makes it gathers at
     most C(n, (j - 1) d) C(n - (j - 1) d, d) per slot.
@@ -40,9 +39,7 @@ def _check_work(n, degs, steps):
         if j > 1:
             need = max(need, prod(comb(n, (j - 1) * d) * comb(n - (j - 1) * d, d)
                                   for d in degs))
-        if need > MAX_DENSE_ENTRIES:
-            raise ValueError(f"the computation needs {need} dense entries, "
-                             f"above the limit of {MAX_DENSE_ENTRIES}")
+        check_dense(need)
 
 
 def pf(form: ExteriorForm):
@@ -177,14 +174,16 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
     value = pf(form)
     if r == 2:
         w = embed(form, 2)
-        q_exp = n // (d // 2)
-        _check_work(n, w.bidegree, q_exp)  # s_k builds the same chain for d = 2
         if d == 2:
-            rhs = s_k(w, n)  # determinant of the skew bilinear form
-            rec = ConjectureRecord("pf_squared_det", {"n": n, "degree": d},
-                                   value * value, rhs, asserted=True)
-            return rec
-        # h_(0,n) of the embedded (k, k) form: star of its top wedge power
+            # the determinant of the skew bilinear form; s_k's h_rpq budget
+            # bounds its chain, and the chunked wedge its gathers
+            rhs = s_k(w, n)
+            return ConjectureRecord("pf_squared_det", {"n": n, "degree": d},
+                                    value * value, rhs, asserted=True)
+        # h_(0,n) of the embedded (k, k) form: star of its top wedge power,
+        # which no other budget guards
+        q_exp = n // (d // 2)
+        _check_work(n, w.bidegree, q_exp)
         rhs = hodge(wedge_power(w, q_exp)).scalar()
         return ConjectureRecord("pf_squared_hn", {"n": n, "degree": d},
                                 value * value, rhs, asserted=False)

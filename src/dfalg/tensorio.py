@@ -19,15 +19,9 @@ import math
 import numpy as np
 
 from . import scalars
-from .dform import DoubleForm
+from .dform import DoubleForm, check_dense
 from .exterior import ExteriorForm, MultiForm
 from .multiindex import MAX_DIM, rank_tuple, unrank_tuple
-
-# The largest dense array a document may ask for: 2^24 entries, 128 MiB of
-# float64 values or object pointers.  The tensors dfalg writes are far
-# smaller (a 4-form at n = 12 has 495 entries); the limit stops a short
-# header from allocating gigabytes before a single entry is read.
-MAX_DENSE_ENTRIES = 1 << 24
 
 
 class TensorFormatError(ValueError):
@@ -103,12 +97,6 @@ def _value(raw, field):
     return v
 
 
-def _check_dense_size(entries):
-    if entries > MAX_DENSE_ENTRIES:
-        raise TensorFormatError(f"the tensor needs {entries} dense entries, "
-                                f"above the limit of {MAX_DENSE_ENTRIES}")
-
-
 def tensor_from_doc(doc):
     if not isinstance(doc, dict):
         raise TensorFormatError("tensor document must be a JSON object")
@@ -133,7 +121,7 @@ def tensor_from_doc(doc):
         else:
             degs = tuple(header)
         shape = tuple(math.comb(n, d) for d in degs)
-        _check_dense_size(math.prod(shape))
+        check_dense(math.prod(shape), "the tensor")  # before a single entry is read
         values = scalars.zeros(shape, field)
         seen = set()
         for e in entries:

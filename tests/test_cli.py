@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -165,6 +166,40 @@ def test_generate_within_work_budget_runs(capsys):
                            "--terms", "10", "--seed", "3")
     assert code == 0
     assert tensor_from_doc(json.loads(out)) == random_bianchi(4, 2, 10, 3)
+
+
+HOSTILE_KAPPA = [
+    # past the exponent bound: Fraction would build a 5000- or a
+    # 300-million-digit integer before anything could refuse it
+    ["--kappa", "1e5000"],
+    ["--kappa", "1e300000000"],
+    # within the bound, but a float past 1e308, or an exact value past the
+    # report's 4300 digits
+    ["--kappa", "1e400", "--scalar", "float64"],
+    ["--kappa", "1e4300"],
+    ["--kappa", "1e-4300"],
+    ["--kappa", "2e"],
+]
+
+
+@pytest.mark.parametrize("args", HOSTILE_KAPPA)
+def test_generate_hostile_kappa_exits_2(capsys, args):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "generate", "--kind", "constant_curvature",
+                             "--n", "3", *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("dfalg: error:") and "Traceback" not in err
+
+
+def test_generate_kappa_with_an_exponent_runs(capsys):
+    from dfalg.fixtures import constant_curvature
+
+    for kappa, value in (("5e-3", Fraction(1, 200)), ("-2.5E+2", Fraction(-250))):
+        code, out, _ = run_cli(capsys, "generate", "--kind", "constant_curvature",
+                               "--n", "4", f"--kappa={kappa}")
+        assert code == 0
+        assert tensor_from_doc(json.loads(out)) == constant_curvature(4, value)
 
 
 BAD_SEEDS = ["-1", str(2 ** 64), str(2 ** 64 + 5), str(-(2 ** 64) + 1)]
@@ -746,6 +781,63 @@ def test_pfaffian_refuses_work_past_the_dense_limit(tmp_path, capsys, monkeypatc
         assert code == 2 and out == "", name
         assert err.startswith("dfalg: error:") and "dense entries" in err, name
         assert "Traceback" not in err
+
+
+def test_pfaffian_accepts_what_invariants_computes(tmp_path, capsys, monkeypatch):
+    # a 12 x 12 skew file: the wedge gathers of the chain h, ..., h^12 reach
+    # (C(12, 5) 7)^2 = 30735936 pairs, which the chunked wedge bounds, so
+    # only s_12's own budget (dense arrays, C(12, 6)^2 = 853776) decides
+    from dfalg import invariants
+    from dfalg.dform import metric_power
+
+    h = random_bilinear(12, 3, "skew")
+    det = invariants._det_bilinear(h)
+    checks = []
+
+    def check_work(*args):
+        checks.append(args)
+        return real_check(*args)
+
+    # at n = 12 the top power h^12 is det(h) g^12: the stub stands in for
+    # the chain after the real budget has passed it
+    real_check = invariants._check_work
+    monkeypatch.setattr(invariants, "_check_work", check_work)
+    monkeypatch.setattr(invariants, "metric_wedge_power",
+                        lambda w, m, q: metric_power(12, 12) * det)
+    path = tmp_path / "skew12.json"
+    path.write_text(tensor_to_json(h))
+    code, out, err = run_cli(capsys, "pfaffian", str(path))
+    assert code == 0, err
+    rep = json.loads(out)
+    values = {v["family"]: v["value"] for v in rep["invariants"]}
+    assert values["det"] == str(det) and int(values["pf"]) ** 2 == det
+    assert rep["identities"][0]["passed"]
+    assert checks == [(12, 1, 12, 0, "hodge")]
+
+
+def test_dense_30x30_s_3_exits_cleanly(tmp_path, capsys):
+    # C(30, 3)^2 ~ 1.65e7 entries for h^3, next to the dense limit; run in a
+    # child process, so that its arrays and caches leave with it
+    code, out, _ = run_cli(capsys, "generate", "--kind", "general", "--n", "30",
+                           "--seed", "5")
+    assert code == 0
+    path = tmp_path / "dense30.json"
+    path.write_text(out)
+    proc = run_module("invariants", str(path), "--family", "s", "--k", "3")
+    assert proc.returncode in (0, 2)
+    assert b"Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stdout == b"" and proc.stderr.startswith(b"dfalg: error:")
+        return
+    # s_3 is the sum of the principal 3 x 3 minors
+    h = tensor_from_json(out)
+    m = [[int(h.mat[i, j]) for j in range(30)] for i in range(30)]
+    s3 = sum(m[a][a] * (m[b][b] * m[c][c] - m[b][c] * m[c][b])
+             - m[a][b] * (m[b][a] * m[c][c] - m[b][c] * m[c][a])
+             + m[a][c] * (m[b][a] * m[c][b] - m[b][b] * m[c][a])
+             for a in range(30) for b in range(a + 1, 30) for c in range(b + 1, 30))
+    assert json.loads(proc.stdout)["invariants"] == [{"family": "s", "k": 3,
+                                                      "value": str(s3)}]
 
 
 # -- report schema ------------------------------------------------------------------
