@@ -48,10 +48,12 @@ SEED_LIMIT = 1 << 64
 KAPPA_EXPONENT_LIMIT = 4300
 
 # The largest dimension `verify` accepts.  With one seed on a 2-core host,
-# timed in-process around run_suite, the exact suite takes 1.6 s at n = 9,
-# 7.4 s at n = 10 and 38 s at n = 11 (2979 checks), with peak RSS 126, 176
-# and 335-346 MB.  Time grows about 5x per added dimension, so n = 12 is
-# left out.
+# timed in-process around run_suite, the exact suite takes 1.96 s at n = 9,
+# 7.3 s at n = 10 and 43 s at n = 11 (2979 checks) with processes = 1, and
+# 1.17, 5.0 and 26 s with processes = 2.  Peak RSS is 126, 183 and 350 MB
+# in one process; with two, each peaks at 108-131, 165-176 and 336 MB
+# (BENCH_parallel_suite.json).  Time grows about 5x per added dimension,
+# so n = 12 is left out.
 MAX_VERIFY_DIM = 11
 
 
@@ -60,6 +62,22 @@ def _default_mode():
     if mode not in ("exact", "float"):
         raise ValueError(f"DFA_MODE must be 'exact' or 'float', got {mode!r}")
     return mode
+
+
+# The most suite processes `verify` starts: two is the count measured
+# (BENCH_parallel_suite.json).  Each process holds the memos of its own
+# share, so memory grows with the count, and the affinity mask does not see
+# a cgroup's CPU quota.
+MAX_SUITE_PROCESSES = 2
+
+
+def _suite_processes():
+    """One suite process per core this process may run on, at most
+    MAX_SUITE_PROCESSES; one where os.fork or os.sched_getaffinity is
+    missing."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return min(MAX_SUITE_PROCESSES, len(os.sched_getaffinity(0)))
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +292,7 @@ def cmd_verify(args) -> int:
     fixture_sets = [suite_fixtures(n, seed, field)
                     for n in range(lo, hi + 1) for seed in seeds]
     try:
-        records = run_suite(fixture_sets, only=args.only)
+        records = run_suite(fixture_sets, only=args.only, processes=_suite_processes())
     except ValueError as exc:
         return _fail(str(exc))
     failures = [r for r in records if r.asserted and not r.passed]

@@ -6,14 +6,19 @@ zero, so any nonzero value is an implementation bug, not a tolerance
 problem.  A contraction side is always read off invariants.h_rpq's
 contraction path, through <g^m A, B> = <A, c^m B>; no check sums a
 contraction series of its own.  run_suite drives the full battery over a
-fixture set.
+fixture set, in one process or dealt to several.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 from . import scalars
 from .dform import (
@@ -453,7 +458,133 @@ def _suite_table(n: int):
 ALL_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _suite_table(0)))
 
 
-def run_suite(fixture_sets, only: str | None = None):
+def _suite_tasks(fixture_sets, only):
+    """One task (n, w, calls) per fixture object w: every (label, check,
+    args) call of w, from every family that lists it.  Objects with no
+    call are left out."""
+    tasks = []
+    for fx in fixture_sets:
+        calls = {}
+        for name, family, check, arg_tuples in _suite_table(fx.n):
+            if only in (None, name):
+                for label, w in getattr(fx, family):
+                    calls.setdefault(id(w), (w, []))[1].extend(
+                        (label, check, args) for args in arg_tuples)
+        tasks.extend((fx.n, w, todo) for w, todo in calls.values() if todo)
+    return tasks
+
+
+def _run_task(n, w, todo):
+    # one memo per fixture object: its powers, cofactors and stars are
+    # freed as soon as its checks end
+    records = []
+    with power_memo():
+        for label, check, args in todo:
+            rec = check(w, *args)
+            rec.params = {"n": n, "fixture": label, **rec.params}
+            records.append(rec)
+    return records
+
+
+def _deal(tasks, k):
+    """The task indices of k processes, the first the caller's.
+
+    The tasks go largest first, by (n, number of calls), in snake order
+    A B B A A B ... so that the shares' work is close.  Each share is in
+    task order.  The deal depends on the tasks only, so every run gives
+    each process the same work.
+    """
+    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][0], len(tasks[i][2])),
+                   reverse=True)
+    shares = [[] for _ in range(k)]
+    for pos, i in enumerate(order):
+        lap, j = divmod(pos, k)
+        shares[k - 1 - j if lap % 2 else j].append(i)
+    return [sorted(share) for share in shares]
+
+
+def _run_share(tasks, share):
+    """([(index, records)], failure): the tasks of share up to the first
+    that raises, and failure = (its index, its exception), or None."""
+    done = []
+    for i in share:
+        try:
+            done.append((i, _run_task(*tasks[i])))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _run_child(tasks, share, r, w):
+    """In a forked child: send _run_share's result down the pipe (r, w),
+    then leave by os._exit, running no exit handler and flushing no buffer
+    it inherited.  A result that does not pickle sends nothing."""
+    try:
+        os.close(r)
+        data = pickle.dumps(_run_share(tasks, share))
+        with open(w, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _fork_share(tasks, share):
+    """(pid, read end of its pipe) of a forked child that runs share."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _run_child(tasks, share, r, w)  # does not return
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, r
+
+
+def _run_tasks(tasks, k):
+    """The records of each task, in task order, from this process and up
+    to k - 1 forked children.
+
+    A share whose pipe or child cannot be made (OSError) runs in this
+    process.  An exception raised by a check is raised here, with its type
+    and message; where several tasks raise, the one first in task order,
+    as a serial run would.  No child outlives the call.
+    """
+    shares = _deal(tasks, k)
+    mine, children = shares[0], []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append((*_fork_share(tasks, share), share))
+            except OSError:
+                mine = sorted(mine + share)
+        done, first = _run_share(tasks, mine)
+        for pid, r, share in children:
+            if first is not None and first[0] < share[0]:
+                continue  # its tasks all come after the first failure
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError(f"suite worker process {pid} ended without "
+                                   "sending its records")
+            their_done, failure = pickle.loads(data)
+            done += their_done
+            if failure is not None and (first is None or failure[0] < first[0]):
+                first = failure
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if first is not None:
+        raise first[1]
+    return [records for _, records in sorted(done, key=itemgetter(0))]
+
+
+def run_suite(fixture_sets, only: str | None = None, processes: int = 1):
     """Run every identity check, or only the named one, over the given
     fixture sets.
 
@@ -461,27 +592,19 @@ def run_suite(fixture_sets, only: str | None = None):
     sorted by identity name and parameters.  A fixture's field decides its
     records: exact fixtures demand literal zeros, float fixtures a
     relative residual within tolerance.
+
+    Each fixture object's checks are one task.  With processes = k > 1
+    the tasks are dealt, in a fixed order, to this process and k - 1
+    children made by os.fork; the records are the same as with one
+    process.  A forked child shares nothing back but its records, so
+    whatever observes the work in-process (a patched function, a counter)
+    sees this process's share only.
     """
     if only is not None and only not in ALL_IDENTITY_NAMES:
         raise ValueError(f"unknown identity {only!r}; known: "
                          + ", ".join(ALL_IDENTITY_NAMES))
-    records = []
-    for fx in fixture_sets:
-        # every (label, check, args) call of each fixture object, from every
-        # family that lists it
-        calls = {}
-        for name, family, check, arg_tuples in _suite_table(fx.n):
-            if only in (None, name):
-                for label, w in getattr(fx, family):
-                    calls.setdefault(id(w), (w, []))[1].extend(
-                        (label, check, args) for args in arg_tuples)
-        for w, todo in calls.values():
-            # one memo per fixture object: its powers, cofactors and stars
-            # are freed as soon as its checks end
-            with power_memo():
-                for label, check, args in todo:
-                    rec = check(w, *args)
-                    rec.params = {"n": fx.n, "fixture": label, **rec.params}
-                    records.append(rec)
+    tasks = _suite_tasks(fixture_sets, only)
+    per_task = _run_tasks(tasks, max(1, min(processes, len(tasks))))
+    records = [rec for recs in per_task for rec in recs]
     records.sort(key=lambda rec: (rec.name, sorted(rec.params.items())))
     return records

@@ -85,13 +85,14 @@ def embed(form: ExteriorForm, r: int):
     if d > n:
         return cls._zeros(n, (k,) * r, form.field)
     # ranks[I_1, ..., I_s]: the rank of I_1|...|I_s, or the sentinel once
-    # two blocks meet; neg: whether its merge sign is odd
+    # two blocks meet; neg: whether its merge sign is odd.  A rank is at
+    # most C(n, d) <= C(n, k)^r, which the check above keeps under 2^31.
     size = comb(n, k)
-    ranks, neg = np.arange(size), np.zeros(size, dtype=bool)
+    ranks, neg = np.arange(size, dtype=np.int32), np.zeros(size, dtype=bool)
     for s in range(1, r):
         cols, targets, negs = merge_table(n, s * k, k)
         at = (np.arange(len(cols))[:, None], cols)
-        step = np.full((len(cols) + 1, size), comb(n, (s + 1) * k), dtype=np.intp)
+        step = np.full((len(cols) + 1, size), comb(n, (s + 1) * k), dtype=np.int32)
         flip = np.zeros(step.shape, dtype=bool)
         step[at], flip[at] = targets, negs
         at = (ranks[..., None], np.arange(size))

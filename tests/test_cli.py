@@ -516,7 +516,8 @@ def test_report_into_a_closed_pipe_keeps_the_exit_code(monkeypatch, failing):
     from dfalg.identities import IdentityResidual
 
     if failing:
-        monkeypatch.setattr(cli_mod, "run_suite", lambda fixture_sets, only=None: [
+        monkeypatch.setattr(cli_mod, "run_suite",
+                            lambda fixture_sets, only=None, processes=1: [
             IdentityResidual("cayley_hamilton", {"n": 3}, 1, False, "t_n(h) = 0")])
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["verify", "--n-range", "2:3", "--seeds", "1"]) == (1 if failing else 0)
@@ -691,7 +692,7 @@ def test_verify_exit_one_on_asserted_failure(monkeypatch, capsys):
     from dfalg import cli as cli_mod
     from dfalg.identities import IdentityResidual
 
-    def fake_suite(fixture_sets, only=None):
+    def fake_suite(fixture_sets, only=None, processes=1):
         return [
             IdentityResidual("cayley_hamilton", {"n": 2}, 0, True, "t_n(h) = 0"),
             IdentityResidual("cayley_hamilton", {"n": 3}, 1, False, "t_n(h) = 0"),

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from dfalg import oracle, pfaffian
 from dfalg.dform import bianchi_residual, hodge, transpose, wedge_power
 from dfalg.exterior import ExteriorForm, MultiForm, wedge_multi
 from dfalg.fixtures import SplitMix64, random_bilinear, random_form
+from dfalg.multiindex import merge_sign_tuple
 from dfalg.pfaffian import (
     check_pf_squared,
     double_form_as_multiform,
@@ -171,6 +174,34 @@ def test_embed_r3_against_direct_evaluation():
     assert mf.entry([(0, 1), (2, 3), (4, 5)]) == 1
     assert mf.entry([(0, 2), (1, 3), (4, 5)]) == -1
     assert mf.entry([(0, 1), (0, 2), (3, 4)]) == 0
+
+
+@pytest.mark.parametrize("n, d, r", [(6, 4, 2), (6, 6, 3), (8, 6, 2), (8, 6, 3),
+                                     (12, 4, 2), (12, 6, 3)])
+def test_embed_against_merge_signs(n, d, r):
+    # an entry is the merge sign of its blocks times the coefficient of
+    # their union, or 0 where two blocks meet; at most 4000 seeded entries
+    f = random_form(n, d, n + d + r)
+    out = embed(f, r)
+    values = out.mat if r == 2 else out.coeffs
+    blocks = list(combinations(range(n), d // r))
+    rank = {I: i for i, I in enumerate(combinations(range(n), d))}
+    total = len(blocks) ** r
+    picks = random.Random(n * d * r).sample(range(total), min(total, 4000))
+    nonzero = 0
+    for at in zip(*np.unravel_index(picks, values.shape)):
+        merged, sign = (), 1
+        for b in at:
+            step = merge_sign_tuple(merged, blocks[b])
+            if step is None:
+                sign = 0
+                break
+            s, merged = step
+            sign *= s
+        want = sign * f.coeffs[rank[merged]] if sign else 0
+        assert values[at] == want
+        nonzero += want != 0
+    assert nonzero
 
 
 # -- the work budget ---------------------------------------------------------------
