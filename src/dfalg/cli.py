@@ -17,9 +17,11 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__, scalars
-from .dform import DoubleForm, transpose
-from .exterior import ExteriorForm, MultiForm
+from .dform import DoubleForm
+from .exterior import MultiForm
 from .fixtures import (
     constant_curvature,
     random_bianchi,
@@ -30,9 +32,8 @@ from .fixtures import (
 from .identities import ALL_IDENTITY_NAMES, run_suite
 from .invariants import N_2k, T_2k, h_2k, h_rpq, s_k, s_rq, t_k
 from .multiindex import MAX_DIM
-from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, \
-    pf, skew_to_form
-from .tensorio import TensorFormatError, load_tensor, tensor_to_doc
+from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, skew_to_form
+from .tensorio import load_tensor, tensor_to_doc
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -130,14 +131,24 @@ def _meta(mode, seeds=None, n_values=None):
     return meta
 
 
-def _print_report(report):
+def _print_report(report, code):
+    """Write report to stdout as one JSON text and return code.
+
+    A value that is not finite (a float that overflowed) has no JSON form:
+    then nothing is written and the exit code is 2.
+    """
     try:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        return _fail("the report holds a float that is not finite (an overflow), "
+                     "which JSON cannot write")
+    try:
+        sys.stdout.write(text + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left (`dfalg verify | head`): keep the flush at exit quiet
         sys.stdout = open(os.devnull, "w")
+    return code
 
 
 def _fail(msg):
@@ -187,79 +198,76 @@ def cmd_generate(args) -> int:
         doc = tensor_to_doc(obj)  # an exact value past 4300 digits is refused here
     except (ValueError, ArithmeticError) as exc:  # a float kappa past 1e308 overflows
         return _fail(str(exc))
-    _print_report(doc)
-    return EXIT_OK
+    return _print_report(doc, EXIT_OK)
 
 
-def _orders(args, upper):
-    if args.k == "all":
-        return list(range(upper + 1))
+def _load(path):
+    """The tensor in the file at path; a file that cannot be read or parsed
+    is a ValueError."""
     try:
-        k = int(args.k)
-    except ValueError:
-        raise ValueError(f"--k must be an integer or 'all', got {args.k!r}")
-    return [k]
+        return load_tensor(path)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    except ValueError as exc:  # a TensorFormatError, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _form_value(w: DoubleForm):
-    if w.bidegree == (0, 0):
-        return scalars.format_scalar(w.scalar(), w.field)
-    return tensor_to_doc(w)["entries"]
+def _value(v, field):
+    """A report value: a scalar, the scalar of a (0, 0) form, or the entries
+    of any other form."""
+    if isinstance(v, DoubleForm):
+        if v.bidegree != (0, 0):
+            return tensor_to_doc(v)["entries"]
+        v = v.scalar()
+    return scalars.format_scalar(v, field)
+
+
+# family -> (invariant, largest order k at dimension n); `--k all` runs
+# T and N from k = 1, the others from k = 0
+ORDERED_FAMILIES = {
+    "s": (s_k, lambda n: n),
+    "t": (t_k, lambda n: n - 1),
+    "h2k": (h_2k, lambda n: n // 2),
+    "T": (T_2k, lambda n: (n - 1) // 2),
+    "N": (N_2k, lambda n: (n - 2) // 2),
+}
+
+
+def _invariants(obj, args):
+    """The report rows of args.family for the (p, q) form obj."""
+    family, r, q = args.family, args.r, args.q
+    if family in ORDERED_FAMILIES:
+        invariant, top = ORDERED_FAMILIES[family]
+        if args.k == "all":
+            orders = range(family in ("T", "N"), top(obj.n) + 1)
+        else:
+            try:
+                orders = [int(args.k)]
+            except ValueError:
+                raise ValueError(f"--k must be an integer or 'all', got {args.k!r}")
+        return [{"family": family, "k": k, "value": _value(invariant(obj, k), obj.field)}
+                for k in orders]
+    if r is None or q is None:
+        raise ValueError(f"--family {family} needs --r and --q")
+    if family == "srq":
+        row, w = {"r": r}, s_rq(obj, r, q)
+    else:
+        row, w = {"r": r, "p": obj.p}, h_rpq(obj, r, obj.p, q)
+    return [{"family": family, **row, "q": q, "value": _value(w, obj.field)}]
 
 
 def cmd_invariants(args) -> int:
     try:
-        obj = load_tensor(args.file)
-    except OSError as exc:
-        return _fail(str(exc))
-    except TensorFormatError as exc:
-        return _fail(f"{args.file}: {exc}")
-    if not isinstance(obj, DoubleForm):
-        return _fail("invariants need a double_form tensor file")
-    n = obj.n
-    values = []
-    try:
-        if args.family == "s":
-            for k in _orders(args, n):
-                values.append({"family": "s", "k": k,
-                               "value": scalars.format_scalar(s_k(obj, k), obj.field)})
-        elif args.family == "t":
-            for k in _orders(args, n - 1):
-                values.append({"family": "t", "k": k,
-                               "value": _form_value(t_k(obj, k))})
-        elif args.family == "srq":
-            if args.r is None or args.q is None:
-                return _fail("--family srq needs --r and --q")
-            values.append({"family": "srq", "r": args.r, "q": args.q,
-                           "value": _form_value(s_rq(obj, args.r, args.q))})
-        elif args.family == "h2k":
-            for k in _orders(args, n // 2):
-                values.append({"family": "h2k", "k": k,
-                               "value": scalars.format_scalar(h_2k(obj, k), obj.field)})
-        elif args.family == "T":
-            for k in _orders(args, (n - 1) // 2):
-                if k == 0:
-                    continue
-                values.append({"family": "T", "k": k,
-                               "value": _form_value(T_2k(obj, k))})
-        elif args.family == "N":
-            for k in _orders(args, (n - 2) // 2):
-                if k == 0:
-                    continue
-                values.append({"family": "N", "k": k,
-                               "value": _form_value(N_2k(obj, k))})
-        elif args.family == "hrpq":
-            if args.r is None or args.q is None:
-                return _fail("--family hrpq needs --r and --q")
-            values.append({"family": "hrpq", "r": args.r, "p": obj.p, "q": args.q,
-                           "value": _form_value(h_rpq(obj, args.r, obj.p, args.q))})
+        obj = _load(args.file)
+        if not isinstance(obj, DoubleForm):
+            raise ValueError("invariants need a double_form tensor file")
+        values = _invariants(obj, args)
     except ValueError as exc:
         return _fail(str(exc))
     report = {"meta": _meta("exact" if obj.field == scalars.RATIONAL else "float"),
-              "input": {"n": n, "p": obj.p, "q": obj.q, "scalar": obj.field},
+              "input": {"n": obj.n, "p": obj.p, "q": obj.q, "scalar": obj.field},
               "invariants": values, "identities": [], "conjectures": []}
-    _print_report(report)
-    return EXIT_OK
+    return _print_report(report, EXIT_OK)
 
 
 def cmd_verify(args) -> int:
@@ -308,68 +316,49 @@ def cmd_verify(args) -> int:
         report["summary"]["max_relative_residual"] = worst
         print(f"max relative residual {worst:.3e} "
               f"(tolerance {scalars.FLOAT_RELATIVE_TOLERANCE:.1e})", file=sys.stderr)
-    _print_report(report)
-    return EXIT_IDENTITY_FAILURE if failures else EXIT_OK
+    return _print_report(report, EXIT_IDENTITY_FAILURE if failures else EXIT_OK)
 
 
 def cmd_pfaffian(args) -> int:
+    identities, conjectures = [], []
     try:
-        obj = load_tensor(args.file)
-    except OSError as exc:
-        return _fail(str(exc))
-    except TensorFormatError as exc:
-        return _fail(f"{args.file}: {exc}")
-    identities = []
-    conjectures = []
-    values = []
-    try:
-        if isinstance(obj, DoubleForm):
-            if obj.bidegree != (1, 1) or obj != -transpose(obj):
-                return _fail("pfaffian needs a skew (1, 1) double form, "
-                             "an even-degree form, or a multiform")
-            form = skew_to_form(obj)
-            rec = check_pf_squared(form, 2)
-            values.append({"family": "pf",
-                           "value": scalars.format_scalar(pf(form), obj.field)})
-            values.append({"family": "det",
-                           "value": scalars.format_scalar(rec.rhs, obj.field)})
-            identities.append(conjecture_to_residual(rec, obj.field).to_json())
-        elif isinstance(obj, ExteriorForm):
-            values.append({"family": "pf",
-                           "value": scalars.format_scalar(pf(obj), obj.field)})
-            rec = check_pf_squared(obj, args.r)
+        obj = _load(args.file)
+        if isinstance(obj, MultiForm):
+            values = [{"family": "hyperdet", "value": _value(hyperdet(obj), obj.field)}]
+        else:
+            skew = isinstance(obj, DoubleForm)
+            if skew:
+                if obj.bidegree != (1, 1):
+                    raise ValueError("pfaffian needs a skew (1, 1) double form, "
+                                     "an even-degree form, or a multiform")
+                obj = skew_to_form(obj)
+            rec = check_pf_squared(obj, 2 if skew else args.r)
+            values = [{"family": "pf", "value": _value(rec.pf, obj.field)}]
+            if skew:
+                values.append({"family": "det", "value": _value(rec.rhs, obj.field)})
             if rec.asserted:
                 identities.append(conjecture_to_residual(rec, obj.field).to_json())
             else:
                 conjectures.append(rec.to_json())
-        else:
-            assert isinstance(obj, MultiForm)
-            values.append({"family": "hyperdet",
-                           "value": scalars.format_scalar(hyperdet(obj), obj.field)})
     except ValueError as exc:
         return _fail(str(exc))
-    failures = [r for r in identities if r["asserted"] and not r["passed"]]
+    failures = [r for r in identities if not r["passed"]]
     mode = "exact" if obj.field == scalars.RATIONAL else "float"
     report = {"meta": _meta(mode), "invariants": values,
               "identities": identities, "conjectures": conjectures}
-    _print_report(report)
-    return EXIT_IDENTITY_FAILURE if failures else EXIT_OK
+    return _print_report(report, EXIT_IDENTITY_FAILURE if failures else EXIT_OK)
+
+
+COMMANDS = {"generate": cmd_generate, "invariants": cmd_invariants,
+            "verify": cmd_verify, "pfaffian": cmd_pfaffian}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "invariants":
-            return cmd_invariants(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "pfaffian":
-            return cmd_pfaffian(args)
-    except TensorFormatError as exc:
-        return _fail(str(exc))
-    raise AssertionError("unreachable")
+    # a float that overflows reaches the report, which _print_report
+    # refuses; numpy's warnings on the way would only add lines to stderr
+    with np.errstate(all="ignore"):
+        return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

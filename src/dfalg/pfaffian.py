@@ -18,11 +18,11 @@ from math import comb, factorial, prod
 import numpy as np
 
 from . import scalars
-from .dform import DoubleForm, _form, check_dense, hodge, transpose, wedge_power
+from .dform import DoubleForm, _eliminate, _form, check_dense, hodge, transpose, \
+    wedge_power
 from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
     wedge_multi_power
 from .identities import IdentityResidual, residual_record
-from .invariants import s_k
 from .multiindex import merge_table
 
 
@@ -140,6 +140,7 @@ class ConjectureRecord:
     lhs: object
     rhs: object
     asserted: bool
+    pf: object  # the Pfaffian that lhs is a power of
 
     @property
     def residual(self):
@@ -169,29 +170,29 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
 
     For 2-forms (skew bilinear case) Pf^2 = det is a theorem and the result
     is asserted; for higher-degree forms the relation is recorded with its
-    exact residual and ratio.
+    exact residual and ratio.  The record keeps the Pfaffian in `pf`.
     """
     n, d = form.n, form.k
     value = pf(form)
     if r == 2:
         w = embed(form, 2)
         if d == 2:
-            # the determinant of the skew bilinear form; s_k's h_rpq budget
-            # bounds its chain, and the chunked wedge its gathers
-            rhs = s_k(w, n)
+            # the determinant of the skew bilinear form, by elimination: n^3
+            # steps, while pf's own chain check bounds the Pfaffian side
             return ConjectureRecord("pf_squared_det", {"n": n, "degree": d},
-                                    value * value, rhs, asserted=True)
+                                    value * value, _eliminate(w, invert=False)[0],
+                                    True, value)
         # h_(0,n) of the embedded (k, k) form: star of its top wedge power,
         # which no other budget guards
         q_exp = n // (d // 2)
         _check_work(n, w.bidegree, q_exp)
         rhs = hodge(wedge_power(w, q_exp)).scalar()
         return ConjectureRecord("pf_squared_hn", {"n": n, "degree": d},
-                                value * value, rhs, asserted=False)
+                                value * value, rhs, False, value)
     mf = embed(form, r)
     rhs = hyperdet(mf)
     return ConjectureRecord("pf_power_hyperdet", {"n": n, "degree": d, "r": r},
-                            value ** r, rhs, asserted=False)
+                            value ** r, rhs, False, value)
 
 
 def conjecture_to_residual(rec: ConjectureRecord, field: str) -> IdentityResidual:

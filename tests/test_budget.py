@@ -11,6 +11,7 @@ Nothing large is built: the first step after each check is stubbed to
 raise `Accepted`.
 """
 
+import json
 from math import comb, prod
 
 import pytest
@@ -104,12 +105,12 @@ def ref_generate_bianchi(n, p, terms):
     return comb(n, max(min(p, n // 2), 0)) ** 2 * max(terms, 1) * max(p, 1)
 
 
-def run_generate(capsys, *args):
-    code = main(["generate", *map(str, args)])
+def run_main(capsys, *args):
+    code = main(list(map(str, args)))
     err = capsys.readouterr().err
     if code == 2:
         raise ValueError(err)
-    raise AssertionError(f"generate exited {code}: {err}")
+    raise AssertionError(f"{args[0]} exited {code}: {err}")
 
 
 @pytest.fixture
@@ -120,23 +121,24 @@ def no_draws(monkeypatch):
 @pytest.mark.parametrize("k,expected", [(8, 33), (10, 28)])
 def test_generate_form_edge(no_draws, capsys, k, expected):
     edge = assert_edge(lambda n: ref_generate_form(n, k), k, MAX_DIM,
-                       lambda n: run_generate(capsys, "--kind", "form", "--n", n, "--k", k))
+                       lambda n: run_main(capsys, "generate", "--kind", "form", "--n", n,
+                                          "--k", k))
     assert edge == expected
 
 
 def test_generate_bianchi_edge_in_terms(no_draws, capsys):
     # n = 4, p = 2: C(4, 2)^2 p = 72 entries of work per term
     edge = assert_edge(lambda t: ref_generate_bianchi(4, 2, t), 1, LIMIT,
-                       lambda t: run_generate(capsys, "--kind", "bianchi", "--n", 4,
-                                              "--p", 2, "--terms", t))
+                       lambda t: run_main(capsys, "generate", "--kind", "bianchi", "--n", 4,
+                                          "--p", 2, "--terms", t))
     assert edge == LIMIT // 72
 
 
 @pytest.mark.parametrize("p,terms", [(2, 8), (3, 2), (5, 1)])
 def test_generate_bianchi_edge_in_n(no_draws, capsys, p, terms):
     assert_edge(lambda n: ref_generate_bianchi(n, p, terms), p, MAX_DIM,
-                lambda n: run_generate(capsys, "--kind", "bianchi", "--n", n,
-                                       "--p", p, "--terms", terms))
+                lambda n: run_main(capsys, "generate", "--kind", "bianchi", "--n", n,
+                                   "--p", p, "--terms", terms))
 
 
 def test_generate_bianchi_work_message(no_draws):
@@ -220,6 +222,19 @@ def test_hyperdet_edge(no_pf_chains, k, r):
     # n = k p, over the number p of factors
     assert_edge(lambda p: ref_chain(k * p, (k,) * r, p), 1, MAX_DIM // k,
                 lambda p: pfaffian.hyperdet(MultiForm.zeros(k * p, k, r)))
+
+
+def test_skew_file_edge(no_pf_chains, capsys, tmp_path):
+    # `dfalg pfaffian` on a skew (1, 1) file at n = 2q: the determinant is
+    # one elimination, so pf's own chain check decides
+    def call(q):
+        path = tmp_path / f"skew{2 * q}.json"
+        path.write_text(json.dumps({"n": 2 * q, "kind": "double_form", "p": 1, "q": 1,
+                                    "entries": []}))
+        run_main(capsys, "pfaffian", path)
+
+    edge = assert_edge(lambda q: ref_chain(2 * q, (2,), q), 1, MAX_DIM // 2, call)
+    assert 2 * edge == 20
 
 
 def test_pf_squared_keeps_its_chain_check_past_degree_2(monkeypatch):

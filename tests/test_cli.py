@@ -27,9 +27,20 @@ from dfalg.tensorio import (
 )
 
 
+def _non_json_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
 def run_cli(capsys, *argv):
+    """main(argv) with its captured stdout and stderr, held to the CLI
+    contract: stdout is empty or strict JSON, exit 2 leaves it empty, and
+    stderr holds no traceback."""
     code = main(list(argv))
     out = capsys.readouterr()
+    if out.out:
+        assert code != 2, "exit 2 with a report on stdout"
+        json.loads(out.out, parse_constant=_non_json_constant)
+    assert "Traceback" not in out.err
     return code, out.out, out.err
 
 
@@ -337,6 +348,19 @@ def test_invariants_bound_violation_exits_2(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("family,orders", [("T", [1, 2]), ("N", [1])])
+def test_invariants_T_and_N_start_at_order_1(capsys, family, orders):
+    # like every other order out of range, k = 0 exits 2; `--k all` starts at 1
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "bianchi_n5.json"
+    for k in ("0", "5"):
+        code, out, err = run_cli(capsys, "invariants", str(path), "--family", family,
+                                 "--k", k)
+        assert code == 2 and out == "" and err.startswith("dfalg: error:")
+    code, out, _ = run_cli(capsys, "invariants", str(path), "--family", family)
+    assert code == 0
+    assert [row["k"] for row in json.loads(out)["invariants"]] == orders
+
+
 def test_invariants_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "invariants", "/nonexistent.json",
                            "--family", "s")
@@ -411,6 +435,16 @@ OVERSIZED_HEADERS = [
     '{"n": 3, "kind": "multiform", "k": 0, "r": 1000000000000, "entries": []}',
     '{"n": 1000000000, "kind": "form", "k": 500000000, "entries": []}',
 ]
+
+
+@pytest.mark.parametrize("command", ["invariants", "pfaffian"])
+def test_tensor_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "h.json"
+    path.write_bytes(b"\xff\xfe{")
+    extra = ["--family", "s"] if command == "invariants" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith(f"dfalg: error: {path}: ")
 
 
 @pytest.mark.parametrize("command", ["invariants", "pfaffian"])
@@ -768,7 +802,7 @@ def test_pfaffian_refuses_work_past_the_dense_limit(tmp_path, capsys, monkeypatc
     def started(*args):
         raise AssertionError("a refused computation was started")
 
-    for name in ("wedge_form_power", "wedge_multi_power", "wedge_power", "s_k"):
+    for name in ("wedge_form_power", "wedge_multi_power", "wedge_power"):
         monkeypatch.setattr(pfaffian, name, started)
     docs = {
         "multiform": {"n": 5, "kind": "multiform", "k": 1, "r": 8, "entries": []},
@@ -784,36 +818,65 @@ def test_pfaffian_refuses_work_past_the_dense_limit(tmp_path, capsys, monkeypatc
         assert "Traceback" not in err
 
 
-def test_pfaffian_accepts_what_invariants_computes(tmp_path, capsys, monkeypatch):
-    # a 12 x 12 skew file: the wedge gathers of the chain h, ..., h^12 reach
-    # (C(12, 5) 7)^2 = 30735936 pairs, which the chunked wedge bounds, so
-    # only s_12's own budget (dense arrays, C(12, 6)^2 = 853776) decides
-    from dfalg import invariants
-    from dfalg.dform import metric_power
+def test_pfaffian_of_a_14x14_skew_file_runs_unstubbed(tmp_path, capsys):
+    # pf's chain reaches C(14, 7) entries; the determinant is one
+    # elimination, not the wedge chain h, ..., h^14
+    from dfalg import oracle
 
-    h = random_bilinear(12, 3, "skew")
-    det = invariants._det_bilinear(h)
-    checks = []
-
-    def check_work(*args):
-        checks.append(args)
-        return real_check(*args)
-
-    # at n = 12 the top power h^12 is det(h) g^12: the stub stands in for
-    # the chain after the real budget has passed it
-    real_check = invariants._check_work
-    monkeypatch.setattr(invariants, "_check_work", check_work)
-    monkeypatch.setattr(invariants, "metric_wedge_power",
-                        lambda w, m, q: metric_power(12, 12) * det)
-    path = tmp_path / "skew12.json"
+    h = random_bilinear(14, 3, "skew")
+    path = tmp_path / "skew14.json"
     path.write_text(tensor_to_json(h))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "pfaffian", str(path))
+    assert time.perf_counter() - start < 10
     assert code == 0, err
     rep = json.loads(out)
     values = {v["family"]: v["value"] for v in rep["invariants"]}
-    assert values["det"] == str(det) and int(values["pf"]) ** 2 == det
+    det = oracle.det_oracle(h.mat)
+    assert det != 0 and values["det"] == str(det)
+    assert int(values["pf"]) ** 2 == det
     assert rep["identities"][0]["passed"]
-    assert checks == [(12, 1, 12, 0, "hodge")]
+
+
+@pytest.mark.parametrize("name,args", [("skew_n4.json", ()), ("four_form_n4.json", ()),
+                                       ("six_form_n6.json", ("--r", "3"))])
+def test_pfaffian_builds_one_pf_chain(capsys, monkeypatch, name, args):
+    from dfalg import pfaffian
+
+    calls = []
+
+    def counted(*call):
+        calls.append(call)
+        return real(*call)
+
+    real = pfaffian.wedge_form_power
+    monkeypatch.setattr(pfaffian, "wedge_form_power", counted)
+    path = Path(__file__).resolve().parent.parent / "fixtures" / name
+    code, _, _ = run_cli(capsys, "pfaffian", str(path), *args)
+    assert code == 0
+    assert len(calls) == 1
+
+
+# a float skew (1, 1) file with entries +-1e200: Pf and det overflow a float
+OVERFLOWING_SKEW = {
+    "n": 4, "kind": "double_form", "p": 1, "q": 1, "scalar": "float64",
+    "entries": [{"row": [i], "col": [j], "value": (-1) ** (i + j + (i > j)) * 1e200}
+                for i in range(4) for j in range(4) if i != j],
+}
+
+
+@pytest.mark.parametrize("argv", [("pfaffian",), ("invariants", "--family", "s")])
+def test_float_overflow_exits_2_with_no_report(tmp_path, capsys, argv):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(OVERFLOWING_SKEW))
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert code == 2 and out == ""
+    assert err.startswith("dfalg: error:") and err.count("\n") == 1
+    proc = run_module(command, str(path), *rest)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"dfalg: error:") and proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr
 
 
 def test_dense_30x30_s_3_exits_cleanly(tmp_path, capsys):

@@ -19,6 +19,25 @@ def test_det_matches_integer_matrix():
     assert oracle.det_oracle(M) == -18
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_det_is_the_permutation_sum(n):
+    # det_oracle groups the permutation sum by column set; here it is
+    # summed term by term, over integer, rational and float entries
+    import itertools
+    from fractions import Fraction
+
+    for M in (random_bilinear(n, 30 + n).mat, random_bilinear(n, 40 + n).mat * Fraction(1, 3),
+              random_bilinear(n, 50 + n, "general", "float64").mat):
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            term = oracle.permutation_parity(perm)
+            for i, j in enumerate(perm):
+                term = term * M[i, j]
+            want += term
+        exact = M.dtype == object
+        assert oracle.det_oracle(M) == (want if exact else pytest.approx(want, rel=1e-12))
+
+
 def test_minor_sums():
     I4 = np.eye(4, dtype=object)
     for k in range(5):
