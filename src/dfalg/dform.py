@@ -62,11 +62,13 @@ class _LaneForm:
 
     The constructor reads its value array once.  An exact form keeps the
     integer lane (num, den) and builds its values, as int and Fraction,
-    when they are first read; a float form keeps a float64 copy, which is
-    its values.  Either way the values are read-only and a later change to
-    the array the form was built from does not reach it.  The subclasses
-    are typed views that name the slot degrees and the values, and set
-    their error messages.
+    when they are first read; a float form keeps a float64 copy.  A float
+    lane may hold -0.0, which only the kernels read: a value leaves the
+    form through _values or _at plus 0.0, so a zero reads +0.0 and every
+    other value keeps its bits.  Either way the values are read-only and a
+    later change to the array the form was built from does not reach it.
+    The subclasses are typed views that name the slot degrees and the
+    values, and set their error messages.
     """
 
     __slots__ = ("n", "_degs", "field", "_vals", "_num", "_den", "_mag")
@@ -123,7 +125,8 @@ class _LaneForm:
     def _values(self):
         """The read-only values: int and Fraction exact, float64 float."""
         if self._vals is None:
-            vals = self._num if self.field == scalars.FLOAT64 else _values_of(self._num, self._den)
+            num = self._num
+            vals = num + 0.0 if self.field == scalars.FLOAT64 else _values_of(num, self._den)
             vals.flags.writeable = False
             self._vals = vals
         return self._vals
@@ -141,7 +144,7 @@ class _LaneForm:
     def _at(self, idx):
         """The value at the rank tuple idx."""
         if self.field == scalars.FLOAT64:
-            return self._num[idx]
+            return float(self._num[idx]) + 0.0
         return _value(int(self._num[idx]), self._den)
 
     def max_abs(self):
@@ -409,25 +412,18 @@ def _wedged(w1, w2):
     A slot degree past n, or a zero factor, gives the zero form of _zeros
     with no gather, so an exact one's lane is int64.  A factor whose every slot
     degree is 0 holds one value, and the wedge is the other factor times
-    it, with no gather.  _wedge adds only products of two nonzero entries
-    onto +0.0, so there a float zero, or a product with a zero factor,
-    comes out as +0.0.
+    it, with no gather.
     """
     w1._check_compatible(w2)
-    for s, w in ((w1, w2), (w2, w1)):
-        if not any(s._degs):
-            v = s._at((0,) * len(s._degs))
-            out = w * v
-            if w.field == scalars.FLOAT64:
-                num = out._num  # a new array from __mul__
-                num[(num == 0) | (w._num == 0) | (v == 0)] = 0.0
-            return out
     n, d1, d2 = w1.n, w1._degs, w2._degs
     degs = tuple(map(add, d1, d2))
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()
     if max(degs) > n or not (ma and mb):
         return type(w1)._zeros(n, degs, w1.field)
+    for s, w in ((w1, w2), (w2, w1)):
+        if not any(s._degs):
+            return w * s._at((0,) * len(s._degs))
     # each output entry sums C(x + y, x) products per slot
     dtype = _lane_dtype(w1.field, ma * mb * prod(map(comb, degs, d1)), ma, mb)
     out = np.zeros(_shape(n, degs), dtype=dtype)
@@ -569,7 +565,7 @@ def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
     """c(w), or c_G(w) when Ginv is the inverse metric, through _contract.
 
     An exact w contracts its numerators, against the lane of Ginv, with
-    the denominators multiplied.  Float zeros come out as +0.0.
+    the denominators multiplied.
     """
     n, (p, q), field = w.n, w._degs, w.field
     if p == 0 or q == 0:
@@ -584,8 +580,6 @@ def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
         dtype = _lane_dtype(field, mag * mag_g * n * n, mag, mag_g)
         res = _contract(n, p, q, _as(num, dtype), _as(A, dtype))
         den *= den_g
-    if field == scalars.FLOAT64:
-        res[res == 0] = 0.0  # no -0.0 sums
     return _form(DoubleForm, n, (p - 1, q - 1), field, res, den)
 
 
@@ -707,7 +701,7 @@ def _starred(w):
 
     A slot degree past n has no star and raises.  A form whose every slot
     degree is 0 or n has one entry, which the star keeps with sign +1: its
-    lane is returned as it is, a float -0.0 read as +0.0 as _star writes it.
+    lane is returned as it is.
     """
     n = w.n
     degs = tuple([n - d for d in w._degs])
@@ -715,8 +709,6 @@ def _starred(w):
         raise ValueError(w._NEGATIVE.format(*degs))
     num, den, mag = w._lane()
     if all(d in (0, n) for d in degs):
-        if w.field == scalars.FLOAT64:
-            num = num + 0.0  # -0.0 + 0.0 is +0.0; every other value is kept
         return _form(type(w), n, degs, w.field, num, den, mag)
     out = np.zeros(num.shape, dtype=num.dtype)  # C(n, n - d) = C(n, d)
     _star(n, num, w._degs, out)
@@ -730,7 +722,7 @@ def _star(n, a, degs, out):
     eps(I) eps(J) ... a[I, J, ...] with eps the complement sign.  For a
     double form this is the sign (-1)^((p+q)(n-p-q)) eps(I^c) eps(J^c) of
     the definition, as (p+q)(n-p-q) = p(n-p) + q(n-q) mod 2.  Only nonzero
-    entries are written, so float zeros stay +0.0.
+    entries are written.
     """
     r = len(degs)
     ranks = []

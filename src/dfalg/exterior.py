@@ -97,8 +97,6 @@ class MultiForm(_LaneForm):
         values = first.coeffs
         for f in forms[1:]:
             values = np.multiply.outer(values, f.coeffs)
-        if first.field == scalars.FLOAT64:
-            values = values + 0.0  # -0.0 products read +0.0
         return cls(first.n, first.k, len(forms), values, first.field)
 
     coeffs = _LaneForm._values

@@ -469,6 +469,16 @@ def _rational_derivative_at_zero(sample_fn, metric_fn, num_degree: int, n: int):
     return n1 - ncoef[0] * interpolate(zip(xs, ds))[1]
 
 
+def _check_metric_variation(g0, w, n):
+    """The metric G(t) = g0 + t w of the Jacobi identities: g0 the identity
+    metric on n dimensions and w symmetric."""
+    if g0 != metric(n, g0.field):
+        raise ValueError("the varying-metric identity is stated at the "
+                         "canonical frame, g0 must be the identity metric")
+    if not is_symmetric(w):
+        raise ValueError("the metric variation must be symmetric")
+
+
 def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
                        w: DoubleForm, k: int):
     """Metric-variation Jacobi identity for s_k at t = 0.
@@ -480,11 +490,7 @@ def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
     _check_bilinear(v)
     _check_bilinear(w)
     n = h0.n
-    if g0 != metric(n, g0.field):
-        raise ValueError("the varying-metric identity is stated at the "
-                         "canonical frame, g0 must be the identity metric")
-    if not is_symmetric(w):
-        raise ValueError("the metric variation must be symmetric")
+    _check_metric_variation(g0, w, n)
     if not 1 <= k <= n:
         raise ValueError(f"order {k} out of range [1, {n}]")
 
@@ -524,11 +530,7 @@ def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm
     _check_square(R0, 2)
     _check_square(V, 2)
     n = R0.n
-    if g0 != metric(n, g0.field):
-        raise ValueError("the varying-metric identity is stated at the "
-                         "canonical frame, g0 must be the identity metric")
-    if not is_symmetric(w):
-        raise ValueError("the metric variation must be symmetric")
+    _check_metric_variation(g0, w, n)
     if not 1 <= 2 * k <= n - 1:
         raise ValueError(f"order 2k = {2 * k} out of range [2, {n - 1}] "
                          "(T_2k enters the right-hand side)")

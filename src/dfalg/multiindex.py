@@ -56,15 +56,19 @@ def subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _rank_of(n: int, k: int) -> dict:
-    return {s: r for r, s in enumerate(subsets(n, k))}
+def _rank_of(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k x n weights C(n - 1 - a, k - i) of index a at position i."""
+    return tuple(tuple(comb(n - 1 - a, k - i) for a in range(n)) for i in range(k))
 
 
 def rank_tuple(indices: tuple[int, ...], n: int) -> int:
-    try:
-        return _rank_of(n, len(indices))[tuple(indices)]
-    except KeyError:
-        raise ValueError(f"{indices} is not an ascending subset of [0, {n})") from None
+    """The lexicographic rank C(n, k) - 1 - sum_i C(n - 1 - I_i, k - i) of
+    the ascending k-subset I of [0, n), as in _lex_ranks."""
+    k = len(indices)
+    if not (k <= n and all(a < b for a, b in zip(indices, indices[1:]))
+            and (k == 0 or 0 <= indices[0] and indices[-1] < n)):
+        raise ValueError(f"{indices} is not an ascending subset of [0, {n})")
+    return comb(n, k) - 1 - sum(w[a] for w, a in zip(_rank_of(n, k), indices))
 
 
 def unrank_tuple(r: int, k: int, n: int) -> tuple[int, ...]:

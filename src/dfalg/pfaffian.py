@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, isfinite, prod
 
 import numpy as np
 
-from . import scalars
 from .dform import DoubleForm, _eliminate, _form, check_dense, hodge, transpose, \
     wedge_power
 from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
@@ -42,8 +41,8 @@ def _check_work(n, degs, steps):
         check_dense(need)
 
 
-def pf(form: ExteriorForm):
-    """Pfaffian *(w^q/q!) of a 2k-form on a space with n = 2kq."""
+def _pf_steps(form):
+    """pf's argument checks and budget; returns q = n / d for a d-form."""
     n, d = form.n, form.k
     if d == 0 or d % 2:
         raise ValueError(f"the Pfaffian needs a nonzero even degree, got {d}")
@@ -51,6 +50,12 @@ def pf(form: ExteriorForm):
         raise ValueError(f"dimension {n} is not a multiple of the degree {d}")
     q = n // d
     _check_work(n, (d,), q)
+    return q
+
+
+def pf(form: ExteriorForm):
+    """Pfaffian *(w^q/q!) of a 2k-form on a space with n = 2kq."""
+    q = _pf_steps(form)
     top = wedge_form_power(form, q)
     return top.coeffs[0] * Fraction(1, factorial(q))
 
@@ -65,6 +70,18 @@ def skew_to_form(h: DoubleForm) -> ExteriorForm:
     return ExteriorForm(h.n, 2, h.mat[np.triu_indices(h.n, 1)], h.field)
 
 
+def _slot_degree(form, r):
+    """embed's argument checks and budget; returns the slot degree d / r."""
+    n, d = form.n, form.k
+    if r < 2:
+        raise ValueError("the embedding needs at least two slots")
+    if d % r:
+        raise ValueError(f"degree {d} is not a multiple of the slot count {r}")
+    k = d // r
+    _check_work(n, (k,) * r, 1)
+    return k
+
+
 def embed(form: ExteriorForm, r: int):
     """Read an rk-form as a multiform with r slots of degree k.
 
@@ -75,12 +92,7 @@ def embed(form: ExteriorForm, r: int):
     subspace, so no embedded nonzero form is Bianchi).
     """
     n, d = form.n, form.k
-    if r < 2:
-        raise ValueError("the embedding needs at least two slots")
-    if d % r:
-        raise ValueError(f"degree {d} is not a multiple of the slot count {r}")
-    k = d // r
-    _check_work(n, (k,) * r, 1)
+    k = _slot_degree(form, r)
     cls = DoubleForm if r == 2 else MultiForm
     if d > n:
         return cls._zeros(n, (k,) * r, form.field)
@@ -100,8 +112,6 @@ def embed(form: ExteriorForm, r: int):
     num, den, _ = form._lane()
     out = np.concatenate([num, np.zeros(1, dtype=num.dtype)])[ranks]
     out[neg] = -out[neg]
-    if form.field == scalars.FLOAT64:
-        out[out == 0] = 0.0  # a zero, negated or -0.0, reads +0.0
     return _form(cls, n, (k,) * r, form.field, out, den)
 
 
@@ -119,13 +129,19 @@ def multiform_as_double_form(mf: MultiForm) -> DoubleForm:
     return DoubleForm(mf.n, mf.k, mf.k, mf.coeffs, mf.field)
 
 
-def hyperdet(mf: MultiForm):
-    """Hyperdeterminant *(w^p/p!) of a (k,...,k) multiform with n = pk."""
-    n, k = mf.n, mf.k
+def _top_steps(n, k, r):
+    """hyperdet's argument checks and budget for r slots of degree k:
+    the chain up to w^p, p = n / k, which this returns."""
     if k == 0 or n % k:
         raise ValueError(f"dimension {n} is not a multiple of the slot degree {k}")
     p = n // k
-    _check_work(n, (k,) * mf.r, p)
+    _check_work(n, (k,) * r, p)
+    return p
+
+
+def hyperdet(mf: MultiForm):
+    """Hyperdeterminant *(w^p/p!) of a (k,...,k) multiform with n = pk."""
+    p = _top_steps(mf.n, mf.k, mf.r)
     top = wedge_multi_power(mf, p)
     starred = hodge_multi(top)
     return starred.coeffs[(0,) * mf.r] * Fraction(1, factorial(p))
@@ -154,15 +170,19 @@ class ConjectureRecord:
             if not isinstance(self.lhs, float) else self.rhs / self.lhs
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "params": self.params,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "residual": str(self.residual),
-            "ratio": None if self.ratio is None else str(self.ratio),
-            "asserted": self.asserted,
-        }
+        """The report entry; a float value that is not finite (an overflow)
+        is a ValueError, as the report writer refuses one elsewhere."""
+        values = {"lhs": self.lhs, "rhs": self.rhs, "residual": self.residual,
+                  "ratio": self.ratio}
+        if any(isinstance(v, float) and not isfinite(v) for v in values.values()):
+            raise ValueError(_not_finite(self.name))
+        return {"name": self.name, "params": self.params,
+                **{key: None if v is None else str(v) for key, v in values.items()},
+                "asserted": self.asserted}
+
+
+def _not_finite(name):
+    return f"the conjecture {name} holds a float that is not finite (an overflow)"
 
 
 def check_pf_squared(form: ExteriorForm, r: int = 2):
@@ -173,6 +193,12 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
     exact residual and ratio.  The record keeps the Pfaffian in `pf`.
     """
     n, d = form.n, form.k
+    # every argument check and budget below runs before the first wedge
+    _pf_steps(form)
+    k = _slot_degree(form, r)
+    if (r, d) != (2, 2):
+        # the star of the embedding's top power w^(n/k): h_(0,n) at r = 2
+        _top_steps(n, k, r)
     value = pf(form)
     if r == 2:
         w = embed(form, 2)
@@ -182,17 +208,16 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
             return ConjectureRecord("pf_squared_det", {"n": n, "degree": d},
                                     value * value, _eliminate(w, invert=False)[0],
                                     True, value)
-        # h_(0,n) of the embedded (k, k) form: star of its top wedge power,
-        # which no other budget guards
-        q_exp = n // (d // 2)
-        _check_work(n, w.bidegree, q_exp)
-        rhs = hodge(wedge_power(w, q_exp)).scalar()
+        rhs = hodge(wedge_power(w, n // k)).scalar()
         return ConjectureRecord("pf_squared_hn", {"n": n, "degree": d},
                                 value * value, rhs, False, value)
-    mf = embed(form, r)
-    rhs = hyperdet(mf)
+    rhs = hyperdet(embed(form, r))
+    try:
+        lhs = value ** r
+    except OverflowError:  # a float Pf whose power passes binary64
+        raise ValueError(_not_finite("pf_power_hyperdet")) from None
     return ConjectureRecord("pf_power_hyperdet", {"n": n, "degree": d, "r": r},
-                            value ** r, rhs, False, value)
+                            lhs, rhs, False, value)
 
 
 def conjecture_to_residual(rec: ConjectureRecord, field: str) -> IdentityResidual:

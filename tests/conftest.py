@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 from dfalg import scalars
@@ -17,3 +18,19 @@ def random_dform(n, p, q, seed, symmetric=False, field=scalars.RATIONAL):
     if symmetric:
         out = out + transpose(out)
     return out
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory that tracemalloc saw it hold at once,
+    in bytes above what was held when it started (numpy buffers included)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from dfalg import scalars
 from dfalg.cli import main
@@ -877,6 +878,37 @@ def test_float_overflow_exits_2_with_no_report(tmp_path, capsys, argv):
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.startswith(b"dfalg: error:") and proc.stderr.count(b"\n") == 1
     assert b"Traceback" not in proc.stderr
+
+
+# Pf overflows in its power, not in Pf itself: n = 4 gives Pf = -1e200 and
+# lhs Pf^2 = inf, a 6-form with --r 3 lhs Pf^3 = 1e600
+@pytest.mark.parametrize("n,value,rest", [(4, -1e200, ()), (6, 1e200, ("--r", "3"))])
+def test_overflowing_conjecture_exits_2_with_no_report(tmp_path, capsys, n, value, rest):
+    doc = {"n": n, "kind": "form", "k": n, "scalar": "float64",
+           "entries": [{"row": list(range(n)), "value": value}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "pfaffian", str(path), *rest)
+    assert code == 2 and out == ""
+    assert err.startswith("dfalg: error:") and "not finite" in err
+
+
+# one-entry float files whose dense form fits the tensor budget but whose
+# pf or embedding does not: the refusal must come before any large build
+@pytest.mark.parametrize("n,k,limit_mb,message", [
+    (22, 11, 50, "the Pfaffian needs a nonzero even degree, got 11"),
+    (24, 12, 100, "dense entries"),
+])
+def test_one_entry_pfaffian_file_is_refused_small(tmp_path, capsys, n, k, limit_mb,
+                                                  message):
+    doc = {"n": n, "kind": "form", "k": k, "scalar": "float64",
+           "entries": [{"row": list(range(k)), "value": 1.5}]}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    code, peak = traced_peak(main, ["pfaffian", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and message in out.err
+    assert peak < limit_mb * 2 ** 20, peak
 
 
 def test_dense_30x30_s_3_exits_cleanly(tmp_path, capsys):

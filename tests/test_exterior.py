@@ -104,10 +104,10 @@ def test_multiform_slotwise_examples():
     star = hodge_multi(m)
     assert star.entry([(1,), (0,)]) == -1
     assert star.max_abs() == 1
-    # a -0.0 slot value times a positive one is -0.0; from_slots stores +0.0
-    f = ExteriorForm(2, 1, [-0.0, 1.0], "float64")
-    g = ExteriorForm(2, 1, [1.0, 2.0], "float64")
-    assert np.signbit(np.multiply.outer(f.coeffs, g.coeffs)).any()
+    # a -0.0 slot value times a positive one is -0.0; from_slots reads +0.0
+    raw = np.array([-0.0, 1.0])
+    f, g = ExteriorForm(2, 1, raw, "float64"), ExteriorForm(2, 1, [1.0, 2.0], "float64")
+    assert np.signbit(np.multiply.outer(raw, [1.0, 2.0])).any()
     assert not np.signbit(MultiForm.from_slots([f, g]).coeffs).any()
 
 
