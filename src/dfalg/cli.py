@@ -30,7 +30,7 @@ from .fixtures import (
     suite_fixtures,
 )
 from .identities import ALL_IDENTITY_NAMES, run_suite
-from .invariants import N_2k, T_2k, h_2k, h_rpq, s_k, s_rq, t_k
+from .invariants import N_2k, T_2k, family_orders, h_2k, h_rpq, s_k, s_rq, t_k
 from .multiindex import MAX_DIM
 from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, skew_to_form
 from .tensorio import load_tensor, tensor_to_doc
@@ -222,24 +222,18 @@ def _value(v, field):
     return scalars.format_scalar(v, field)
 
 
-# family -> (invariant, largest order k at dimension n); `--k all` runs
-# T and N from k = 1, the others from k = 0
-ORDERED_FAMILIES = {
-    "s": (s_k, lambda n: n),
-    "t": (t_k, lambda n: n - 1),
-    "h2k": (h_2k, lambda n: n // 2),
-    "T": (T_2k, lambda n: (n - 1) // 2),
-    "N": (N_2k, lambda n: (n - 2) // 2),
-}
+# family -> its invariant; `--k all` runs the family's orders at n
+# (invariants.family_orders)
+ORDERED_FAMILIES = {"s": s_k, "t": t_k, "h2k": h_2k, "T": T_2k, "N": N_2k}
 
 
 def _invariants(obj, args):
     """The report rows of args.family for the (p, q) form obj."""
     family, r, q = args.family, args.r, args.q
     if family in ORDERED_FAMILIES:
-        invariant, top = ORDERED_FAMILIES[family]
+        invariant = ORDERED_FAMILIES[family]
         if args.k == "all":
-            orders = range(family in ("T", "N"), top(obj.n) + 1)
+            orders = family_orders(family, obj.n)
         else:
             try:
                 orders = [int(args.k)]

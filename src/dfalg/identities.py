@@ -114,7 +114,7 @@ def check_general_CH(h: DoubleForm, r: int, i: int) -> IdentityResidual:
     n = h.n
     if not 1 <= i + 1 <= r <= n - i:
         raise ValueError(f"(r, i) = ({r}, {i}) outside the theorem range")
-    val = s_rq(h, r, n - i, path="contraction")
+    val = s_rq(h, r, n - i)
     return _vanishing("general_cayley_hamilton", {"n": n, "r": r, "i": i}, val,
                       "s_(r, n-i)(h) = 0", h.field)
 
@@ -149,7 +149,7 @@ def check_block_laplace(h: DoubleForm, r: int) -> IdentityResidual:
         raise ValueError(f"block size {r} out of range [0, {n}]")
     det = s_k(h, n)
     lhs = det * (metric_power(n, r, h.field) * Fraction(1, factorial(r)))
-    star = s_rq(h, r, n - r, path="hodge")
+    star = s_rq(h, r, n - r)
     rhs = compose(transpose(star), wedge_power(h, r) * Fraction(1, factorial(r)))
     return _record("block_laplace", {"n": n, "r": r}, lhs, rhs,
                    "det(h) g^r/r! = (*(h^(n-r)/(n-r)!))^t o h^r/r!", h.field)
@@ -192,8 +192,8 @@ def check_newton_srq(h: DoubleForm, r: int, q: int) -> IdentityResidual:
     n = h.n
     if not (0 <= q <= n and 1 <= r <= n - q):
         raise ValueError(f"(r, q) = ({r}, {q}) outside the Newton range")
-    lhs = contract(s_rq(h, r, q, path="hodge"))
-    rhs = (n - q - r + 1) * s_rq(h, r - 1, q, path="hodge")
+    lhs = contract(s_rq(h, r, q))
+    rhs = (n - q - r + 1) * s_rq(h, r - 1, q)
     return _record("newton_srq", {"n": n, "r": r, "q": q}, lhs, rhs,
                    "c s_(r,q)(h) = (n-q-r+1) s_(r-1,q)(h)", h.field)
 
@@ -204,7 +204,7 @@ def check_general_laplace_srq(h: DoubleForm, r: int, q: int) -> IdentityResidual
     if not (0 <= q <= n and 1 <= r <= n - q):
         raise ValueError(f"(r, q) = ({r}, {q}) outside the Laplace range")
     lhs = Fraction(factorial(q + r), factorial(q)) * s_k(h, q + r)
-    rhs = inner(s_rq(h, r, q, path="hodge"), wedge_power(h, r))
+    rhs = inner(s_rq(h, r, q), wedge_power(h, r))
     return _record("general_laplace_srq", {"n": n, "r": r, "q": q}, lhs, rhs,
                    "(q+r)!/q! s_(q+r)(h) = <s_(r,q)(h), h^r>", h.field)
 
@@ -305,7 +305,7 @@ def check_avez(R: DoubleForm) -> IdentityResidual:
     n = R.n
     if n < 4:
         raise ValueError("the h_4 formula needs n >= 4")
-    lhs = h_2k(R, 2, path="hodge")
+    lhs = h_2k(R, 2)
     cR = contract(R)
     c2R = contract(cR).scalar()
     rhs = inner(R, R) - inner(cR, cR) + Fraction(1, 4) * c2R * c2R
@@ -318,7 +318,7 @@ def check_h2k2_corollary(R: DoubleForm, k: int) -> IdentityResidual:
     n = R.n
     if not 4 <= 2 * k + 2 <= n:
         raise ValueError(f"order 2k+2 = {2 * k + 2} out of range [4, {n}]")
-    lhs = h_2k(R, k + 1, path="hodge")
+    lhs = h_2k(R, k + 1)
     rhs = inner(h_rpq(R, 2, 2, k, path="contraction"), R)
     return _record("gauss_bonnet_recursion", {"n": n, "k": k}, lhs, rhs,
                    "h_(2k+2) = <c^(2k-2)R^k/(2k-2)!, R> - <c^(2k-1)R^k/(2k-1)!, cR> "
@@ -330,7 +330,7 @@ def check_general_avez(R: DoubleForm, q: int) -> IdentityResidual:
     n = R.n
     if n < 4 * q:
         raise ValueError(f"the h_4q formula needs n >= 4q = {4 * q}")
-    lhs = h_2k(R, 2 * q, path="hodge")
+    lhs = h_2k(R, 2 * q)
     rhs = inner(h_rpq(R, 2 * q, 2, q, path="contraction"), wedge_power(R, q))
     return _record("general_avez", {"n": n, "q": q}, lhs, rhs,
                    "h_4q(R) = sum_r (-1)^r/(r!)^2 |c^r R^q|^2", R.field)

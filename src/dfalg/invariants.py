@@ -7,11 +7,13 @@ forms, and the general (r, pq) cofactors of (p,p) forms.
 
 Every family is a normalised specialisation of the (r, pq) cofactor
 h_(r,pq)(w) = *(g^(n-pq-r) w^q)/(n-pq-r)!, and h_rpq is the only code
-that computes one: it has one Hodge-star path and one equivalent series
-in powers of the metric and contractions.  The two paths are independent
-and, on the overlap of their domains, must agree.  The contraction path
-is the one that extends the transformations past the top degree, which
-is where the generalized vanishing identities live (module identities).
+that computes one, picks its path or checks its request: it has one
+Hodge-star path and one equivalent series in powers of the metric and
+contractions.  The two paths are independent and, on the overlap of their
+domains, must agree.  The contraction path is the one that extends the
+transformations past the top degree, which is where the generalized
+vanishing identities live (module identities).  The table FAMILIES gives
+each ordered family its (r, p) and its orders.
 """
 
 from __future__ import annotations
@@ -67,22 +69,26 @@ def h_rpq(w: DoubleForm, r: int, p: int, q: int, path: str = "auto") -> DoubleFo
 
     h_(r,pq)(w) = *(g^(n-pq-r) w^q)/(n-pq-r)! on the Hodge-star path.  The
     contraction path sums (-1)^(i+pq)/(i! m!) g^m c^i(w^q) with
-    m = r - pq + i, which extends r past n - pq.  Specializations: p = 1
+    m = r - pq + i, which extends r past n - pq up to n; there only that
+    path is defined, and w must be symmetric.  Specializations: p = 1
     gives q! s_(r,q); p = 2 gives h_2q, T_2q, N_2q at r = 0, 1, 2.  Inside
     power_memo() each result is kept under the path that computed it, so
     an "auto" call shares the entry of the path it resolves to, and one
-    path never answers a call for the other.  The work budget is checked
-    when a result is built, so a kept result comes back with no check.
+    path never answers a call for the other.  The work budget and then the
+    symmetry are checked when a result is built, so a kept result comes
+    back with no check.
     """
     _check_square(w, p)
     n = w.n
     pq = p * q
-    if r < 0 or q < 0 or pq > n:
+    if not 0 <= r <= n or q < 0 or pq > n:
         raise ValueError(f"(r, pq) = ({r}, {pq}) out of range for dimension {n}")
     path = _resolve_path(n, pq, r, path)
 
     def build():
         _check_work(n, p, q, r, path)
+        if r > n - pq and not is_symmetric(w):
+            raise ValueError("the extended (r, pq) cofactor assumes a symmetric form")
         if path == "contraction":
             return _contraction_series(w, r, p, q)
         m = n - pq - r
@@ -134,20 +140,73 @@ def _check_work(n, p, q, r, path):
 
 
 # ---------------------------------------------------------------------------
-# characteristic coefficients of bilinear forms
+# the ordered families, one row each over h_rpq
 
 
-def s_k(h: DoubleForm, k: int, path: str = "hodge"):
+# family -> (r, p, first order): the order-k member of a family is the
+# (r, pk) cofactor of a (p, p) form, scaled by 1/k! when p = 1, and its
+# orders at dimension n run from the first to (n - r) // p, the largest k
+# with r <= n - pk, where the Hodge-star path is defined
+FAMILIES = {
+    "s": (0, 1, 0),
+    "t": (1, 1, 0),
+    "h2k": (0, 2, 0),
+    "T": (1, 2, 1),
+    "N": (2, 2, 1),
+}
+
+
+def family_orders(family: str, n: int) -> range:
+    """The orders k of an ordered family at dimension n."""
+    r, p, first = FAMILIES[family]
+    return range(first, (n - r) // p + 1)
+
+
+def _family_member(family, w, k):
+    """s_(r,k)(w) of a bilinear family, h_(r,pk)(w) of a (p, p) one."""
+    r, p, _ = FAMILIES[family]
+    _check_square(w, p)
+    orders = family_orders(family, w.n)
+    if k not in orders:
+        raise ValueError(f"{family} order k = {k} out of range "
+                         f"[{orders.start}, {orders.stop - 1}] for dimension {w.n}")
+    return s_rq(w, r, k) if p == 1 else h_rpq(w, r, p, k)
+
+
+def s_k(h: DoubleForm, k: int):
     """k-th characteristic coefficient: trace for k = 1, determinant for k = n."""
-    _check_bilinear(h)
-    n = h.n
-    if not 0 <= k <= n:
-        raise ValueError(f"s_k order {k} out of range [0, {n}]")
-    return s_rq(h, 0, k, path).scalar()
+    return _family_member("s", h, k).scalar()
 
 
-def s_all(h: DoubleForm, path: str = "hodge"):
-    return [s_k(h, k, path) for k in range(h.n + 1)]
+def t_k(h: DoubleForm, k: int) -> DoubleForm:
+    """k-th cofactor (Newton) transformation; t_0 = g, t_(n-1) = cofactor matrix."""
+    return _family_member("t", h, k)
+
+
+def h_2k(R: DoubleForm, k: int):
+    """2k-th Gauss-Bonnet scalar of a symmetric (2, 2) Bianchi form."""
+    return _family_member("h2k", R, k).scalar()
+
+
+def T_2k(R: DoubleForm, k: int) -> DoubleForm:
+    """Einstein-Lovelock tensor of order 2k; T_2 is the Einstein tensor."""
+    return _family_member("T", R, k)
+
+
+def N_2k(R: DoubleForm, k: int) -> DoubleForm:
+    """Second cofactor of order 2k, a symmetric (2, 2) Bianchi form."""
+    return _family_member("N", R, k)
+
+
+def s_rq(h: DoubleForm, r: int, q: int) -> DoubleForm:
+    """(r, q) cofactor transformation of a bilinear form, an (r, r) form.
+
+    s_(r,q)(h) = h_(r,1q)(h)/q!, defined for 0 <= r, q <= n; past r = n - q
+    it assumes h symmetric.  Inside power_memo() the scaled result is kept
+    under ("s_rq", r, q).
+    """
+    return _memoized(h, ("s_rq", r, q),
+                     lambda: h_rpq(h, r, 1, q) * Fraction(1, factorial(q)))
 
 
 def sectional_value(h: DoubleForm, k: int, r: int, subset):
@@ -163,37 +222,6 @@ def sectional_value(h: DoubleForm, k: int, r: int, subset):
     if k + r > n:
         raise ValueError("subset degree exceeds the dimension")
     return metric_wedge_power(h, k, r).entry(subset, subset)
-
-
-def t_k(h: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
-    """k-th cofactor (Newton) transformation; t_0 = g, t_(n-1) = cofactor matrix."""
-    _check_bilinear(h)
-    n = h.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"t_k order {k} out of range [0, {n - 1}]")
-    return s_rq(h, 1, k, path)
-
-
-def s_rq(h: DoubleForm, r: int, q: int, path: str = "auto") -> DoubleForm:
-    """(r, q) cofactor transformation of a bilinear form, an (r, r) form.
-
-    s_(r,q)(h) = h_(r,1q)(h)/q!.  The Hodge-star definition covers
-    r <= n - q; the expansion in metric powers and contractions extends it
-    to all r <= n, which is required by the generalized vanishing theorems.
-    The extension assumes h symmetric.  Inside power_memo() the scaled
-    result is kept like h_rpq's, under the path it resolves to.
-    """
-    _check_bilinear(h)
-    n = h.n
-    if not (0 <= q <= n and 0 <= r <= n):
-        raise ValueError(f"(r, q) = ({r}, {q}) out of range for dimension {n}")
-    path = _resolve_path(n, q, r, path)
-
-    def build():
-        if r > n - q and not is_symmetric(h):  # only the contraction path goes past n - q
-            raise ValueError("the extended (r, q) cofactor assumes a symmetric form")
-        return h_rpq(h, r, 1, q, path) * Fraction(1, factorial(q))
-    return _memoized(h, ("s_rq", r, q, path), build)
 
 
 def power_sums(h: DoubleForm, r: int):
@@ -216,40 +244,9 @@ def s_k_of_sum(A: DoubleForm, B: DoubleForm, k: int):
         raise ValueError("mismatched dimensions")
     total = 0
     for i in range(k + 1):
-        term = inner(s_rq(A, k - i, i, path="hodge"), wedge_power(B, k - i))
+        term = inner(s_rq(A, k - i, i), wedge_power(B, k - i))
         total += Fraction(1, factorial(k - i)) * term
     return scalars.coerce(total, A.field)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Bonnet invariants of (2, 2) double forms
-
-
-def h_2k(R: DoubleForm, k: int, path: str = "hodge"):
-    """2k-th Gauss-Bonnet scalar of a symmetric (2, 2) Bianchi form."""
-    _check_square(R, 2)
-    n = R.n
-    if not 0 <= 2 * k <= n:
-        raise ValueError(f"h_2k order 2k = {2 * k} out of range [0, {n}]")
-    return h_rpq(R, 0, 2, k, path).scalar()
-
-
-def T_2k(R: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
-    """Einstein-Lovelock tensor of order 2k; T_2 is the Einstein tensor."""
-    _check_square(R, 2)
-    n = R.n
-    if not 2 <= 2 * k <= n - 1:
-        raise ValueError(f"T_2k order 2k = {2 * k} out of range [2, {n - 1}]")
-    return h_rpq(R, 1, 2, k, path)
-
-
-def N_2k(R: DoubleForm, k: int, path: str = "hodge") -> DoubleForm:
-    """Second cofactor of order 2k, a symmetric (2, 2) Bianchi form."""
-    _check_square(R, 2)
-    n = R.n
-    if not 2 <= 2 * k <= n - 2:
-        raise ValueError(f"N_2k order 2k = {2 * k} out of range [2, {n - 2}]")
-    return h_rpq(R, 2, 2, k, path)
 
 
 def g_power_star_expansion(w: DoubleForm, m: int) -> DoubleForm:
@@ -306,7 +303,7 @@ def char_poly_srq(h: DoubleForm, r: int) -> CharPoly:
     if not 1 <= r <= n:
         raise ValueError(f"cofactor order {r} out of range [1, {n}]")
     return CharPoly("srq",
-                    [(-1) ** m * s_rq(h, r, n - r - m, path="hodge")
+                    [(-1) ** m * s_rq(h, r, n - r - m)
                      for m in range(n - r + 1)])
 
 

@@ -362,6 +362,29 @@ def test_invariants_T_and_N_start_at_order_1(capsys, family, orders):
     assert [row["k"] for row in json.loads(out)["invariants"]] == orders
 
 
+def test_invariants_cofactor_past_n_minus_pq_needs_a_symmetric_form(tmp_path, capsys):
+    # past r = n - pq only the contraction series is defined, and it assumes
+    # a symmetric form: hrpq refuses a general form as srq does
+    path = tmp_path / "h.json"
+    path.write_text(tensor_to_json(random_bilinear(4, 11)))
+    for family in ("hrpq", "srq"):
+        code, out, err = run_cli(capsys, "invariants", str(path), "--family", family,
+                                 "--r", "3", "--q", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("dfalg: error:") and err.count("\n") == 1
+        assert "symmetric form" in err
+
+
+def test_invariants_cofactor_order_past_n_exits_2(capsys):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "bianchi_n5.json"
+    for r in ("6", "9"):
+        code, out, err = run_cli(capsys, "invariants", str(path), "--family", "hrpq",
+                                 "--r", r, "--q", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("dfalg: error:") and err.count("\n") == 1
+        assert "out of range" in err
+
+
 def test_invariants_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "invariants", "/nonexistent.json",
                            "--family", "s")

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import functools
 import hashlib
+import inspect
 import itertools
 from fractions import Fraction
 from math import comb, factorial
@@ -55,10 +57,16 @@ def test_s_k_range_errors():
         inv.s_k(random_dform(3, 2, 2, seed=1), 1)
 
 
+def _s_rq_on(h, r, q, path):
+    """s_(r,q)(h) = h_(r,1q)(h)/q! on one path of h_rpq."""
+    return inv.h_rpq(h, r, 1, q, path) * Fraction(1, factorial(q))
+
+
 def test_s_k_dual_paths_agree():
     h = random_bilinear(5, 31)
     for k in range(6):
-        assert inv.s_k(h, k, "hodge") == inv.s_k(h, k, "contraction")
+        star = _s_rq_on(h, 0, k, "hodge").scalar()
+        assert star == _s_rq_on(h, 0, k, "contraction").scalar() == inv.s_k(h, k)
 
 
 # -- sectional values ---------------------------------------------------------
@@ -162,13 +170,18 @@ def test_s_rq_dual_paths_on_overlap():
     h = random_bilinear(4, 82, "symmetric")
     for q in range(5):
         for r in range(0, 4 - q + 1):
-            assert inv.s_rq(h, r, q, "hodge") == inv.s_rq(h, r, q, "contraction")
+            star = _s_rq_on(h, r, q, "hodge")
+            assert star == _s_rq_on(h, r, q, "contraction") == inv.s_rq(h, r, q)
 
 
 def test_s_rq_extension_requires_symmetry():
     h = random_bilinear(4, 83)  # not symmetric
-    with pytest.raises(ValueError):
-        inv.s_rq(h, 4, 2, "contraction")
+    with pytest.raises(ValueError, match="symmetric"):
+        _s_rq_on(h, 4, 2, "contraction")
+    with pytest.raises(ValueError, match="Hodge-star path needs"):
+        _s_rq_on(h, 4, 2, "hodge")
+    with pytest.raises(ValueError, match="symmetric"):
+        inv.s_rq(h, 4, 2)
 
 
 def test_s_rq_eigenvalues_of_diagonal_form():
@@ -264,7 +277,7 @@ def test_power_sums_trace_and_metric():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_newton_recurrence_exact(n):
     h = random_bilinear(n, 1000 + n)
-    ss = inv.s_all(h)
+    ss = [inv.s_k(h, k) for k in range(n + 1)]
     ps = inv.power_sums(h, n)
     for r in range(1, n + 1):
         assert r * ss[r] == sum((-1) ** (i + 1) * ss[r - i] * ps[i - 1]
@@ -318,11 +331,15 @@ def test_einstein_tensor():
 def test_h_T_N_dual_paths(n):
     R = random_bianchi(n, 2, 2, seed=1100 + n)
     for k in range(n // 2 + 1):
-        assert inv.h_2k(R, k, "hodge") == inv.h_2k(R, k, "contraction")
+        star = inv.h_rpq(R, 0, 2, k, "hodge")
+        assert star == inv.h_rpq(R, 0, 2, k, "contraction")
+        assert star.scalar() == inv.h_2k(R, k)
     for k in range(1, (n - 1) // 2 + 1):
-        assert inv.T_2k(R, k, "hodge") == inv.T_2k(R, k, "contraction")
+        star = inv.h_rpq(R, 1, 2, k, "hodge")
+        assert star == inv.h_rpq(R, 1, 2, k, "contraction") == inv.T_2k(R, k)
     for k in range(1, (n - 2) // 2 + 1):
-        assert inv.N_2k(R, k, "hodge") == inv.N_2k(R, k, "contraction")
+        star = inv.h_rpq(R, 2, 2, k, "hodge")
+        assert star == inv.h_rpq(R, 2, 2, k, "contraction") == inv.N_2k(R, k)
 
 
 def test_degree_bounds():
@@ -333,6 +350,54 @@ def test_degree_bounds():
         inv.T_2k(R, 2)
     with pytest.raises(ValueError):
         inv.N_2k(R, 2)
+
+
+# -- one door: only h_rpq takes a path, and FAMILIES gives every family's orders ----
+
+def test_h_rpq_is_the_only_public_function_that_takes_a_path():
+    takers = [name for name, fn in inspect.getmembers(inv, inspect.isfunction)
+              if not name.startswith("_") and "path" in inspect.signature(fn).parameters]
+    assert takers == ["h_rpq"]
+
+
+def test_identities_pass_a_path_to_h_rpq_only():
+    from dfalg import identities
+
+    tree = ast.parse(inspect.getsource(identities))
+    callees = {ast.unparse(node.func) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and any(kw.arg == "path" for kw in node.keywords)}
+    assert callees == {"h_rpq"}
+
+
+# the orders each family's own range check allowed before the table
+ORDERS_BEFORE_THE_TABLE = {
+    "s": lambda n: range(0, n + 1),
+    "t": lambda n: range(0, n),
+    "h2k": lambda n: range(0, n // 2 + 1),
+    "T": lambda n: range(1, (n - 1) // 2 + 1),
+    "N": lambda n: range(1, (n - 2) // 2 + 1),
+}
+
+
+def test_family_orders_keep_every_family_range():
+    assert set(inv.FAMILIES) == set(ORDERS_BEFORE_THE_TABLE)
+    for n in range(13):
+        for family, orders in ORDERS_BEFORE_THE_TABLE.items():
+            assert list(inv.family_orders(family, n)) == list(orders(n)), (family, n)
+
+
+def test_family_functions_take_exactly_their_orders():
+    functions = {"s": inv.s_k, "t": inv.t_k, "h2k": inv.h_2k, "T": inv.T_2k, "N": inv.N_2k}
+    for n in range(2, 7):
+        forms = {1: random_bilinear(n, 3000 + n, "symmetric"), 2: constant_curvature(n, 1)}
+        for family, fn in functions.items():
+            orders = inv.family_orders(family, n)
+            w = forms[inv.FAMILIES[family][1]]
+            for k in (orders.start - 1, orders.stop):
+                with pytest.raises(ValueError, match="out of range"):
+                    fn(w, k)
+            for k in orders:
+                fn(w, k)
 
 
 # -- h_rpq ---------------------------------------------------------------------------
@@ -414,11 +479,12 @@ def test_s_rq_contraction_matches_hand_written_series(n):
     h = random_bilinear(n, 2200 + n, "symmetric")
     for q in range(n + 1):
         for r in range(n + 1):
-            assert inv.s_rq(h, r, q, "contraction") == _s_rq_series(h, r, q)
+            assert _s_rq_on(h, r, q, "contraction") == _s_rq_series(h, r, q)
+    # the families, on the paths "auto" picks, against the same series
     for k in range(n + 1):
-        assert inv.s_k(h, k, "contraction") == _s_rq_series(h, 0, k).scalar()
+        assert inv.s_k(h, k) == _s_rq_series(h, 0, k).scalar()
     for k in range(n):
-        assert inv.t_k(h, k, "contraction") == _s_rq_series(h, 1, k)
+        assert inv.t_k(h, k) == _s_rq_series(h, 1, k)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -428,10 +494,11 @@ def test_T_N_contraction_match_hand_written_series(n):
     for k in range(1, n // 2 + 1):
         assert inv.h_rpq(R, 1, 2, k, "contraction") == _T_series(R, k)
         assert inv.h_rpq(R, 2, 2, k, "contraction") == _N_series(R, k)
+    # the families, on the paths "auto" picks, against the same series
     for k in range(1, (n - 1) // 2 + 1):
-        assert inv.T_2k(R, k, "contraction") == _T_series(R, k)
+        assert inv.T_2k(R, k) == _T_series(R, k)
     for k in range(1, (n - 2) // 2 + 1):
-        assert inv.N_2k(R, k, "contraction") == _N_series(R, k)
+        assert inv.N_2k(R, k) == _N_series(R, k)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -988,13 +1055,16 @@ def test_fresh_over_budget_call_in_a_memo_raises_before_any_wedge(monkeypatch):
 
 def test_non_symmetric_contraction_path_raises_in_and_out_of_a_memo():
     h = random_bilinear(5, 163, "general")
-    assert not inv.is_symmetric(h)
+    R = random_dform(5, 2, 2, seed=164)
+    assert not inv.is_symmetric(h) and not inv.is_symmetric(R)
     for scope in (dform.power_memo, contextlib.nullcontext):
         with scope():
             for _ in range(2):
                 with pytest.raises(ValueError, match="symmetric"):
                     inv.s_rq(h, 4, 3)
+                # a (2, 2) form past n - 2q = 1 is held to the same rule
                 with pytest.raises(ValueError, match="symmetric"):
-                    inv.s_rq(h, 4, 3, "contraction")
+                    inv.h_rpq(R, 2, 2, 2)
             # the star path asks for no symmetry
-            assert inv.s_rq(h, 2, 3) == inv.s_rq(h, 2, 3, "hodge")
+            assert inv.s_rq(h, 2, 3) == inv.h_rpq(h, 2, 1, 3) * Fraction(1, 6)
+            assert inv.h_rpq(R, 1, 2, 2).bidegree == (1, 1)
