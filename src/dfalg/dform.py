@@ -603,7 +603,10 @@ def _contract(n, p, q, m, Ginv):
     x = pad[rp[:, :, None, None], rq[None, None, :, :]]
     neg = negp[:, :, None, None] ^ negq[None, None, :, :]
     x[neg] = -x[neg]
-    return np.tensordot(x, Ginv, axes=([1, 3], [0, 1]))
+    # tensordot over axes (1, 3) and (0, 1), written out: one (I J, a b) by
+    # (a b, 1) product, summed in the same order
+    x = x.transpose(0, 2, 1, 3).reshape(len(rp) * len(rq), n * n)
+    return x.dot(Ginv.reshape(n * n, 1)).reshape(len(rp), len(rq))
 
 
 def _invert_metric(G: DoubleForm) -> DoubleForm:

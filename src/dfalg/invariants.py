@@ -40,6 +40,7 @@ from .dform import (
     metric,
     metric_power,
     metric_wedge_power,
+    power_memo,
     transpose,
     wedge,
     wedge_power,
@@ -386,8 +387,10 @@ def jacobi_derivative(h0: DoubleForm, v: DoubleForm, k: int):
     _check_bilinear(v)
     if not 1 <= k <= h0.n:
         raise ValueError(f"order {k} out of range [1, {h0.n}]")
-    lhs = poly_coeff_of_t(lambda t: s_k(h0 + t * v, k), k)
-    rhs = inner(t_k(h0, k - 1), v)
+    with power_memo():
+        rhs = inner(t_k(h0, k - 1), v)
+        y0 = s_k(h0, k)
+    lhs = poly_coeff_of_t(_from_base(y0, lambda t: s_k(h0 + t * v, k)), k)
     return lhs, rhs
 
 
@@ -397,10 +400,19 @@ def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
     _check_square(V, 2)
     if not 1 <= 2 * k <= R0.n:
         raise ValueError(f"order 2k = {2 * k} out of range [2, {R0.n}]")
-    lhs = poly_coeff_of_t(lambda t: h_2k(R0 + t * V, k), k)
-    # N_(2k-2) = h_(2,2(k-1)), which N_2k's range leaves out at k = 1: N_0 = g^2/2
-    rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V)
+    with power_memo():
+        # N_(2k-2) = h_(2,2(k-1)), which N_2k's range leaves out at k = 1: N_0 = g^2/2
+        rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V)
+        y0 = h_2k(R0, k)
+    lhs = poly_coeff_of_t(_from_base(y0, lambda t: h_2k(R0 + t * V, k)), k)
     return lhs, rhs
+
+
+def _from_base(y0, sample):
+    """t -> sample(t), and y0 at t = 0: the sample at the base form itself,
+    built in the power_memo() block of the right side, which ends before
+    any sample at t >= 1 runs."""
+    return lambda t: sample(t) if t else y0
 
 
 # -- metric-variation variants ----------------------------------------------
@@ -491,12 +503,13 @@ def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
     if not 1 <= k <= n:
         raise ValueError(f"order {k} out of range [1, {n}]")
 
-    def sample(t):
-        return s_k_metric(h0 + t * v, g0 + t * w, k)
-
+    with power_memo():
+        rhs = inner(t_k(h0, k - 1), v) \
+            + inner(t_or_top(h0, k) - s_k(h0, k) * metric(n, h0.field), w)
+        y0 = s_k_metric(h0, g0, k)
+    sample = _from_base(y0, lambda t: s_k_metric(h0 + t * v, g0 + t * w, k))
     # s_k(h, G) det(G) is a coefficient of det(H - x G): degree <= n in t
     lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, n, n)
-    rhs = inner(t_k(h0, k - 1), v) + inner(t_or_top(h0, k) - s_k(h0, k) * metric(n, h0.field), w)
     return lhs, rhs
 
 
@@ -532,10 +545,10 @@ def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm
         raise ValueError(f"order 2k = {2 * k} out of range [2, {n - 1}] "
                          "(T_2k enters the right-hand side)")
 
-    def sample(t):
-        return h_2k_metric(R0 + t * V, g0 + t * w, k)
-
+    with power_memo():
+        rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V) \
+            + inner(T_2k(R0, k) - h_2k(R0, k) * metric(n, R0.field), w)
+        y0 = h_2k_metric(R0, g0, k)
+    sample = _from_base(y0, lambda t: h_2k_metric(R0 + t * V, g0 + t * w, k))
     lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, n - k, n)
-    rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V) \
-        + inner(T_2k(R0, k) - h_2k(R0, k) * metric(n, R0.field), w)
     return lhs, rhs

@@ -2,15 +2,18 @@ import ast
 import contextlib
 import functools
 import hashlib
+import importlib.util
 import inspect
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_dform
+from conftest import random_dform, traced_peak
 from dfalg import dform, invariants as inv, oracle, scalars
 from dfalg.dform import (
     DoubleForm,
@@ -799,22 +802,28 @@ def test_jacobi_values_are_pinned():
 
 
 def test_jacobi_metric_kernel_counts(monkeypatch):
-    # counts are deterministic where times are not; the bound fails if
-    # f det(G)^(2k) is sampled at degree 2k(n - 1) + k (1278 wedges here)
-    # or det G is taken as s_n(G), n - 1 wedges and a star
-    from dfalg import dform
-
+    # counts are deterministic where times are not; the wedge bound fails if
+    # f det(G)^(2k) is sampled at degree 2k(n - 1) + k (1278 wedges here),
+    # if det G is taken as s_n(G), n - 1 wedges and a star, or if the base
+    # point's powers are built apart for the right side and the t = 0
+    # sample (684 wedges here); each sampled metric is inverted once and
+    # contracted p times
     cases = _bench_jacobi_cases(1)
-    runs = {"wedge": 0, "star": 0}
+    runs = {"wedge": 0, "star": 0, "metric contract": 0, "invert": 0}
 
-    def counted(kind, fn):
+    def counted(kind, fn, when=lambda *args: True):
         def wrapper(*args):
-            runs[kind] += 1
+            runs[kind] += when(*args)
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(dform, "_wedge", counted("wedge", dform._wedge))
     monkeypatch.setattr(dform, "_star", counted("star", dform._star))
+    monkeypatch.setattr(dform, "_contract", counted(
+        "metric contract", dform._contract, lambda n, p, q, m, Ginv: Ginv is not None))
+    invert = counted("invert", dform._invert_metric)
+    monkeypatch.setattr(dform, "_invert_metric", invert)
+    monkeypatch.setattr(inv, "_invert_metric", invert)
     det = inv._det_bilinear
 
     def det_without_kernels(G):
@@ -826,7 +835,75 @@ def test_jacobi_metric_kernel_counts(monkeypatch):
     monkeypatch.setattr(inv, "_det_bilinear", det_without_kernels)
     for fn, n, k, args in cases:
         getattr(inv, fn)(*args)
-    assert runs["wedge"] <= 700
+    assert runs["wedge"] <= 560
+    assert runs["metric contract"] == 392
+    assert runs["invert"] == 137
+
+
+def _load_bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded from its file; it is read, never changed."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its own module up while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", (1, 1009))
+def test_bench_jacobi_cases_are_the_benchmark_inputs(monkeypatch, seed):
+    # the sha256 pin and the kernel counts above hold on what the
+    # benchmark runs only while the two case lists agree
+    ours = _bench_jacobi_cases(seed)
+    theirs = _load_bench_workloads(monkeypatch)._jacobi_cases(seed)
+    assert [case[:3] for case in ours] == [case[:3] for case in theirs]
+    for (*_, mine), (*_, bench) in zip(ours, theirs):
+        assert len(mine) == len(bench)
+        for a, b in zip(mine, bench):
+            assert type(a) is type(b) and a == b
+
+
+def _jacobi_args(name):
+    """The arguments of one call of the named Jacobi identity at n = 5."""
+    n = 5
+    g = metric(n)
+    h0, v = random_bilinear(n, 1), random_bilinear(n, 2)
+    w = random_bilinear(n, 3, "symmetric")
+    R0, V = random_bianchi(n, 2, 2, 4), random_bianchi(n, 2, 2, 5)
+    return {"jacobi_derivative": (h0, v, 3),
+            "jacobi_double_form": (R0, V, 2),
+            "jacobi_with_metric": (h0, v, g, w, n),
+            "jacobi_double_form_with_metric": (R0, V, g, w, 2)}[name]
+
+
+@pytest.mark.parametrize("name", ["jacobi_derivative", "jacobi_double_form",
+                                  "jacobi_with_metric", "jacobi_double_form_with_metric"])
+def test_jacobi_base_point_memo_is_closed_and_leaves_a_callers_memo(name):
+    # the base point's memo is the function's own: none is left open after
+    # it, a caller's memo is open again after it, and the pair is the same
+    fn, args = getattr(inv, name), _jacobi_args(name)
+    outside = fn(*args)
+    assert outside[0] == outside[1]
+    assert dform._POWER_MEMO.get() is None
+    with dform.power_memo():
+        callers = dform._POWER_MEMO.get()
+        inside = fn(*args)
+        assert dform._POWER_MEMO.get() is callers
+    assert inside == outside
+    assert dform._POWER_MEMO.get() is None
+
+
+def test_jacobi_with_metric_keeps_no_sample_in_its_memo():
+    # the memo covers the base point only: about 1.03 MiB with no memo,
+    # 1.05 MiB with the base point's, 1.21 MiB with a memo around the whole
+    # call, which keeps every sample's powers
+    n = 7
+    args = (random_bilinear(n, 1), random_bilinear(n, 2), metric(n),
+            random_bilinear(n, 3, "symmetric"), 4)
+    (lhs, rhs), peak = traced_peak(inv.jacobi_with_metric, *args)
+    assert lhs == rhs
+    assert peak <= 1.10 * 2 ** 20
 
 
 def _finite_differences(values):
