@@ -514,9 +514,10 @@ def _memoized(w, key, build):
 def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
     """g^m w^k, the metric power g^m times the k-fold exterior power of w.
 
-    w^k extends w^(k-1) by one wedge with w, and g^m w^k is one more wedge
-    from g^m; k = 0 gives g^m.  Inside power_memo() every power built on
-    the way is kept and reused; w itself is never stored.
+    w^2, ..., w^k are built in a loop, each one wedge of the last with w,
+    and g^m w^k is one more wedge from g^m; k = 0 gives g^m.  Inside
+    power_memo() every power built on the way is kept and reused; w itself
+    is never stored.
     """
     if k < 0:
         raise ValueError("negative exterior power")
@@ -525,9 +526,10 @@ def metric_wedge_power(w: DoubleForm, m: int, k: int) -> DoubleForm:
     if m:
         return _memoized(w, (m, k), lambda: wedge(metric_power(w.n, m, w.field),
                                                   metric_wedge_power(w, 0, k)))
-    if k == 1:
-        return w
-    return _memoized(w, (0, k), lambda: wedge(metric_wedge_power(w, 0, k - 1), w))
+    out = w
+    for j in range(2, k + 1):
+        out = _memoized(w, (0, j), lambda prev=out: wedge(prev, w))
+    return out
 
 
 def contract(w: DoubleForm) -> DoubleForm:
@@ -557,8 +559,10 @@ def contract_with_metric(w: DoubleForm, G: DoubleForm) -> DoubleForm:
 
 
 def _check_metric(w, G):
+    """G a (1, 1) form on the space of w, over the field of w."""
     if G.bidegree != (1, 1) or G.n != w.n:
         raise ValueError("metric must be a (1, 1) form on the same space")
+    w._check_compatible(G)
 
 
 def _contracted(w: DoubleForm, Ginv) -> DoubleForm:

@@ -323,7 +323,7 @@ def char_poly_hn(R: DoubleForm) -> CharPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial interpolation and Jacobi-type derivative identities
+# exact polynomial interpolation
 
 
 def interpolate(points):
@@ -374,108 +374,89 @@ def interpolate(points):
     return coeffs
 
 
-def poly_coeff_of_t(fn, degree: int):
-    """Coefficient of t in the polynomial t -> fn(t), sampled exactly."""
-    pts = [(t, fn(t)) for t in range(degree + 1)]
-    coeffs = interpolate(pts)
-    return coeffs[1] if len(coeffs) > 1 else 0
-
-
-def jacobi_derivative(h0: DoubleForm, v: DoubleForm, k: int):
-    """d/dt s_k(h0 + t v) at t = 0 versus the cofactor pairing <t_(k-1), v>."""
-    _check_bilinear(h0)
-    _check_bilinear(v)
-    if not 1 <= k <= h0.n:
-        raise ValueError(f"order {k} out of range [1, {h0.n}]")
-    with power_memo():
-        rhs = inner(t_k(h0, k - 1), v)
-        y0 = s_k(h0, k)
-    lhs = poly_coeff_of_t(_from_base(y0, lambda t: s_k(h0 + t * v, k)), k)
-    return lhs, rhs
-
-
-def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
-    """d/dt h_2k(R0 + t V) at t = 0 versus <k N_(2k-2)(R0), V>."""
-    _check_square(R0, 2)
-    _check_square(V, 2)
-    if not 1 <= 2 * k <= R0.n:
-        raise ValueError(f"order 2k = {2 * k} out of range [2, {R0.n}]")
-    with power_memo():
-        # N_(2k-2) = h_(2,2(k-1)), which N_2k's range leaves out at k = 1: N_0 = g^2/2
-        rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V)
-        y0 = h_2k(R0, k)
-    lhs = poly_coeff_of_t(_from_base(y0, lambda t: h_2k(R0 + t * V, k)), k)
-    return lhs, rhs
-
-
-def _from_base(y0, sample):
-    """t -> sample(t), and y0 at t = 0: the sample at the base form itself,
-    built in the power_memo() block of the right side, which ends before
-    any sample at t >= 1 runs."""
-    return lambda t: sample(t) if t else y0
-
-
-# -- metric-variation variants ----------------------------------------------
+# -- Jacobi's formula for (p, p) forms ----------------------------------------
 #
-# When the metric varies, invariants are computed with the metric
-# contraction c_G in place of c; every sampled value is then a rational
-# function N(t)/det(G(t)) whose numerator degree is at most n, so the
-# derivative at t = 0 comes out of exact interpolation of N and det(G).
+# d/dt h_(0,pk)(w0 + t V) at t = 0 is k <h_(p,p(k-1))(w0), V>; at p = 1 this
+# is d/dt s_k(h0 + t v) = <t_(k-1)(h0), v>.  Each side is over c = k! at
+# p = 1, the FAMILIES scaling, and over c = 1 otherwise.
 
 
-def _full_metric_contraction(w: DoubleForm, G: DoubleForm, weight: Fraction):
-    """weight times c_G^p(w) of a (p, p) form, a scalar; G is inverted once."""
-    if w.p:
-        _check_metric(w, G)
-        Ginv = _invert_metric(G)
-        for _ in range(w.p):
-            w = _contracted(w, Ginv)
-    return (w * weight).scalar()
+def _per_c(p, k):
+    return Fraction(1, factorial(k) if p == 1 else 1)
 
 
-def s_k_metric(h: DoubleForm, G: DoubleForm, k: int):
-    """s_k of h measured in the metric G: full G-contraction of h^k."""
-    _check_bilinear(h)
-    return _full_metric_contraction(wedge_power(h, k), G, Fraction(1, factorial(k) ** 2))
+def _jacobi(w0: DoubleForm, V: DoubleForm, k: int):
+    """(d/dt h_(0,pk)(w0 + t V)/c at t = 0, k <h_(p,p(k-1))(w0), V>/c).
+
+    The left side interpolates the degree-k polynomial at t = 0, ..., k.
+    The right side and the t = 0 sample share one power_memo() block; the
+    samples at t >= 1 run after it, so the memo keeps none of them.
+    """
+    p = w0.p
+    _check_square(V, p)
+    per_c = _per_c(p, k)
+    with power_memo():
+        rhs = inner(h_rpq(w0, p, p, k - 1), V) * (k * per_c)
+        ys = [h_rpq(w0, 0, p, k).scalar() * per_c]
+    ys += [h_rpq(w0 + t * V, 0, p, k).scalar() * per_c for t in range(1, k + 1)]
+    return interpolate(enumerate(ys))[1], rhs
 
 
-def h_2k_metric(R: DoubleForm, G: DoubleForm, k: int):
-    """h_2k of R measured in the metric G: full G-contraction of R^k."""
-    _check_square(R, 2)
-    return _full_metric_contraction(wedge_power(R, k), G, Fraction(1, factorial(2 * k)))
+def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm, k: int):
+    """_jacobi with the metric G(t) = g0 + t W varying too, g0 the identity
+    metric: the right side gains <h_(1,pk)(w0) - h_(0,pk)(w0) g, W>/c.
+
+    f(t) = _metric_scalar(w0 + t V, G(t), k) pairs a power of degree k in t
+    with the pk-minors of G^-1, each an (n - pk)-minor of G over det G
+    (Jacobi's complementary-minor theorem), so N = f det G has degree
+    n - (p - 1)k.  Samples run at integer t, skipping any where G
+    degenerates, until det G has n + 1 nonzero values; f is sampled at the
+    first n - (p - 1)k + 1 of them.  With det G(0) = 1,
+    f'(0) = N'(0) - N(0) (det G)'(0).  The memo is scoped as in _jacobi.
+    """
+    n, p = w0.n, w0.p
+    _check_square(V, p)
+    _check_bilinear(W)
+    _check_metric_variation(g0, W, n)
+    per_c = _per_c(p, k)
+    with power_memo():
+        rhs = inner(h_rpq(w0, p, p, k - 1), V) * (k * per_c)
+        # h_(1,n)/n! of a bilinear form is past the Hodge-star range
+        top = t_or_top(w0, k) if p == 1 else h_rpq(w0, 1, p, k) * per_c
+        rhs += inner(top - metric(n, w0.field) * (h_rpq(w0, 0, p, k).scalar() * per_c), W)
+        y0 = _metric_scalar(w0, g0, k)
+    xs, ys, ds = [], [], []
+    t = 0
+    while len(xs) <= n:
+        G = g0 + t * W
+        d = _det_bilinear(G)
+        if d != 0:
+            if len(xs) <= n - (p - 1) * k:
+                ys.append((_metric_scalar(w0 + t * V, G, k) if t else y0) * d)
+            xs.append(t)
+            ds.append(d)
+        t += 1
+    ncoef = interpolate(zip(xs, ys))
+    return ncoef[1] - ncoef[0] * interpolate(zip(xs, ds))[1], rhs
+
+
+def _metric_scalar(w: DoubleForm, G: DoubleForm, k: int):
+    """h_(0,pk)(w)/c in the metric G: the full G-contraction of w^k over
+    (pk)! c, with G inverted once; k < 0 and pk > n are refused."""
+    _check_metric(w, G)
+    p = w.p
+    if k < 0 or p * k > w.n:
+        raise ValueError(f"order k = {k} out of range: need k >= 0 and pk <= {w.n}")
+    x = wedge_power(w, k)
+    Ginv = _invert_metric(G) if x.p else None
+    for _ in range(x.p):
+        x = _contracted(x, Ginv)
+    return (x * (_per_c(p, k) / factorial(p * k))).scalar()
 
 
 def _det_bilinear(G: DoubleForm):
     """det G, from the elimination that inverts a metric."""
     return _eliminate(G, invert=False)[0]
-
-
-def _rational_derivative_at_zero(sample_fn, metric_fn, num_degree: int, n: int):
-    """d/dt at 0 of f(t) = N(t)/D(t), D(t) = det(G(t)) with D(0) = 1.
-
-    N(t) = f(t) D(t) is a polynomial of degree num_degree <= n, and D one
-    of degree at most n.  One power of D suffices for the full
-    G-contractions f of s_k and h_2k: f pairs a power of h(t) or R(t), of
-    degree k in t, with the k- or 2k-minors of G^-1, and each of these is
-    the complementary (n - k)- or (n - 2k)-minor of G over det G
-    (Jacobi), so N has degree n or n - k.  Samples run at integer points,
-    skipping any where G degenerates, until D has n + 1 nonzero values;
-    f is sampled at the first num_degree + 1 of them only.  N and D are
-    interpolated exactly, and f'(0) = N'(0) - N(0) D'(0).
-    """
-    xs, ys, ds = [], [], []
-    t = 0
-    while len(xs) <= n:
-        d = _det_bilinear(metric_fn(t))
-        if d != 0:
-            if len(xs) <= num_degree:
-                ys.append(sample_fn(t) * d)
-            xs.append(t)
-            ds.append(d)
-        t += 1
-    ncoef = interpolate(zip(xs, ys))
-    n1 = ncoef[1] if len(ncoef) > 1 else 0
-    return n1 - ncoef[0] * interpolate(zip(xs, ds))[1]
 
 
 def _check_metric_variation(g0, w, n):
@@ -488,6 +469,25 @@ def _check_metric_variation(g0, w, n):
         raise ValueError("the metric variation must be symmetric")
 
 
+def _check_order(w0, p, k, top):
+    """w0 a (p, p) form and 1 <= pk <= top, checked before any wedge."""
+    _check_square(w0, p)
+    if not 1 <= p * k <= top:
+        raise ValueError(f"order pk = {p * k} out of range [{p}, {top}]")
+
+
+def jacobi_derivative(h0: DoubleForm, v: DoubleForm, k: int):
+    """d/dt s_k(h0 + t v) at t = 0 versus the cofactor pairing <t_(k-1), v>."""
+    _check_order(h0, 1, k, h0.n)
+    return _jacobi(h0, v, k)
+
+
+def jacobi_double_form(R0: DoubleForm, V: DoubleForm, k: int):
+    """d/dt h_2k(R0 + t V) at t = 0 versus <k N_(2k-2)(R0), V>."""
+    _check_order(R0, 2, k, R0.n)
+    return _jacobi(R0, V, k)
+
+
 def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
                        w: DoubleForm, k: int):
     """Metric-variation Jacobi identity for s_k at t = 0.
@@ -495,22 +495,31 @@ def jacobi_with_metric(h0: DoubleForm, v: DoubleForm, g0: DoubleForm,
     h(t) = h0 + t v and G(t) = g0 + t w with g0 the identity metric in the
     canonical frame.  Returns (d/dt s_k, <t_(k-1), v> + <t_k - s_k g, w>).
     """
-    _check_bilinear(h0)
-    _check_bilinear(v)
-    _check_bilinear(w)
-    n = h0.n
-    _check_metric_variation(g0, w, n)
-    if not 1 <= k <= n:
-        raise ValueError(f"order {k} out of range [1, {n}]")
+    _check_order(h0, 1, k, h0.n)
+    return _jacobi_metric(h0, v, g0, w, k)
 
-    with power_memo():
-        rhs = inner(t_k(h0, k - 1), v) \
-            + inner(t_or_top(h0, k) - s_k(h0, k) * metric(n, h0.field), w)
-        y0 = s_k_metric(h0, g0, k)
-    sample = _from_base(y0, lambda t: s_k_metric(h0 + t * v, g0 + t * w, k))
-    # s_k(h, G) det(G) is a coefficient of det(H - x G): degree <= n in t
-    lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, n, n)
-    return lhs, rhs
+
+def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm,
+                                   w: DoubleForm, k: int):
+    """Metric-variation Jacobi identity for h_2k at t = 0.
+
+    Returns (d/dt h_2k, <k N_(2k-2), V> + <T_2k - h_2k g, w>); T_2k enters
+    the right side, so 2k <= n - 1.
+    """
+    _check_order(R0, 2, k, R0.n - 1)
+    return _jacobi_metric(R0, V, g0, w, k)
+
+
+def s_k_metric(h: DoubleForm, G: DoubleForm, k: int):
+    """s_k of h measured in the metric G: full G-contraction of h^k."""
+    _check_bilinear(h)
+    return _metric_scalar(h, G, k)
+
+
+def h_2k_metric(R: DoubleForm, G: DoubleForm, k: int):
+    """h_2k of R measured in the metric G: full G-contraction of R^k."""
+    _check_square(R, 2)
+    return _metric_scalar(R, G, k)
 
 
 def t_or_top(h: DoubleForm, k: int) -> DoubleForm:
@@ -525,30 +534,3 @@ def t_or_top(h: DoubleForm, k: int) -> DoubleForm:
             out = out + ((-1) ** r * s_k(h, n - r)) * compose_power(ht, r)
         return out
     raise ValueError(f"t_k order {k} exceeds the dimension {n}")
-
-
-def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm,
-                                   w: DoubleForm, k: int):
-    """Metric-variation Jacobi identity for h_2k at t = 0.
-
-    Returns (d/dt h_2k, <k N_(2k-2), V> + <T_2k - h_2k g, w>).  The
-    derivative interpolates N(t) = h_2k(R(t), G(t)) det(G(t)): the full
-    G-contraction pairs R(t)^k, of degree k in t, with the 2k-minors of
-    G^-1, and by Jacobi's complementary-minor theorem each of these is
-    an (n - 2k)-minor of G over det G, so N has degree at most n - k.
-    """
-    _check_square(R0, 2)
-    _check_square(V, 2)
-    n = R0.n
-    _check_metric_variation(g0, w, n)
-    if not 1 <= 2 * k <= n - 1:
-        raise ValueError(f"order 2k = {2 * k} out of range [2, {n - 1}] "
-                         "(T_2k enters the right-hand side)")
-
-    with power_memo():
-        rhs = inner(k * h_rpq(R0, 2, 2, k - 1), V) \
-            + inner(T_2k(R0, k) - h_2k(R0, k) * metric(n, R0.field), w)
-        y0 = h_2k_metric(R0, g0, k)
-    sample = _from_base(y0, lambda t: h_2k_metric(R0 + t * V, g0 + t * w, k))
-    lhs = _rational_derivative_at_zero(sample, lambda t: g0 + t * w, n - k, n)
-    return lhs, rhs

@@ -123,6 +123,16 @@ def test_power_memo_is_dropped_on_error():
     assert wedge_power(h, 2) is not wedge_power(h, 2)
 
 
+def test_wedge_power_loops_past_the_recursion_limit():
+    # w^k is built in a loop, so k past sys.getrecursionlimit() is no deeper
+    h = random_bilinear(3, 1)
+    top = wedge_power(h, 2000)
+    assert top.bidegree == (2000, 2000) and top.is_zero()
+    assert wedge_power(2 * one(3), 1500).scalar() == 2 ** 1500
+    with power_memo():
+        assert wedge_power(h, 2000) is wedge_power(h, 2000)
+
+
 # -- wedge -------------------------------------------------------------------
 
 def test_wedge_squared_bilinear_is_twice_determinant():
@@ -260,6 +270,16 @@ def test_contract_with_metric_rejects_bad_metrics():
     singular = DoubleForm.zeros(n, 1, 1)
     with pytest.raises(ValueError):
         contract_with_metric(w, singular)
+
+
+@pytest.mark.parametrize("field", [scalars.RATIONAL, scalars.FLOAT64])
+def test_contract_with_metric_refuses_a_metric_of_another_field(field):
+    # a float inverse once went through an exact form's int64 lane
+    other = scalars.FLOAT64 if field == scalars.RATIONAL else scalars.RATIONAL
+    h = random_bilinear(3, 1, field=field)
+    G = 3 * metric(3, other) + random_bilinear(3, 2, "symmetric", other)
+    with pytest.raises(ValueError, match="incompatible double forms"):
+        contract_with_metric(h, G)
 
 
 # -- Hodge star --------------------------------------------------------------

@@ -906,6 +906,66 @@ def test_jacobi_with_metric_keeps_no_sample_in_its_memo():
     assert peak <= 1.10 * 2 ** 20
 
 
+def _jacobi_listing_sha256(seed):
+    """sha256 of the "fn n=.. k=.. lhs=.. rhs=.." listing over _bench_jacobi_cases(seed)."""
+    lines = []
+    for fn, n, k, args in _bench_jacobi_cases(seed):
+        lhs, rhs = getattr(inv, fn)(*args)
+        assert lhs == rhs, (fn, n, k)
+        lines.append(f"{fn} n={n} k={k} lhs={lhs} rhs={rhs}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# the listing at seed 1009, the benchmark's second seed, taken before the
+# four Jacobi functions became calls of _jacobi and _jacobi_metric
+JACOBI_SEED_1009_SHA256 = "61d1e76db0b76c3c9d19265590ebd165c4abe418ee1c920d8f960ce2ef84809b"
+
+
+def test_jacobi_values_are_pinned_at_a_second_seed():
+    assert _jacobi_listing_sha256(1009) == JACOBI_SEED_1009_SHA256
+
+
+# name -> (first order, last order) at n = 5: 1 <= k <= n, 1 <= 2k <= n,
+# 1 <= k <= n and 1 <= 2k <= n - 1, where T_2k enters the right side
+JACOBI_ORDERS_AT_5 = {"jacobi_derivative": (1, 5), "jacobi_double_form": (1, 2),
+                      "jacobi_with_metric": (1, 5), "jacobi_double_form_with_metric": (1, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_ORDERS_AT_5))
+def test_jacobi_functions_keep_their_orders(monkeypatch, name):
+    fn, (*args, _) = getattr(inv, name), _jacobi_args(name)
+    first, last = JACOBI_ORDERS_AT_5[name]
+    for k in (first, last):
+        lhs, rhs = fn(*args, k)
+        assert lhs == rhs, k
+
+    def started(*_):
+        raise AssertionError("a refused order ran a wedge")
+
+    monkeypatch.setattr(dform, "_wedge", started)
+    for k in (0, last + 1):
+        with pytest.raises(ValueError):
+            fn(*args, k)
+
+
+# (n, k) -> lhs = rhs of _jacobi and _jacobi_metric on the (3, 3) forms below
+JACOBI_P3 = {(6, 1): 422, (6, 2): -69692, (7, 1): 408, (7, 2): 105248}
+JACOBI_METRIC_P3 = {(6, 1): 1023, (7, 1): 2626, (7, 2): 2402704}
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_jacobi_statements_are_general_in_p(n):
+    # no code is written for p = 3: the (3, 3) identities are the one statement
+    R0 = random_bianchi(n, 3, 2, 11 + n)
+    V = random_bianchi(n, 3, 2, 21 + n)
+    W = random_bilinear(n, 31 + n, "symmetric")
+    plain = {(n, k): inv._jacobi(R0, V, k) for k in range(1, n // 3 + 1)}
+    varied = {(n, k): inv._jacobi_metric(R0, V, metric(n), W, k)
+              for k in range(1, (n - 1) // 3 + 1)}
+    assert plain == {key: (v, v) for key, v in JACOBI_P3.items() if key[0] == n}
+    assert varied == {key: (v, v) for key, v in JACOBI_METRIC_P3.items() if key[0] == n}
+
+
 def _finite_differences(values):
     """The forward differences of values at the first point, orders 0, 1, ..."""
     out = []
@@ -928,15 +988,19 @@ def _metric_samples(f, h0, v, g, w, k, count):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_metric_samples_times_det_have_the_sampled_degree(n):
-    # N(t) = f det(G): degree n - k for h_2k (complementary minors), n for s_k
+    # N(t) = f det(G): degree n - (p - 1)k (complementary minors), so n - k
+    # for h_2k, n for s_k and n - 2k for the (3, 3) scalar
     g = metric(n)
     w = random_bilinear(n, 2100 + n, "symmetric")
     R0 = random_bianchi(n, 2, 2, seed=1900 + n)
     V = random_bianchi(n, 2, 1, seed=2000 + n)
     h0 = random_bilinear(n, 1600 + n)
     v = random_bilinear(n, 1700 + n)
+    R3 = random_bianchi(n, 3, 2, 11 + n)
+    V3 = random_bianchi(n, 3, 1, 21 + n)
     cases = [(inv.h_2k_metric, R0, V, k, n - k) for k in range(1, n // 2 + 1)]
     cases += [(inv.s_k_metric, h0, v, k, n) for k in range(1, n + 1)]
+    cases += [(inv._metric_scalar, R3, V3, k, n - 2 * k) for k in range(1, n // 3 + 1)]
     for f, x0, dx, k, degree in cases:
         diffs = _finite_differences(_metric_samples(f, x0, dx, g, w, k, degree + 3))
         assert diffs[degree] != 0, (f.__name__, k)  # the bound is tight
@@ -977,6 +1041,45 @@ def test_metric_invariants_match_endomorphism():
     M = _invert_metric(G).mat.dot(h.mat)
     for k in range(n + 1):
         assert inv.s_k_metric(h, G, k) == oracle.minor_sum_oracle(M, k)
+
+
+def _other_field(field):
+    return scalars.FLOAT64 if field == scalars.RATIONAL else scalars.RATIONAL
+
+
+@pytest.mark.parametrize("field", [scalars.RATIONAL, scalars.FLOAT64])
+def test_metric_scalars_refuse_a_metric_of_another_field(field):
+    # an exact h with a float G read -8 for s_1 = -14: the float inverse was
+    # cast into h's int64 lane; a float h with an exact G raised a numpy error
+    h = random_bilinear(3, 1, field=field)
+    R = random_bianchi(4, 2, 2, seed=5, field=field)
+    G3 = 3 * metric(3, field) + random_bilinear(3, 2, "symmetric", field)
+    G4 = 4 * metric(4, field) + random_bilinear(4, 6, "symmetric", field)
+    assert inv.s_k_metric(h, G3, 1) == pytest.approx(-14)
+    for fn, w, G in ((inv.s_k_metric, h, G3), (inv.h_2k_metric, R, G4)):
+        fn(w, G, 1)
+        with pytest.raises(ValueError, match="incompatible double forms"):
+            fn(w, G.astype(_other_field(field)), 1)
+
+
+def test_metric_scalars_refuse_the_orders_their_families_refuse(monkeypatch):
+    h = random_bilinear(3, 1)
+    R = random_bianchi(4, 2, 2, seed=5)
+    G3 = 3 * metric(3) + random_bilinear(3, 2, "symmetric")
+    G4 = 4 * metric(4) + random_bilinear(4, 6, "symmetric")
+    with pytest.raises(ValueError):
+        inv.s_k(h, 4)
+    with pytest.raises(ValueError):
+        inv.h_2k(R, 3)
+
+    def started(*_):
+        raise AssertionError("a refused order ran a wedge")
+
+    monkeypatch.setattr(dform, "_wedge", started)
+    for fn, w, G, k in ((inv.s_k_metric, h, G3, 4), (inv.s_k_metric, h, G3, -1),
+                        (inv.h_2k_metric, R, G4, 3), (inv.h_2k_metric, R, G4, -1)):
+        with pytest.raises(ValueError):
+            fn(w, G, k)
 
 
 def _loop_metric_contraction(w, G, weight):
