@@ -30,13 +30,11 @@ from .exterior import (
     wedge_form,
     wedge_multi,
 )
-from .multiindex import MultiIndex, complement_sign, merge_sign, rank, unrank
 
 __all__ = [
-    "DoubleForm", "ExteriorForm", "MultiForm", "MultiIndex",
-    "bianchi_residual", "compose", "compose_power", "complement_sign",
-    "contract", "contract_iter", "contract_with_metric", "hodge",
-    "hodge_form", "hodge_multi", "inner", "merge_sign", "metric",
-    "metric_power", "one", "rank", "scalars", "transpose", "unrank",
-    "wedge", "wedge_form", "wedge_multi", "wedge_power", "__version__",
+    "DoubleForm", "ExteriorForm", "MultiForm", "bianchi_residual", "compose",
+    "compose_power", "contract", "contract_iter", "contract_with_metric",
+    "hodge", "hodge_form", "hodge_multi", "inner", "metric", "metric_power",
+    "one", "scalars", "transpose", "wedge", "wedge_form", "wedge_multi",
+    "wedge_power", "__version__",
 ]

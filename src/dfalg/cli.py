@@ -48,13 +48,11 @@ SEED_LIMIT = 1 << 64
 # 4300 digits, Python's int-to-string limit.
 KAPPA_EXPONENT_LIMIT = 4300
 
-# The largest dimension `verify` accepts.  With one seed on a 2-core host,
-# timed in-process around run_suite, the exact suite takes 1.96 s at n = 9,
-# 7.3 s at n = 10 and 43 s at n = 11 (2979 checks) with processes = 1, and
-# 1.17, 5.0 and 26 s with processes = 2.  Peak RSS is 126, 183 and 350 MB
-# in one process; with two, each peaks at 108-131, 165-176 and 336 MB
-# (BENCH_parallel_suite.json).  Time grows about 5x per added dimension,
-# so n = 12 is left out.
+# The largest dimension `verify` accepts.  One-seed exact `verify` through
+# main with two processes, on a 2-core 8 GB host, takes 0.7 s at n = 9,
+# 3.8 s at n = 10 and 17.4 s at n = 11 (2979 checks); each process peaks at
+# 109-131, 165-177 and 328-337 MB.  n = 12 took 122 s, and its two
+# processes held about 2.5 GB together, so memory keeps it out.
 MAX_VERIFY_DIM = 11
 
 

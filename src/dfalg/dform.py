@@ -110,8 +110,16 @@ class _LaneForm:
         cls._check(n, degs, field)
         values = scalars.zeros(_shape(n, degs), field)
         for idx, v in entries.items():
-            values[tuple(rank_tuple(tuple(I), n) for I in idx)] = scalars.coerce(v, field)
+            values[cls._ranks(n, degs, idx)] = scalars.coerce(v, field)
         return cls._built(n, degs, values, field)
+
+    @staticmethod
+    def _ranks(n, degs, slots):
+        """The rank tuple of slots, one ascending index tuple per slot."""
+        slots = tuple(map(tuple, slots))
+        if tuple(map(len, slots)) != degs:
+            raise ValueError(f"index tuples {slots} do not match the slot degrees {degs}")
+        return tuple(rank_tuple(I, n) for I in slots)
 
     @classmethod
     def _built(cls, n, degs, values, field):
@@ -260,7 +268,7 @@ class DoubleForm(_LaneForm):
         return self._degs
 
     def entry(self, I, J):
-        return self._at((rank_tuple(tuple(I), self.n), rank_tuple(tuple(J), self.n)))
+        return self._at(self._ranks(self.n, self._degs, (I, J)))
 
     def scalar(self):
         """The single value of a (0, 0) form."""
@@ -416,6 +424,8 @@ def _wedged(w1, w2):
     """
     w1._check_compatible(w2)
     n, d1, d2 = w1.n, w1._degs, w2._degs
+    if len(d1) != len(d2):
+        raise ValueError(f"slot counts differ: {len(d1)} vs {len(d2)}")
     degs = tuple(map(add, d1, d2))
     a, da, ma = w1._lane()
     b, db, mb = w2._lane()

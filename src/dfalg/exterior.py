@@ -13,7 +13,6 @@ import numpy as np
 
 from . import scalars
 from .dform import _LaneForm, _starred, _wedged
-from .multiindex import rank_tuple
 
 
 class ExteriorForm(_LaneForm):
@@ -46,7 +45,7 @@ class ExteriorForm(_LaneForm):
     k = property(lambda self: self._degs[0])
 
     def coeff(self, indices):
-        return self._at((rank_tuple(tuple(indices), self.n),))
+        return self._at(self._ranks(self.n, self._degs, (indices,)))
 
     def __repr__(self):
         return f"ExteriorForm(n={self.n}, k={self.k}, field={self.field!r})"
@@ -69,7 +68,8 @@ def wedge_form_power(a: ExteriorForm, k: int) -> ExteriorForm:
 
 
 def hodge_form(a: ExteriorForm) -> ExteriorForm:
-    """Hodge star: (*a)_{I^c} = complement_sign(I) a_I."""
+    """Hodge star: (*a)_{I^c} = eps(I) a_I, where eps(I) is the sign of the
+    permutation (I, I^c) of (0, ..., n - 1)."""
     return _starred(a)
 
 
@@ -104,8 +104,7 @@ class MultiForm(_LaneForm):
     r = property(lambda self: len(self._degs))
 
     def entry(self, slots):
-        n = self.n
-        return self._at(tuple(rank_tuple(tuple(s), n) for s in slots))
+        return self._at(self._ranks(self.n, self._degs, slots))
 
     def __repr__(self):
         return f"MultiForm(n={self.n}, k={self.k}, r={self.r}, field={self.field!r})"
@@ -113,9 +112,6 @@ class MultiForm(_LaneForm):
 
 def wedge_multi(a: MultiForm, b: MultiForm) -> MultiForm:
     """Slot-wise wedge with the product of the per-slot signs."""
-    a._check_compatible(b)
-    if a.r != b.r:
-        raise ValueError(f"slot counts differ: {a.r} vs {b.r}")
     return _wedged(a, b)
 
 

@@ -210,21 +210,6 @@ def s_rq(h: DoubleForm, r: int, q: int) -> DoubleForm:
                      lambda: h_rpq(h, r, 1, q) * Fraction(1, factorial(q)))
 
 
-def sectional_value(h: DoubleForm, k: int, r: int, subset):
-    """Diagonal value of g^k h^r at a multi-index of size k + r.
-
-    Equals k! r! times the s_r invariant of h restricted to the subset.
-    """
-    _check_bilinear(h)
-    n = h.n
-    subset = tuple(subset)
-    if len(subset) != k + r:
-        raise ValueError(f"subset size {len(subset)} does not match k + r = {k + r}")
-    if k + r > n:
-        raise ValueError("subset degree exceeds the dimension")
-    return metric_wedge_power(h, k, r).entry(subset, subset)
-
-
 def power_sums(h: DoubleForm, r: int):
     """Traces p_i of the first r composition powers of h."""
     _check_bilinear(h)

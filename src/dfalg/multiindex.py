@@ -10,41 +10,12 @@ everything else is built on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 MAX_DIM = 64
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly ascending tuple of basis indices in an n-dimensional space."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        validate_indices(self.indices, self.n)
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-    def complement(self) -> "MultiIndex":
-        return MultiIndex(complement_tuple(self.indices, self.n), self.n)
-
-
-def validate_indices(indices, n):
-    if not 0 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be in [0, {MAX_DIM}], got {n}")
-    for a, b in zip(indices, indices[1:]):
-        if a >= b:
-            raise ValueError(f"indices must be strictly ascending: {indices}")
-    if indices and not (0 <= indices[0] and indices[-1] < n):
-        raise ValueError(f"indices {indices} out of range [0, {n})")
 
 
 @lru_cache(maxsize=None)
@@ -77,64 +48,6 @@ def unrank_tuple(r: int, k: int, n: int) -> tuple[int, ...]:
     if not 0 <= r < comb(n, k):
         raise ValueError(f"rank {r} out of range [0, C({n},{k}))")
     return subsets(n, k)[r]
-
-
-def rank(index: MultiIndex) -> int:
-    return rank_tuple(index.indices, index.n)
-
-
-def unrank(r: int, k: int, n: int) -> MultiIndex:
-    return MultiIndex(unrank_tuple(r, k, n), n)
-
-
-def merge_sign_tuple(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sign of sorting the concatenation a||b, with the merged tuple.
-
-    Returns None when a and b share an index (the wedge vanishes).
-    """
-    i, j, inv = 0, 0, 0
-    out = []
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the len(a)-i remaining elements of a
-            inv += len(a) - i
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return (-1 if inv % 2 else 1), tuple(out)
-
-
-def merge_sign(a: MultiIndex, b: MultiIndex):
-    """merge_sign on MultiIndex values; None marks a vanishing wedge."""
-    if a.n != b.n:
-        raise ValueError("mismatched ambient dimensions")
-    res = merge_sign_tuple(a.indices, b.indices)
-    if res is None:
-        return None
-    sign, merged = res
-    return sign, MultiIndex(merged, a.n)
-
-
-def complement_tuple(indices: tuple[int, ...], n: int) -> tuple[int, ...]:
-    inside = set(indices)
-    return tuple(i for i in range(n) if i not in inside)
-
-
-def complement_sign_tuple(indices: tuple[int, ...], n: int) -> int:
-    # parity of the permutation (I, I^c) of (0,...,n-1); the number of
-    # complement elements below indices[pos] is indices[pos] - pos
-    inv = sum(a - pos for pos, a in enumerate(indices))
-    return -1 if inv % 2 else 1
-
-
-def complement_sign(index: MultiIndex) -> int:
-    return complement_sign_tuple(index.indices, index.n)
 
 
 # ---------------------------------------------------------------------------

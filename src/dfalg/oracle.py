@@ -3,8 +3,10 @@
 Everything here evaluates definitions directly: determinants by
 permutation expansion (summed over column sets), double forms as
 multilinear maps on explicit coordinate vectors, wedge products as shuffle
-sums, Pfaffians as perfect-matching sums.  These routines are exponential on purpose; they define correctness for the fast
-dense kernels and are capped at small dimensions in CI.
+sums, Pfaffians as perfect-matching sums, merge and complement signs one
+index tuple at a time.  These routines are exponential on purpose; they
+define correctness for the fast dense kernels and are capped at small
+dimensions in CI.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import scalars
 from .dform import DoubleForm
-from .multiindex import complement_tuple, subsets
+from .multiindex import subsets
 
 
 def permutation_parity(seq) -> int:
@@ -27,6 +29,41 @@ def permutation_parity(seq) -> int:
         for j in range(i + 1, len(seq)):
             if seq[i] > seq[j]:
                 inv += 1
+    return -1 if inv % 2 else 1
+
+
+def merge_sign_tuple(a: tuple[int, ...], b: tuple[int, ...]):
+    """Sign of sorting the concatenation a||b, with the merged tuple.
+
+    Returns None when a and b share an index (the wedge vanishes).
+    """
+    i, j, inv = 0, 0, 0
+    out = []
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            # b[j] jumps over the len(a)-i remaining elements of a
+            inv += len(a) - i
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return (-1 if inv % 2 else 1), tuple(out)
+
+
+def complement_tuple(indices: tuple[int, ...], n: int) -> tuple[int, ...]:
+    inside = set(indices)
+    return tuple(i for i in range(n) if i not in inside)
+
+
+def complement_sign_tuple(indices: tuple[int, ...], n: int) -> int:
+    # parity of the permutation (I, I^c) of (0,...,n-1); the number of
+    # complement elements below indices[pos] is indices[pos] - pos
+    inv = sum(a - pos for pos, a in enumerate(indices))
     return -1 if inv % 2 else 1
 
 

@@ -115,20 +115,6 @@ def embed(form: ExteriorForm, r: int):
     return _form(cls, n, (k,) * r, form.field, out, den)
 
 
-def double_form_as_multiform(w: DoubleForm) -> MultiForm:
-    """Re-index a (k, k) double form as a two-slot multiform."""
-    if w.p != w.q:
-        raise ValueError("only square bidegrees correspond to two-slot multiforms")
-    return MultiForm(w.n, w.p, 2, w.mat, w.field)
-
-
-def multiform_as_double_form(mf: MultiForm) -> DoubleForm:
-    """Re-index a two-slot multiform as a (k, k) double form."""
-    if mf.r != 2:
-        raise ValueError("only two-slot multiforms are double forms")
-    return DoubleForm(mf.n, mf.k, mf.k, mf.coeffs, mf.field)
-
-
 def _top_steps(n, k, r):
     """hyperdet's argument checks and budget for r slots of degree k:
     the chain up to w^p, p = n / k, which this returns."""

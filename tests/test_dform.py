@@ -26,6 +26,7 @@ from dfalg.dform import (
     wedge,
     wedge_power,
 )
+from dfalg.exterior import ExteriorForm, MultiForm
 from dfalg.fixtures import random_bianchi, random_bilinear
 from dfalg.multiindex import subsets
 
@@ -460,3 +461,21 @@ def test_astype_round_trip():
     f = a.astype(scalars.FLOAT64)
     back = f.astype(scalars.RATIONAL)
     assert back == a
+
+
+
+# -- index tuples ------------------------------------------------------------
+
+@pytest.mark.parametrize("access", [
+    lambda h: h.entry((0, 1), (2,)),
+    lambda h: wedge(h, h).entry((0,), (1,)),
+    lambda h: ExteriorForm(4, 2, np.arange(6)).coeff((3,)),
+    lambda h: DoubleForm.from_entries(4, 1, 1, {((0, 1), (2,)): 5}),
+    lambda h: ExteriorForm.from_coeffs(4, 2, {(3,): 7}),
+    lambda h: MultiForm(4, 1, 2, h.mat).entry([(1,)]),
+    lambda h: MultiForm(4, 1, 2, h.mat).entry([(1,), (2,), (3,)]),
+], ids=["entry", "wedge_entry", "coeff", "from_entries", "from_coeffs",
+        "multiform_entry", "multiform_extra_slot"])
+def test_index_tuples_of_the_wrong_size_are_refused(access):
+    with pytest.raises(ValueError, match="do not match the slot degrees"):
+        access(random_bilinear(4, 1))

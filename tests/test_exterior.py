@@ -16,7 +16,6 @@ from dfalg.exterior import (
 from dfalg.fixtures import random_form
 from dfalg.multiindex import subsets
 from dfalg.oracle import permutation_parity
-from dfalg.pfaffian import double_form_as_multiform
 from dfalg.dform import wedge
 
 
@@ -115,7 +114,7 @@ def test_two_slot_multiform_matches_double_form_product():
     n = 4
     a = random_dform(n, 1, 1, seed=21)
     b = random_dform(n, 1, 1, seed=22)
-    ma, mb = double_form_as_multiform(a), double_form_as_multiform(b)
+    ma, mb = (MultiForm(n, 1, 2, w.mat) for w in (a, b))
     assert np.all(wedge_multi(ma, mb).coeffs == wedge(a, b).mat)
 
 
@@ -139,3 +138,12 @@ def test_shape_validation():
     mb = MultiForm(3, 1, 2, np.zeros((3, 3), dtype=object))
     with pytest.raises(ValueError):
         wedge_multi(ma, mb)
+
+
+@pytest.mark.parametrize("product", [wedge_multi, wedge])
+def test_wedge_refuses_multiforms_with_different_slot_counts(product):
+    two = MultiForm.from_slots([random_form(4, 1, 1)] * 2)
+    three = MultiForm.from_slots([random_form(4, 1, 2)] * 3)
+    for a, b in ((two, three), (three, two)):
+        with pytest.raises(ValueError, match="slot counts differ"):
+            product(a, b)

@@ -24,6 +24,7 @@ from dfalg.dform import (
     inner,
     metric,
     metric_power,
+    metric_wedge_power,
     transpose,
     wedge,
     wedge_power,
@@ -72,20 +73,20 @@ def test_s_k_dual_paths_agree():
         assert star == _s_rq_on(h, 0, k, "contraction").scalar() == inv.s_k(h, k)
 
 
-# -- sectional values ---------------------------------------------------------
+# -- sectional values: the diagonal of g^k h^r ---------------------------------------------------------
 
 def test_sectional_value_of_pure_metric():
     # r = 0: the diagonal of g^k is k! whatever h is
     h = random_bilinear(4, 1)
     for k in (1, 2, 3):
         S = tuple(range(k))
-        assert inv.sectional_value(h, k, 0, S) == factorial(k)
+        assert metric_wedge_power(h, k, 0).entry(S, S) == factorial(k)
 
 
 def test_sectional_value_metric_case():
     n, k, r = 5, 2, 2
     S = (0, 1, 2, 3)
-    assert inv.sectional_value(metric(n), k, r, S) == \
+    assert metric_wedge_power(metric(n), k, r).entry(S, S) == \
         factorial(k) * factorial(r) * comb(k + r, r)
 
 
@@ -93,19 +94,20 @@ def test_sectional_value_is_restricted_minor_sum():
     n = 5
     h = random_bilinear(n, 321)
     # k = r = 1 on the subset {0, 2}: 1!1! * trace of the restriction
-    assert inv.sectional_value(h, 1, 1, (0, 2)) == h.mat[0, 0] + h.mat[2, 2]
+    assert metric_wedge_power(h, 1, 1).entry((0, 2), (0, 2)) == \
+        h.mat[0, 0] + h.mat[2, 2]
     # general: k! r! s_r of the restricted matrix
     for S in [(0, 1, 2), (1, 3, 4)]:
         sub = h.mat[np.ix_(S, S)]
         for r in range(len(S) + 1):
             k = len(S) - r
-            assert inv.sectional_value(h, k, r, S) == \
+            assert metric_wedge_power(h, k, r).entry(S, S) == \
                 factorial(k) * factorial(r) * oracle.minor_sum_oracle(sub, r)
 
 
 def test_sectional_value_subset_mismatch():
     with pytest.raises(ValueError):
-        inv.sectional_value(random_bilinear(4, 1), 1, 1, (0, 1, 2))
+        metric_wedge_power(random_bilinear(4, 1), 1, 1).entry((0, 1, 2), (0, 1, 2))
 
 
 # -- t_k -----------------------------------------------------------------------

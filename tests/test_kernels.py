@@ -51,15 +51,13 @@ from dfalg.fixtures import SplitMix64
 from dfalg.invariants import power_sums
 from dfalg.multiindex import (
     MAX_DIM,
-    complement_sign_tuple,
     complement_table,
-    complement_tuple,
     insertion_table,
-    merge_sign_tuple,
     merge_table,
     split_table,
     subsets,
 )
+from dfalg.oracle import complement_sign_tuple, complement_tuple, merge_sign_tuple
 
 FLOAT_RTOL = 1e-12
 DIMS = range(0, 8)
@@ -1742,7 +1740,7 @@ def exterior_routes(field):
             m, MultiForm.zeros(3, 1, 2, field), MultiForm.from_slots([e, e, e]),
             MultiForm(3, 1, 2, fill(scalars.zeros((3, 3), field), 84), field),
             wedge_multi(m, m), hodge_multi(m), m + m, -m, m * 2,
-            pfaffian.double_form_as_multiform(h),
+            MultiForm(h.n, h.p, 2, h.mat, h.field),
             tensorio.tensor_from_doc(tensorio.tensor_to_doc(m))]
 
 

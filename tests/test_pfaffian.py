@@ -9,13 +9,11 @@ from dfalg import oracle, pfaffian, scalars
 from dfalg.dform import bianchi_residual, hodge, transpose, wedge_power
 from dfalg.exterior import ExteriorForm, MultiForm, wedge_multi
 from dfalg.fixtures import SplitMix64, random_bilinear, random_form
-from dfalg.multiindex import merge_sign_tuple
+from dfalg.oracle import merge_sign_tuple
 from dfalg.pfaffian import (
     check_pf_squared,
-    double_form_as_multiform,
     embed,
     hyperdet,
-    multiform_as_double_form,
     pf,
     skew_to_form,
 )
@@ -136,14 +134,14 @@ def test_embed_divisibility():
 def test_hyperdet_of_bilinear_is_det():
     for n in (2, 3, 4):
         h = random_bilinear(n, 4200 + n)
-        mf = double_form_as_multiform(h)
+        mf = MultiForm(n, 1, 2, h.mat)
         assert hyperdet(mf) == oracle.det_oracle(h.mat)
 
 
 def test_hyperdet_identity_pattern():
     from dfalg.dform import metric
 
-    mf = double_form_as_multiform(metric(4))
+    mf = MultiForm(4, 1, 2, metric(4).mat)
     assert hyperdet(mf) == 1
 
 
@@ -153,11 +151,6 @@ def test_hyperdet_r1_reduces_to_star_power():
     f = random_form(4, 2, 25)
     mf = MultiForm(4, 2, 1, f.coeffs.copy())
     assert hyperdet(mf) == wedge_form_power(f, 2).coeffs[0] * Fraction(1, 2)
-
-
-def test_multiform_round_trip():
-    h = random_bilinear(3, 26)
-    assert multiform_as_double_form(double_form_as_multiform(h)) == h
 
 
 def test_conjecture_record_four_form():
