@@ -30,7 +30,7 @@ from .fixtures import (
     suite_fixtures,
 )
 from .identities import ALL_IDENTITY_NAMES, run_suite
-from .invariants import N_2k, T_2k, family_orders, h_2k, h_rpq, s_k, s_rq, t_k
+from .invariants import FAMILIES, family_member, family_orders, h_rpq, s_rq
 from .multiindex import MAX_DIM
 from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, skew_to_form
 from .tensorio import load_tensor, tensor_to_doc
@@ -220,16 +220,10 @@ def _value(v, field):
     return scalars.format_scalar(v, field)
 
 
-# family -> its invariant; `--k all` runs the family's orders at n
-# (invariants.family_orders)
-ORDERED_FAMILIES = {"s": s_k, "t": t_k, "h2k": h_2k, "T": T_2k, "N": N_2k}
-
-
 def _invariants(obj, args):
     """The report rows of args.family for the (p, q) form obj."""
     family, r, q = args.family, args.r, args.q
-    if family in ORDERED_FAMILIES:
-        invariant = ORDERED_FAMILIES[family]
+    if family in FAMILIES:
         if args.k == "all":
             orders = family_orders(family, obj.n)
         else:
@@ -237,7 +231,8 @@ def _invariants(obj, args):
                 orders = [int(args.k)]
             except ValueError:
                 raise ValueError(f"--k must be an integer or 'all', got {args.k!r}")
-        return [{"family": family, "k": k, "value": _value(invariant(obj, k), obj.field)}
+        return [{"family": family, "k": k,
+                 "value": _value(family_member(family, obj, k), obj.field)}
                 for k in orders]
     if r is None or q is None:
         raise ValueError(f"--family {family} needs --r and --q")

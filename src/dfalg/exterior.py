@@ -92,10 +92,16 @@ class MultiForm(_LaneForm):
 
     @classmethod
     def from_slots(cls, forms):
-        """Decomposable multiform phi_1 (x) ... (x) phi_r."""
-        first = forms[0]
+        """Decomposable multiform phi_1 (x) ... (x) phi_r of exterior forms
+        of one degree, dimension and field."""
+        first = forms[0] if forms else None
+        if not isinstance(first, ExteriorForm):
+            raise ValueError("a multiform needs a list of exterior forms, one per slot")
         values = first.coeffs
         for f in forms[1:]:
+            first._check_compatible(f)
+            if f._degs != first._degs:
+                raise ValueError(first._MISMATCH)
             values = np.multiply.outer(values, f.coeffs)
         return cls(first.n, first.k, len(forms), values, first.field)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
+
 from . import scalars
 from .dform import DoubleForm, check_dense, metric_power, wedge
 from .exterior import ExteriorForm
@@ -40,6 +42,11 @@ class SplitMix64:
         return self.next_u64() % 7 - 3
 
 
+def _entries(rng: SplitMix64, count: int):
+    """The next count entries of rng, as an int64 array."""
+    return np.array([rng.next_entry() for _ in range(count)], dtype=np.int64)
+
+
 def random_bilinear(n: int, seed: int, kind: str = "general",
                     field: str = scalars.RATIONAL) -> DoubleForm:
     """Random (1, 1) form with integer entries in [-3, 3].
@@ -51,34 +58,27 @@ def random_bilinear(n: int, seed: int, kind: str = "general",
     rng = SplitMix64(seed)
     if kind == "symmetric":
         return _random_symmetric_from(rng, n, field)
-    mat = scalars.zeros((n, n), field)
     if kind == "general":
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = scalars.coerce(rng.next_entry(), field)
+        mat = _entries(rng, n * n).reshape(n, n)
     elif kind == "skew":
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = scalars.coerce(rng.next_entry(), field)
-                mat[i, j] = v
-                mat[j, i] = -v
+        mat = np.zeros((n, n), dtype=np.int64)
+        upper = np.triu_indices(n, 1)
+        mat[upper] = _entries(rng, len(upper[0]))
+        mat = mat - mat.T
     else:
         raise ValueError(f"unknown bilinear kind {kind!r}")
     return DoubleForm(n, 1, 1, mat, field)
 
 
 def _random_symmetric_from(rng: SplitMix64, n: int, field: str) -> DoubleForm:
-    mat = scalars.zeros((n, n), field)
-    for i in range(n):
-        for j in range(i, n):
-            v = scalars.coerce(rng.next_entry(), field)
-            mat[i, j] = v
-            mat[j, i] = v
+    mat = np.zeros((n, n), dtype=np.int64)
+    upper = np.triu_indices(n)
+    mat[upper] = _entries(rng, len(upper[0]))
+    mat.T[upper] = mat[upper]
     return DoubleForm(n, 1, 1, mat, field)
 
 
 def random_bianchi(n: int, p: int, terms: int, seed: int,
-                   include_metric: bool = False,
                    field: str = scalars.RATIONAL) -> DoubleForm:
     """Random symmetric (p, p) form satisfying the first Bianchi identity.
 
@@ -99,8 +99,6 @@ def random_bianchi(n: int, p: int, terms: int, seed: int,
         for _ in range(p - 1):
             acc = wedge(acc, _random_symmetric_from(rng, n, field))
         total = total + acc
-    if include_metric:
-        total = total + metric_power(n, p, field) * Fraction(1, factorial(p))
     return total
 
 
@@ -112,21 +110,13 @@ def constant_curvature(n: int, kappa, field: str = scalars.RATIONAL) -> DoubleFo
 
 def rank_one_bilinear(n: int, seed: int, field: str = scalars.RATIONAL) -> DoubleForm:
     """Degenerate fixture v (x) v for a random integer vector v."""
-    rng = SplitMix64(seed)
-    v = [rng.next_entry() for _ in range(n)]
-    mat = scalars.zeros((n, n), field)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = scalars.coerce(v[i] * v[j], field)
-    return DoubleForm(n, 1, 1, mat, field)
+    v = _entries(SplitMix64(seed), n)
+    return DoubleForm(n, 1, 1, np.outer(v, v), field)
 
 
 def jordan_block(n: int, field: str = scalars.RATIONAL) -> DoubleForm:
     """Nilpotent single Jordan block: ones on the first superdiagonal."""
-    mat = scalars.zeros((n, n), field)
-    for i in range(n - 1):
-        mat[i, i + 1] = scalars.coerce(1, field)
-    return DoubleForm(n, 1, 1, mat, field)
+    return DoubleForm(n, 1, 1, np.eye(n, k=1, dtype=np.int64), field)
 
 
 def random_form(n: int, k: int, seed: int,
@@ -134,11 +124,7 @@ def random_form(n: int, k: int, seed: int,
     """Random degree-k exterior form with integer coefficients in [-3, 3]."""
     size = comb(n, max(k, 0))  # the constructor refuses k < 0
     check_dense(size, "the form")
-    rng = SplitMix64(seed)
-    values = scalars.zeros(size, field)
-    for i in range(values.shape[0]):
-        values[i] = scalars.coerce(rng.next_entry(), field)
-    return ExteriorForm(n, k, values, field)
+    return ExteriorForm(n, k, _entries(SplitMix64(seed), size), field)
 
 
 @dataclass

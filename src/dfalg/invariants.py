@@ -47,11 +47,6 @@ from .dform import (
 )
 
 
-def _check_bilinear(h):
-    if h.bidegree != (1, 1):
-        raise ValueError(f"expected a (1, 1) form, got bidegree {h.bidegree}")
-
-
 def _check_square(w, p):
     if w.bidegree != (p, p):
         raise ValueError(f"expected a ({p}, {p}) form, got bidegree {w.bidegree}")
@@ -163,7 +158,7 @@ def family_orders(family: str, n: int) -> range:
     return range(first, (n - r) // p + 1)
 
 
-def _family_member(family, w, k):
+def family_member(family, w, k):
     """s_(r,k)(w) of a bilinear family, h_(r,pk)(w) of a (p, p) one."""
     r, p, _ = FAMILIES[family]
     _check_square(w, p)
@@ -176,27 +171,27 @@ def _family_member(family, w, k):
 
 def s_k(h: DoubleForm, k: int):
     """k-th characteristic coefficient: trace for k = 1, determinant for k = n."""
-    return _family_member("s", h, k).scalar()
+    return family_member("s", h, k).scalar()
 
 
 def t_k(h: DoubleForm, k: int) -> DoubleForm:
     """k-th cofactor (Newton) transformation; t_0 = g, t_(n-1) = cofactor matrix."""
-    return _family_member("t", h, k)
+    return family_member("t", h, k)
 
 
 def h_2k(R: DoubleForm, k: int):
     """2k-th Gauss-Bonnet scalar of a symmetric (2, 2) Bianchi form."""
-    return _family_member("h2k", R, k).scalar()
+    return family_member("h2k", R, k).scalar()
 
 
 def T_2k(R: DoubleForm, k: int) -> DoubleForm:
     """Einstein-Lovelock tensor of order 2k; T_2 is the Einstein tensor."""
-    return _family_member("T", R, k)
+    return family_member("T", R, k)
 
 
 def N_2k(R: DoubleForm, k: int) -> DoubleForm:
     """Second cofactor of order 2k, a symmetric (2, 2) Bianchi form."""
-    return _family_member("N", R, k)
+    return family_member("N", R, k)
 
 
 def s_rq(h: DoubleForm, r: int, q: int) -> DoubleForm:
@@ -212,7 +207,7 @@ def s_rq(h: DoubleForm, r: int, q: int) -> DoubleForm:
 
 def power_sums(h: DoubleForm, r: int):
     """Traces p_i of the first r composition powers of h."""
-    _check_bilinear(h)
+    _check_square(h, 1)
     out = []
     acc = h
     for i in range(1, r + 1):
@@ -224,8 +219,8 @@ def power_sums(h: DoubleForm, r: int):
 
 def s_k_of_sum(A: DoubleForm, B: DoubleForm, k: int):
     """s_k(A + B) expanded through the (r, q) cofactors of A."""
-    _check_bilinear(A)
-    _check_bilinear(B)
+    _check_square(A, 1)
+    _check_square(B, 1)
     if A.n != B.n:
         raise ValueError("mismatched dimensions")
     total = 0
@@ -401,7 +396,7 @@ def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm,
     """
     n, p = w0.n, w0.p
     _check_square(V, p)
-    _check_bilinear(W)
+    _check_square(W, 1)
     _check_metric_variation(g0, W, n)
     per_c = _per_c(p, k)
     with power_memo():
@@ -497,7 +492,7 @@ def jacobi_double_form_with_metric(R0: DoubleForm, V: DoubleForm, g0: DoubleForm
 
 def s_k_metric(h: DoubleForm, G: DoubleForm, k: int):
     """s_k of h measured in the metric G: full G-contraction of h^k."""
-    _check_bilinear(h)
+    _check_square(h, 1)
     return _metric_scalar(h, G, k)
 
 

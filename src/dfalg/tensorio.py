@@ -21,7 +21,7 @@ import numpy as np
 from . import scalars
 from .dform import DoubleForm, check_dense
 from .exterior import ExteriorForm, MultiForm
-from .multiindex import MAX_DIM, rank_tuple, unrank_tuple
+from .multiindex import MAX_DIM, unrank_tuple
 
 
 class TensorFormatError(ValueError):
@@ -57,8 +57,8 @@ def tensor_to_doc(obj) -> dict:
     return doc
 
 
-def tensor_to_json(obj, indent=None) -> str:
-    return json.dumps(tensor_to_doc(obj), indent=indent)
+def tensor_to_json(obj) -> str:
+    return json.dumps(tensor_to_doc(obj))
 
 
 def _need(doc, key, types):
@@ -70,13 +70,10 @@ def _need(doc, key, types):
     return v
 
 
-def _index_tuple(raw, n, what):
+def _index_tuple(raw):
     if not isinstance(raw, list) or not all(type(i) is int for i in raw):
-        raise TensorFormatError(f"{what} must be a list of integers")
-    t = tuple(raw)
-    if any(a >= b for a, b in zip(t, t[1:])) or (t and (t[0] < 0 or t[-1] >= n)):
-        raise TensorFormatError(f"{what} {raw} is not ascending in [0, {n})")
-    return t
+        raise TensorFormatError("index must be a list of integers")
+    return tuple(raw)
 
 
 def _value(raw, field):
@@ -120,27 +117,22 @@ def tensor_from_doc(doc):
             degs = (k,) * r
         else:
             degs = tuple(header)
-        shape = tuple(math.comb(n, d) for d in degs)
-        check_dense(math.prod(shape), "the tensor")  # before a single entry is read
-        values = scalars.zeros(shape, field)
-        seen = set()
+        # before a single entry is read
+        check_dense(math.prod(math.comb(n, d) for d in degs), "the tensor")
+        values = {}
         for e in entries:
-            if keys == "slots":
-                raw = _need(e, "slots", list)
-                if len(raw) != len(degs):
-                    raise TensorFormatError(f"entry needs {len(degs)} slots")
-            else:
-                raw = [_need(e, key, list) for key in keys]
-            slots = tuple(_index_tuple(s, n, "index") for s in raw)
-            if tuple(map(len, slots)) != degs:
-                raise TensorFormatError(f"entry {slots} does not match the degrees {degs}")
-            if slots in seen:
+            if not isinstance(e, dict):
+                raise TensorFormatError("each entry must be a JSON object")
+            raw = (_need(e, "slots", list) if keys == "slots"
+                   else [_need(e, key, list) for key in keys])
+            slots = tuple(map(_index_tuple, raw))
+            if slots in values:
                 raise TensorFormatError(f"duplicate entry {slots}")
-            seen.add(slots)
             if "value" not in e:
                 raise TensorFormatError("entry missing 'value'")
-            values[tuple(rank_tuple(s, n) for s in slots)] = _value(e["value"], field)
-        return cls(n, *header, values, field)
+            values[slots] = _value(e["value"], field)
+        # _from_entries refuses a slot count, a length or an index out of place
+        return cls._from_entries(n, degs, values, field)
     except ValueError as exc:
         if isinstance(exc, TensorFormatError):
             raise

@@ -231,8 +231,8 @@ def test_criterion_2_star_contraction_identities():
         # star expansion on Bianchi (p, p) forms, all 1 <= p <= k <= n
         for p in range(1, n + 1):
             variants = [random_bianchi(n, p, terms=2, seed=next(seeds)),
-                        random_bianchi(n, p, terms=1, seed=next(seeds),
-                                       include_metric=True)] if p <= 3 else \
+                        random_bianchi(n, p, terms=1, seed=next(seeds))
+                        + metric_power(n, p) * Fraction(1, factorial(p))] if p <= 3 else \
                 [metric_power(n, p) * Fraction(1, factorial(p))]
             for w in variants:
                 for k in range(p, n + 1):

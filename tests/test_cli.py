@@ -744,6 +744,36 @@ def test_pfaffian_fixture_reports_are_pinned(capsys, args):
         "intended, update PFAFFIAN_SHA256 and say so in CHANGES.md")
 
 
+# sha256 over `dfalg generate` for every kind, both scalar fields, n in
+# {0, 1, 4, 7}, seeds 0 and 2^64 - 1, and --k in {0, 2, n} for forms: each
+# run feeds its argv, its exit code and its stdout.  verify reads only some
+# of the fixtures, so this guards the generators' draw order and lanes.
+GENERATE_SHA256 = "3a10021d9407f67f2e341f92cec1190921239aad018a7e04b66651486a748229"
+
+
+def _generate_argvs():
+    for kind in ("general", "symmetric", "skew", "bianchi", "constant_curvature", "form"):
+        for field in scalars.FIELDS:
+            for n in (0, 1, 4, 7):
+                for seed in (0, 2 ** 64 - 1):
+                    argv = ["generate", "--kind", kind, "--n", str(n), "--seed", str(seed),
+                            "--scalar", field]
+                    if kind == "form":
+                        yield from (argv + ["--k", str(k)] for k in (0, 2, n))
+                    else:
+                        yield argv
+
+
+def test_generate_reports_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _generate_argvs():
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == GENERATE_SHA256, (
+        "a generated fixture changed; if the change is intended, update "
+        "GENERATE_SHA256 and say so in CHANGES.md")
+
+
 def test_verify_exit_one_on_asserted_failure(monkeypatch, capsys):
     # the theorems cannot fail, so force a nonzero asserted residual to pin
     # down the exit-code contract

@@ -110,6 +110,27 @@ def test_multiform_slotwise_examples():
     assert not np.signbit(MultiForm.from_slots([f, g]).coeffs).any()
 
 
+# slot lists that from_slots refuses, at n = 4: b is a 3-form, whose
+# coefficient of e_013 once read as the e_1 entry of a (1, 1) multiform
+FROM_SLOTS_REFUSED = {
+    "empty": lambda a, b, f: [],
+    "other_degree": lambda a, b, f: [a, b],
+    "other_field": lambda a, b, f: [a, f],
+    "other_dimension": lambda a, b, f: [a, random_form(5, 1, 1)],
+    "not_a_form": lambda a, b, f: [random_dform(4, 1, 1, seed=1), a],
+    "later_not_a_form": lambda a, b, f: [a, a.coeffs],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROM_SLOTS_REFUSED))
+def test_from_slots_refuses_slots_that_do_not_match(case):
+    a = random_form(4, 1, 1)
+    b = ExteriorForm.from_coeffs(4, 3, {(0, 1, 3): 6})
+    f = ExteriorForm(4, 1, [0.0, 1.5, 0.0, 0.0], "float64")
+    with pytest.raises(ValueError):
+        MultiForm.from_slots(FROM_SLOTS_REFUSED[case](a, b, f))
+
+
 def test_two_slot_multiform_matches_double_form_product():
     n = 4
     a = random_dform(n, 1, 1, seed=21)

@@ -69,13 +69,6 @@ def test_random_bianchi_p1_is_symmetric_bilinear():
     assert w.bidegree == (1, 1) and w == transpose(w)
 
 
-def test_random_bianchi_include_metric():
-    n, p = 4, 2
-    w0 = random_bianchi(n, p, terms=1, seed=33)
-    w1 = random_bianchi(n, p, terms=1, seed=33, include_metric=True)
-    assert w1 - w0 == metric_power(n, p) * Fraction(1, 2)
-
-
 def test_random_bianchi_validation():
     with pytest.raises(ValueError):
         random_bianchi(4, 0, 1, 1)

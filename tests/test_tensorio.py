@@ -6,7 +6,10 @@ from datetime import timedelta
 
 from hypothesis import example, given, settings, strategies as st
 
+import pytest
+
 from dfalg import scalars
+from dfalg.cli import main
 from dfalg.dform import DoubleForm
 from dfalg.exterior import ExteriorForm, MultiForm
 from dfalg.tensorio import TensorFormatError, tensor_from_doc, tensor_to_doc
@@ -102,3 +105,33 @@ def test_documents_load_as_round_tripping_forms_or_are_rejected(doc):
     back = tensor_from_doc(out)
     assert type(back) is type(obj) and back == obj
     assert tensor_to_doc(back) == out
+
+
+# index faults that the form constructors (_LaneForm._ranks) refuse, and two
+# that the reader refuses itself, in documents at n = 4
+INDEX_FAULTS = {
+    "descending": ("form", {"k": 2}, [{"row": [2, 1], "value": "1"}]),
+    "index_past_n": ("double_form", {"p": 1, "q": 1},
+                     [{"row": [4], "col": [0], "value": "1"}]),
+    "negative_index": ("form", {"k": 1}, [{"row": [-1], "value": "1"}]),
+    "wrong_length": ("double_form", {"p": 1, "q": 2},
+                     [{"row": [0], "col": [1], "value": "1"}]),
+    "wrong_slot_count": ("multiform", {"k": 1, "r": 2},
+                         [{"slots": [[0], [1], [2]], "value": "1"}]),
+    "duplicate": ("form", {"k": 1}, [{"row": [3], "value": "1"}, {"row": [3], "value": "2"}]),
+    "entry_not_an_object": ("form", {"k": 1}, [3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_FAULTS))
+def test_index_faults_are_format_errors(tmp_path, capsys, case):
+    kind, degrees, entries = INDEX_FAULTS[case]
+    doc = {"n": 4, "kind": kind, **degrees, "entries": entries}
+    with pytest.raises(TensorFormatError):
+        tensor_from_doc(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariants", str(path), "--family", "s"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("dfalg: error:")
+    assert "Traceback" not in out.err
