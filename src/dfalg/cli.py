@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invariants", help="compute invariants of a tensor file")
     inv.add_argument("file")
     inv.add_argument("--family", required=True,
-                     choices=["s", "t", "srq", "h2k", "T", "N", "hrpq"])
+                     choices=[*FAMILIES, "srq", "hrpq"])
     inv.add_argument("--k", default="all", help="order k, or 'all'")
     inv.add_argument("--r", type=int, default=None, help="cofactor order r")
     inv.add_argument("--q", type=int, default=None, help="power q")

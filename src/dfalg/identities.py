@@ -100,6 +100,35 @@ def _vanishing(name, params, value, formula, field) -> IdentityResidual:
 
 
 # ---------------------------------------------------------------------------
+# the general Cayley-Hamilton theorem
+
+
+def vanishing_range(n: int, p: int):
+    """The (r, q) of the general Cayley-Hamilton theorem at dimension n:
+    h_(r,pq)(w) = 0 for every symmetric (p, p) Bianchi form w when
+    1 <= q <= n/p and n - pq < r <= pq.  In order of q, then r."""
+    return [(r, q) for q in range(1, n + 1) if p * q <= n
+            for r in range(n - p * q + 1, p * q + 1)]
+
+
+def _cofactor_vanishing(name, params, w, p, r, order, formula) -> IdentityResidual:
+    """The record of h_(r,order)(w) = 0 for the (p, p) form w, the theorem
+    at order = pq; a cofactor outside vanishing_range is refused.
+
+    Each vanishing row is this body with its own map to (r, order).  The
+    cofactor is read off the contraction path, as s_(r,q) = h_(r,q)/q! at
+    p = 1; h_rpq refuses a form that is not (p, p).
+    """
+    n = w.n
+    if (r, order) not in {(s, p * q) for s, q in vanishing_range(n, p)}:
+        raise ValueError(f"h_({r}, {order}) of a ({p}, {p}) form is outside the "
+                         f"vanishing range n - pq < r <= pq at n = {n}")
+    q = order // p
+    value = s_rq(w, r, q) if p == 1 else h_rpq(w, r, p, q, path="contraction")
+    return _vanishing(name, params, value, formula, w.field)
+
+
+# ---------------------------------------------------------------------------
 # bilinear-form identities
 
 
@@ -111,17 +140,12 @@ def check_cayley_hamilton(h: DoubleForm) -> IdentityResidual:
 
 def check_general_CH(h: DoubleForm, r: int, i: int) -> IdentityResidual:
     """Extended cofactor vanishing s_(r, n-i)(h) = 0 for 1 <= i+1 <= r <= n-i."""
-    n = h.n
-    if not 1 <= i + 1 <= r <= n - i:
-        raise ValueError(f"(r, i) = ({r}, {i}) outside the theorem range")
-    val = s_rq(h, r, n - i)
-    return _vanishing("general_cayley_hamilton", {"n": n, "r": r, "i": i}, val,
-                      "s_(r, n-i)(h) = 0", h.field)
+    return _cofactor_vanishing("general_cayley_hamilton", {"n": h.n, "r": r, "i": i},
+                               h, 1, r, h.n - i, "s_(r, n-i)(h) = 0")
 
 
 def general_CH_range(n: int):
-    return [(r, i) for i in range(0, (n - 1) // 2 + 1)
-            for r in range(i + 1, n - i + 1)]
+    return sorted(((r, n - q) for r, q in vanishing_range(n, 1)), key=itemgetter(1, 0))
 
 
 def check_laplace(h: DoubleForm, k: int) -> IdentityResidual:
@@ -232,30 +256,20 @@ def check_s2q_formula(h: DoubleForm, q: int) -> IdentityResidual:
 
 def check_Tn(R: DoubleForm) -> IdentityResidual:
     """Top Einstein-Lovelock tensor vanishes in even dimension."""
-    n = R.n
-    if n % 2:
-        raise ValueError("T_n(R) = 0 is an even-dimension identity")
-    val = h_rpq(R, 1, 2, n // 2, path="contraction")
-    return _vanishing("lovelock_top_even", {"n": n}, val, "T_n(R) = 0", R.field)
+    return _cofactor_vanishing("lovelock_top_even", {"n": R.n}, R, 2, 1, R.n,
+                               "T_n(R) = 0")
 
 
 def check_Nn(R: DoubleForm) -> IdentityResidual:
     """Top second cofactor vanishes in even dimension."""
-    n = R.n
-    if n % 2:
-        raise ValueError("N_n(R) = 0 is an even-dimension identity")
-    val = h_rpq(R, 2, 2, n // 2, path="contraction")
-    return _vanishing("second_cofactor_top_even", {"n": n}, val, "N_n(R) = 0", R.field)
+    return _cofactor_vanishing("second_cofactor_top_even", {"n": R.n}, R, 2, 2, R.n,
+                               "N_n(R) = 0")
 
 
 def check_Nn_minus_1(R: DoubleForm) -> IdentityResidual:
     """N_(n-1)(R) = 0 in odd dimension n >= 3."""
-    n = R.n
-    if n % 2 == 0 or n < 3:
-        raise ValueError("N_(n-1)(R) = 0 is an odd-dimension identity, n >= 3")
-    val = h_rpq(R, 2, 2, (n - 1) // 2, path="contraction")
-    return _vanishing("second_cofactor_top_odd", {"n": n}, val, "N_(n-1)(R) = 0",
-                      R.field)
+    return _cofactor_vanishing("second_cofactor_top_odd", {"n": R.n}, R, 2, 2, R.n - 1,
+                               "N_(n-1)(R) = 0")
 
 
 def check_scalar_identity(R: DoubleForm) -> IdentityResidual:
@@ -272,32 +286,15 @@ def check_scalar_identity(R: DoubleForm) -> IdentityResidual:
 def check_even_odd_theorem(R: DoubleForm, r: int, i: int) -> IdentityResidual:
     """Range vanishing of the extended (r, *) cofactors of a (2, 2) form."""
     n = R.n
-    if n % 2 == 0:
-        q_deg = n - 2 * i
-        if not 2 * i + 1 <= r <= n - 2 * i:
-            raise ValueError(f"(r, i) = ({r}, {i}) outside the even range")
-    else:
-        q_deg = n - 2 * i - 1
-        if not 2 * i + 2 <= r <= n - 2 * i - 1:
-            raise ValueError(f"(r, i) = ({r}, {i}) outside the odd range")
-    val = h_rpq(R, r, 2, q_deg // 2, path="contraction")
-    return _vanishing("cofactor_vanishing_22", {"n": n, "r": r, "i": i}, val,
-                      "h_(r, n-2i)(R) = 0 (even n) / h_(r, n-2i-1)(R) = 0 (odd n)",
-                      R.field)
+    return _cofactor_vanishing("cofactor_vanishing_22", {"n": n, "r": r, "i": i},
+                               R, 2, r, n - n % 2 - 2 * i,
+                               "h_(r, n-2i)(R) = 0 (even n) / "
+                               "h_(r, n-2i-1)(R) = 0 (odd n)")
 
 
 def even_odd_range(n: int):
-    out = []
-    for i in range(0, n // 4 + 1):
-        if n % 2 == 0:
-            if n - 2 * i < 2:
-                break
-            out.extend((r, i) for r in range(2 * i + 1, n - 2 * i + 1))
-        else:
-            if n - 2 * i - 1 < 2:
-                break
-            out.extend((r, i) for r in range(2 * i + 2, n - 2 * i))
-    return out
+    return sorted(((r, (n - 2 * q) // 2) for r, q in vanishing_range(n, 2)),
+                  key=itemgetter(1, 0))
 
 
 def check_avez(R: DoubleForm) -> IdentityResidual:
@@ -343,23 +340,14 @@ def check_general_avez(R: DoubleForm, q: int) -> IdentityResidual:
 def check_higher_identities(w: DoubleForm, p: int, k: int, i: int,
                             r: int) -> IdentityResidual:
     """h_(r, pk - pi)(w) = 0 for n - pk + pi + 1 <= r <= pk - pi."""
-    n = w.n
-    if w.p != p:
-        raise ValueError(f"form has slot degree {w.p}, expected {p}")
-    m = k - i
-    if m < 1 or p * m > n:
-        raise ValueError(f"(k, i) = ({k}, {i}) gives no valid exponent")
-    if not n - p * m + 1 <= r <= p * m:
-        raise ValueError(f"r = {r} outside [{n - p * m + 1}, {p * m}]")
-    val = h_rpq(w, r, p, m, path="contraction")
-    return _vanishing("cofactor_vanishing_pp", {"n": n, "p": p, "k": k, "i": i, "r": r},
-                      val, "h_(r, p(k-i))(w) = 0", w.field)
+    return _cofactor_vanishing("cofactor_vanishing_pp",
+                               {"n": w.n, "p": p, "k": k, "i": i, "r": r},
+                               w, p, r, p * (k - i), "h_(r, p(k-i))(w) = 0")
 
 
 def higher_identity_range(n: int, p: int):
     """Valid (m, r) pairs with m = k - i the exponent of the form."""
-    return [(m, r) for m in range(1, n // p + 1)
-            for r in range(n - p * m + 1, p * m + 1)]
+    return [(q, r) for r, q in vanishing_range(n, p)]
 
 
 def check_newton_hrpq(w: DoubleForm, r: int, q: int) -> IdentityResidual:

@@ -337,6 +337,8 @@ def interpolate(points):
         for j, xj in enumerate(xs):
             if j != i:
                 den *= xi - xj
+        if den == 0:
+            raise ValueError(f"repeated interpolation node x = {xi}")
         dens.append(den)
     if all(isinstance(y, (int, Fraction)) for y in ys):
         weights = [Fraction(y, den) for y, den in zip(ys, dens)]
@@ -510,7 +512,10 @@ def t_or_top(h: DoubleForm, k: int) -> DoubleForm:
     if k == n:
         out = DoubleForm.zeros(n, 1, 1, h.field)
         ht = transpose(h)
+        power = compose_power(ht, 0)
         for r in range(n + 1):
-            out = out + ((-1) ** r * s_k(h, n - r)) * compose_power(ht, r)
+            if r:
+                power = compose(ht, power)  # (h^t)^(o r), as compose_power builds it
+            out = out + ((-1) ** r * s_k(h, n - r)) * power
         return out
     raise ValueError(f"t_k order {k} exceeds the dimension {n}")

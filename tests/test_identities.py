@@ -281,6 +281,145 @@ def test_general_laplace_pp():
         residual_zero(idn.check_general_laplace_pp(w, 1))
 
 
+# -- the general Cayley-Hamilton theorem, one range for six rows ---------------------------
+
+VANISHING_ROWS = ("general_cayley_hamilton", "lovelock_top_even", "second_cofactor_top_even",
+                  "second_cofactor_top_odd", "cofactor_vanishing_22", "cofactor_vanishing_pp")
+
+
+def ref_general_CH_range(n):
+    return [(r, i) for i in range(0, (n - 1) // 2 + 1) for r in range(i + 1, n - i + 1)]
+
+
+def ref_even_odd_range(n):
+    out = []
+    for i in range(0, n // 4 + 1):
+        if n % 2 == 0:
+            if n - 2 * i < 2:
+                break
+            out.extend((r, i) for r in range(2 * i + 1, n - 2 * i + 1))
+        else:
+            if n - 2 * i - 1 < 2:
+                break
+            out.extend((r, i) for r in range(2 * i + 2, n - 2 * i))
+    return out
+
+
+def ref_higher_identity_range(n, p):
+    return [(m, r) for m in range(1, n // p + 1) for r in range(n - p * m + 1, p * m + 1)]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_vanishing_range_is_the_theorems_inequalities(n):
+    # 1 <= q <= n/p and n - pq < r <= pq, in order of q, then r
+    for p in range(-1, 5):
+        box = [(r, q) for q in range(-2, n + 3) for r in range(-2 * n - 2, 2 * n + 3)]
+        assert idn.vanishing_range(n, p) == [
+            (r, q) for r, q in box if 1 <= q and p * q <= n and n - p * q < r <= p * q]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_suite_ranges_reindex_the_theorems_range_in_their_old_order(n):
+    assert idn.general_CH_range(n) == ref_general_CH_range(n)
+    assert idn.even_odd_range(n) == ref_even_odd_range(n)
+    for p in (1, 2, 3, 4):
+        assert idn.higher_identity_range(n, p) == ref_higher_identity_range(n, p)
+
+
+def _vanishing_cases(n):
+    """(check, args, (p, r, q)) over a box around each row's range: the
+    cofactor h_(r,pq) each call names, q a Fraction where the row's order
+    pq is odd."""
+    half = Fraction(1, 2)
+    cases = [(idn.check_Tn, (), (2, 1, n * half)),
+             (idn.check_Nn, (), (2, 2, n * half)),
+             (idn.check_Nn_minus_1, (), (2, 2, (n - 1) * half))]
+    for r in range(-1, n + 3):
+        for i in range(-2, n + 2):
+            cases.append((idn.check_general_CH, (r, i), (1, r, n - i)))
+            cases.append((idn.check_even_odd_theorem, (r, i),
+                          (2, r, (n - 2 * i - n % 2) * half)))
+        for p in (1, 2, 3):
+            for k in range(-1, n // p + 3):
+                for i in (0, 1):
+                    cases.append((idn.check_higher_identities, (p, k, i, r), (p, r, k - i)))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_each_vanishing_check_accepts_exactly_its_range(n, monkeypatch):
+    # the cofactors are stubbed: this checks which calls reach them, not their values
+    seen = []
+    monkeypatch.setattr(idn, "s_rq", lambda w, r, q: seen.append((1, r, q)) or 0)
+    monkeypatch.setattr(idn, "h_rpq", lambda w, r, p, q, path: seen.append((p, r, q)) or 0)
+    forms = {p: DoubleForm.zeros(n, p, p) for p in (1, 2, 3)}
+    for check, args, (p, r, q) in _vanishing_cases(n):
+        w = forms[args[0] if check is idn.check_higher_identities else p]
+        before = len(seen)
+        if (r, q) in idn.vanishing_range(n, p):
+            rec = check(w, *args)
+            assert rec.name in VANISHING_ROWS and rec.exact_zero
+            assert seen[before:] == [(p, r, q)], (check.__name__, args)
+        else:
+            with pytest.raises(ValueError, match="outside the vanishing range"):
+                check(w, *args)
+            assert len(seen) == before, (check.__name__, args)
+
+
+def test_each_vanishing_check_refuses_a_form_of_another_bidegree():
+    h4, h5 = random_bilinear(4, 71, "symmetric"), random_bilinear(5, 72, "symmetric")
+    R4, R6 = random_bianchi(4, 2, 2, seed=73), random_bianchi(6, 2, 2, seed=74)
+    refused = [
+        lambda: idn.check_Tn(h4),
+        lambda: idn.check_Nn(h4),
+        lambda: idn.check_Nn_minus_1(h5),
+        lambda: idn.check_even_odd_theorem(h4, 1, 0),
+        lambda: idn.check_general_CH(R4, 1, 0),
+        lambda: idn.check_higher_identities(R6, 3, 2, 0, 1),
+        lambda: idn.check_higher_identities(R6, 1, 6, 0, 1),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="bidegree"):
+            call()
+    # with p = 2 taken from the form and q = n - i, (r, i) = (1, 2) would name
+    # h_(1,4)(R4), inside the p = 2 range; the check states p = 1
+    with pytest.raises(ValueError, match="outside the vanishing range"):
+        idn.check_general_CH(R4, 1, 2)
+
+
+def test_each_vanishing_row_fails_one_order_below_its_range(monkeypatch):
+    """Mutation: each vanishing row, with its range lowered by one to the
+    order r = n - pq, fails on at least one fixture of its family at some
+    n <= 7.  One rule for all six rows, since they share one range."""
+    body = idn._cofactor_vanishing
+    below = {}
+
+    def spy(name, params, w, p, r, order, formula):
+        below[name, id(w), order] = (name, w, p, order, formula)
+
+    monkeypatch.setattr(idn, "_cofactor_vanishing", spy)
+    for n in range(2, 8):
+        fx = suite_fixtures(n, seed=1)
+        for name, family, check, arg_tuples in idn._suite_table(n):
+            if name in VANISHING_ROWS:
+                for _, w in getattr(fx, family):
+                    for args in arg_tuples:
+                        check(w, *args)
+
+    def lowered(n, p):
+        return [(r, q) for q in range(1, n + 1) if p * q <= n
+                for r in range(n - p * q, p * q + 1)]
+
+    monkeypatch.setattr(idn, "vanishing_range", lowered)
+    failed = set()
+    for name, w, p, order, formula in below.values():
+        with dform.power_memo():
+            if not body(name, {}, w, p, w.n - order, order, formula).exact_zero:
+                failed.add(name)
+    assert {name for name, _, _, _, _ in below.values()} == set(VANISHING_ROWS)
+    assert failed == set(VANISHING_ROWS)
+
+
 # -- suite driver ----------------------------------------------------------------------
 
 def test_run_suite_exact_small():

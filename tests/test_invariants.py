@@ -159,6 +159,25 @@ def test_t_k_diagonal_matches_minor_s_k():
             assert tk.mat[i, i] == oracle.minor_sum_oracle(sub, k)
 
 
+@pytest.mark.parametrize("field", scalars.FIELDS)
+def test_t_or_top_builds_each_composition_power_once(field, monkeypatch):
+    # the same sum as with compose_power(h^t, r) for each r, to the last bit
+    # in float, from n composes in place of n(n+1)/2
+    composes = []
+    for n in range(1, 7):
+        h = random_bilinear(n, 4100 + n, "general", field)
+        ht = transpose(h)
+        want = DoubleForm.zeros(n, 1, 1, field)
+        for r in range(n + 1):
+            want = want + ((-1) ** r * inv.s_k(h, n - r)) * dform.compose_power(ht, r)
+        monkeypatch.setattr(inv, "compose", lambda a, b: composes.append(n) or
+                            dform.compose(a, b))
+        got = inv.t_or_top(h, n)
+        monkeypatch.undo()
+        assert got == want
+        assert composes.count(n) == n
+
+
 # -- s_rq -----------------------------------------------------------------------
 
 def test_s_rq_special_cases():
@@ -688,6 +707,15 @@ def test_interpolate_recovers_a_known_polynomial():
     ys = [inv.CharPoly("p", coeffs)(x) for x in xs]
     assert inv.interpolate(zip(xs, ys)) == coeffs
 
+
+
+def test_interpolate_refuses_a_repeated_node():
+    with pytest.raises(ValueError, match=r"^repeated interpolation node x = 0$"):
+        inv.interpolate([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match=r"x = 3$"):
+        inv.interpolate([(1, 0), (3, 1), (2, 5), (3, 1)])
+    with pytest.raises(ValueError, match=r"x = 0\.5$"):
+        inv.interpolate([(0.5, 1.0), (0.5, 2.0)])
 
 # -- Jacobi sampling with the determinant polynomial ----------------------------------
 
