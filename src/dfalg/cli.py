@@ -290,7 +290,7 @@ def cmd_verify(args) -> int:
         records = run_suite(fixture_sets, only=args.only, processes=_suite_processes())
     except ValueError as exc:
         return _fail(str(exc))
-    failures = [r for r in records if r.asserted and not r.passed]
+    failures = [r for r in records if not r.passed]
     report = {
         "meta": _meta(mode, seeds=seeds, n_values=list(range(lo, hi + 1))),
         "invariants": [],

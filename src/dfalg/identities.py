@@ -47,7 +47,6 @@ class IdentityResidual:
     exact_zero: bool
     formula: str
     rel_residual: float | None = None
-    asserted: bool = True
 
     @property
     def passed(self) -> bool:
@@ -62,7 +61,7 @@ class IdentityResidual:
             "residual": str(self.residual),
             "exact_zero": bool(self.exact_zero),
             "passed": bool(self.passed),
-            "asserted": bool(self.asserted),
+            "asserted": True,
             "formula": self.formula,
         }
         if self.rel_residual is not None:
@@ -76,8 +75,7 @@ def _scale_of(x):
     return abs(x)
 
 
-def residual_record(name, params, residual, sides, formula, field,
-                    asserted=True) -> IdentityResidual:
+def residual_record(name, params, residual, sides, formula, field) -> IdentityResidual:
     """The record of residual, an identity's discrepancy between its sides.
 
     In float mode the residual is also taken relative to the largest side,
@@ -86,8 +84,7 @@ def residual_record(name, params, residual, sides, formula, field,
     rel = None
     if field == scalars.FLOAT64:
         rel = float(residual) / max(1.0, *(float(_scale_of(x)) for x in sides))
-    return IdentityResidual(name, params, residual, residual == 0, formula, rel,
-                            asserted)
+    return IdentityResidual(name, params, residual, residual == 0, formula, rel)
 
 
 def _record(name, params, lhs, rhs, formula, field) -> IdentityResidual:

@@ -388,52 +388,52 @@ def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm,
     """_jacobi with the metric G(t) = g0 + t W varying too, g0 the identity
     metric: the right side gains <h_(1,pk)(w0) - h_(0,pk)(w0) g, W>/c.
 
-    f(t) = _metric_scalar(w0 + t V, G(t), k) pairs a power of degree k in t
-    with the pk-minors of G^-1, each an (n - pk)-minor of G over det G
-    (Jacobi's complementary-minor theorem), so N = f det G has degree
-    n - (p - 1)k.  Samples run at integer t, skipping any where G
-    degenerates, until det G has n + 1 nonzero values; f is sampled at the
-    first n - (p - 1)k + 1 of them.  With det G(0) = 1,
+    Jacobi's formula det G = *(G^n)/n! makes det G times the scalar in G
+    the polynomial N(t) = *(G^m (w0 + t V)^k)/(m! c), m = n - pk, of degree
+    m + k: no metric is inverted and no sample skipped.  With det G(0) = 1,
     f'(0) = N'(0) - N(0) (det G)'(0).  The memo is scoped as in _jacobi.
     """
     n, p = w0.n, w0.p
     _check_square(V, p)
     _check_square(W, 1)
     _check_metric_variation(g0, W, n)
+    m = n - p * k
+    _check_work(n, 1, m, 0, "hodge")  # the chain G, ..., G^m
     per_c = _per_c(p, k)
+
+    def sample(w, G):
+        return hodge(wedge(wedge_power(G, m), wedge_power(w, k))).scalar() \
+            * (per_c / factorial(m))
+
     with power_memo():
         rhs = inner(h_rpq(w0, p, p, k - 1), V) * (k * per_c)
         # h_(1,n)/n! of a bilinear form is past the Hodge-star range
         top = t_or_top(w0, k) if p == 1 else h_rpq(w0, 1, p, k) * per_c
         rhs += inner(top - metric(n, w0.field) * (h_rpq(w0, 0, p, k).scalar() * per_c), W)
-        y0 = _metric_scalar(w0, g0, k)
-    xs, ys, ds = [], [], []
-    t = 0
-    while len(xs) <= n:
-        G = g0 + t * W
-        d = _det_bilinear(G)
-        if d != 0:
-            if len(xs) <= n - (p - 1) * k:
-                ys.append((_metric_scalar(w0 + t * V, G, k) if t else y0) * d)
-            xs.append(t)
-            ds.append(d)
-        t += 1
-    ncoef = interpolate(zip(xs, ys))
-    return ncoef[1] - ncoef[0] * interpolate(zip(xs, ds))[1], rhs
+        ys = [sample(w0, g0)]
+    ys += [sample(w0 + t * V, g0 + t * W) for t in range(1, m + k + 1)]
+    ds = [_det_bilinear(g0 + t * W) for t in range(n + 1)]
+    ncoef = interpolate(enumerate(ys))
+    return ncoef[1] - ncoef[0] * interpolate(enumerate(ds))[1], rhs
 
 
 def _metric_scalar(w: DoubleForm, G: DoubleForm, k: int):
     """h_(0,pk)(w)/c in the metric G: the full G-contraction of w^k over
-    (pk)! c, with G inverted once; k < 0 and pk > n are refused."""
+    (pk)! c, with G inverted once.  Refused before the first wedge: k < 0,
+    pk > n, and a contraction through G^-1 to a degree d < pk that gathers
+    C(n, d)^2 n^2 entries past the budget; as C(n, d + 1) <= n C(n, d),
+    that bounds every array of the chain w, ..., w^k and its contractions."""
     _check_metric(w, G)
-    p = w.p
-    if k < 0 or p * k > w.n:
-        raise ValueError(f"order k = {k} out of range: need k >= 0 and pk <= {w.n}")
+    n, p = w.n, w.p
+    pk = p * k
+    if k < 0 or pk > n:
+        raise ValueError(f"order k = {k} out of range: need k >= 0 and pk <= {n}")
+    check_dense(max((comb(n, d) for d in range(pk)), default=0) ** 2 * n * n)
     x = wedge_power(w, k)
     Ginv = _invert_metric(G) if x.p else None
     for _ in range(x.p):
         x = _contracted(x, Ginv)
-    return (x * (_per_c(p, k) / factorial(p * k))).scalar()
+    return (x * (_per_c(p, k) / factorial(pk))).scalar()
 
 
 def _det_bilinear(G: DoubleForm):

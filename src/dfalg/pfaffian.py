@@ -207,6 +207,8 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
 
 
 def conjecture_to_residual(rec: ConjectureRecord, field: str) -> IdentityResidual:
-    """View an asserted conjecture record as an identity residual."""
+    """An asserted conjecture record as an identity residual, else ValueError."""
+    if not rec.asserted:
+        raise ValueError(f"the conjecture {rec.name} is not asserted")
     return residual_record(rec.name, rec.params, rec.residual, (rec.lhs, rec.rhs),
-                           "Pf(h)^2 = det(h)", field, rec.asserted)
+                           "Pf(h)^2 = det(h)", field)

@@ -2,13 +2,14 @@
 
 Every refusal past `dform.MAX_DENSE_ENTRIES` works out a cost first: the
 tensor header's array, the `form` and `bianchi` generators' arrays and
-work, an (r, pq) cofactor's chain, and the Pfaffian, embedding and
-hyperdeterminant chains and gathers.  Each `ref_*` below writes one of
-those formulas out again, so that a change to a formula or to the limit
-moves an edge and fails here.  For each, the test finds the last size the
-formula accepts and runs the entry point there and one size past it.
-Nothing large is built: the first step after each check is stubbed to
-raise `Accepted`.
+work, an (r, pq) cofactor's chain, the metric scalars' chains and
+gathers, the metric Jacobi identities' chain of G, and the Pfaffian,
+embedding and hyperdeterminant chains and gathers.  Each `ref_*` below
+writes one of those formulas out again, so that a change to a formula or
+to the limit moves an edge and fails here.  For each, the test finds the
+last size the formula accepts and runs the entry point there and one size
+past it.  Nothing large is built: the first step after each check is
+stubbed to raise `Accepted`.
 """
 
 import json
@@ -184,6 +185,61 @@ def test_s_k_edge_in_n(no_chains):
     edge = assert_edge(lambda n: ref_h_rpq(n, 1, n, 0, "hodge"), 1, 20,
                        lambda n: invariants.s_k(DoubleForm.zeros(n, 1, 1), n))
     assert edge == 14
+
+
+# -- metric scalars and the metric Jacobi identities ---------------------------
+
+def ref_metric_scalar(n, p, k):
+    # the gather of each contraction through G^-1 to degree d < pk, which
+    # outgrows every (d, d) array of the chain w, ..., w^k and its contractions
+    pk = p * k
+    gathers = max(comb(n, d) ** 2 * n * n for d in range(pk))
+    assert max(comb(n, d) for d in range(pk + 1)) ** 2 <= gathers
+    return gathers
+
+
+@pytest.mark.parametrize("p,k,expected", [(1, 3, 20), (1, 6, 10), (2, 2, 13)])
+def test_metric_scalar_edge(monkeypatch, p, k, expected):
+    monkeypatch.setattr(invariants, "wedge_power", accept)
+    scalar = invariants.s_k_metric if p == 1 else invariants.h_2k_metric
+    edge = assert_edge(lambda n: ref_metric_scalar(n, p, k), p * k, 40,
+                       lambda n: scalar(DoubleForm.zeros(n, p, p), dform.metric(n), k))
+    assert edge == expected
+
+
+def ref_metric_jacobi(n, p, k):
+    # the chain G, ..., G^m of the samples, m = n - pk
+    return max(comb(n, d) for d in range(n - p * k + 1)) ** 2
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_metric_jacobi_edge_in_n(monkeypatch, p):
+    # at k = 1 the chain is checked before the right side's first wedge:
+    # jacobi_with_metric at n = 15 is refused with no wedge run
+    fn = invariants.jacobi_with_metric if p == 1 \
+        else invariants.jacobi_double_form_with_metric
+
+    def call(n):
+        w0 = fixtures.random_bilinear(n, 7) if p == 1 else fixtures.random_bianchi(n, 2, 1, 7)
+        w = fixtures.random_bilinear(n, 8, "symmetric")
+        with monkeypatch.context() as m:
+            m.setattr(dform, "_wedge", accept)
+            fn(w0, w0, dform.metric(n), w, 1)
+
+    assert assert_edge(lambda n: ref_metric_jacobi(n, p, 1), p + 1, 20, call) == 14
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_metric_jacobi_runs_every_order_to_n_14(monkeypatch, n):
+    h0, R0 = fixtures.random_bilinear(n, 1), fixtures.random_bianchi(n, 2, 1, 2)
+    g, w = dform.metric(n), fixtures.random_bilinear(n, 3, "symmetric")
+    monkeypatch.setattr(dform, "_wedge", accept)
+    for k in range(1, n + 1):
+        assert accepted(lambda: invariants.jacobi_with_metric(h0, h0, g, w, k)) \
+            == (n <= 14), k
+    for k in range(1, (n - 1) // 2 + 1):
+        assert accepted(lambda: invariants.jacobi_double_form_with_metric(R0, R0, g, w, k)) \
+            == (n <= 14), k
 
 
 # -- pf, embed, hyperdet ----------------------------------------------------------

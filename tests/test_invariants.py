@@ -787,7 +787,7 @@ def test_jacobi_with_metric_skips_an_early_singular_sample(monkeypatch, n):
     for k in range(1, n + 1):
         calls = _counting_det(monkeypatch)
         lhs, rhs = inv.jacobi_with_metric(h0, v, g, w, k)
-        assert len(calls) == n + 2  # n + 1 nonzero determinants and the zero at t = 1
+        assert len(calls) == n + 1  # det G at t = 0, ..., n, the zero at t = 1 among them
         assert lhs == rhs
         reference = ref_rational_derivative_at_zero(
             lambda t: inv.s_k_metric(h0 + t * v, g + t * w, k), lambda t: g + t * w,
@@ -832,12 +832,10 @@ def test_jacobi_values_are_pinned():
 
 
 def test_jacobi_metric_kernel_counts(monkeypatch):
-    # counts are deterministic where times are not; the wedge bound fails if
-    # f det(G)^(2k) is sampled at degree 2k(n - 1) + k (1278 wedges here),
-    # if det G is taken as s_n(G), n - 1 wedges and a star, or if the base
-    # point's powers are built apart for the right side and the t = 0
-    # sample (684 wedges here); each sampled metric is inverted once and
-    # contracted p times
+    # counts are deterministic where times are not; each metric sample is
+    # the star of G^m w^k, one wedge_power of G, one of w (kept from the
+    # right side at t = 0) and one wedge, so no metric is inverted or
+    # contracted, and det G runs no kernel
     cases = _bench_jacobi_cases(1)
     runs = {"wedge": 0, "star": 0, "metric contract": 0, "invert": 0}
 
@@ -865,9 +863,25 @@ def test_jacobi_metric_kernel_counts(monkeypatch):
     monkeypatch.setattr(inv, "_det_bilinear", det_without_kernels)
     for fn, n, k, args in cases:
         getattr(inv, fn)(*args)
-    assert runs["wedge"] <= 560
-    assert runs["metric contract"] == 392
-    assert runs["invert"] == 137
+    assert runs["wedge"] == 823
+    assert runs["metric contract"] == 0
+    assert runs["invert"] == 0
+
+
+def test_metric_jacobi_matches_the_contraction_path_on_the_bench_cases():
+    # the reference loop samples s_k_metric or h_2k_metric, the G^-1
+    # contraction path, times det(G)^(pk), a polynomial of degree
+    # pk(n - 1) + k with no minor theorem needed
+    metric_cases = [case for case in _bench_jacobi_cases(1) if "metric" in case[0]]
+    assert len(metric_cases) == 26
+    for fn, n, k, (w0, V, g, W, _) in metric_cases:
+        p = w0.p
+        scalar = inv.s_k_metric if p == 1 else inv.h_2k_metric
+        lhs, rhs = getattr(inv, fn)(w0, V, g, W, k)
+        reference = ref_rational_derivative_at_zero(
+            lambda t: scalar(w0 + t * V, g + t * W, k), lambda t: g + t * W,
+            p * k, p * k * (n - 1) + k, n)
+        assert lhs == rhs == reference, (fn, n, k)
 
 
 def _load_bench_workloads(monkeypatch):

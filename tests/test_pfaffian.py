@@ -167,6 +167,18 @@ def test_conjecture_record_four_form():
     assert rec2.lhs == pf(f2) ** 2
 
 
+def test_only_an_asserted_conjecture_is_an_identity():
+    # an identity record is asserted whatever it came from; a conjecture
+    # that is not asserted has no identity view
+    rec = check_pf_squared(ExteriorForm.unit(4, (0, 1, 2, 3)), 2)
+    with pytest.raises(ValueError, match="^the conjecture pf_squared_hn is not asserted$"):
+        pfaffian.conjecture_to_residual(rec, scalars.RATIONAL)
+    rec = check_pf_squared(skew_to_form(random_bilinear(4, 30, "skew")), 2)
+    residual = pfaffian.conjecture_to_residual(rec, scalars.RATIONAL)
+    assert not hasattr(residual, "asserted")
+    assert residual.to_json()["asserted"] is True
+
+
 def test_conjecture_record_r3():
     f = random_form(6, 6, 28)
     rec = check_pf_squared(f, 3)
