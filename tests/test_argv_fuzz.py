@@ -1,9 +1,9 @@
 """Property test of the CLI contract over argv: every command line of the
 four subcommands, small or hostile, ends in exit 0 or 1 with one strict
-JSON document on stdout, or in exit 2 with nothing on stdout, and never
-with a traceback, a leftover child process, a run past its deadline or a
-large allocation.  Each work budget is held to this by one explicit
-over-budget request."""
+JSON document on stdout, written as json.dumps(doc, indent=2) writes it,
+or in exit 2 with nothing on stdout, and never with a traceback, a
+leftover child process, a run past its deadline or a large allocation.
+Each work budget is held to this by one explicit over-budget request."""
 
 import contextlib
 import io
@@ -244,6 +244,8 @@ def test_every_command_line_keeps_the_cli_contract(files, argv):
         return
     assert code in (0, 1)
     doc = json.loads(out, parse_constant=_non_json_constant)
+    # every document is written in json.dumps' indent-2 format
+    assert out == json.dumps(doc, indent=2) + "\n"
     if argv[0] == "generate":  # a tensor document, not a report
         assert tensor_to_doc(tensor_from_doc(doc)) == doc
     else:

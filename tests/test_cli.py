@@ -18,6 +18,7 @@ from dfalg.cli import main
 from dfalg.dform import DoubleForm
 from dfalg.exterior import ExteriorForm, MultiForm
 from dfalg.fixtures import random_bianchi, random_bilinear, random_form
+from dfalg.invariants import FAMILIES
 from dfalg.tensorio import (
     TensorFormatError,
     load_tensor,
@@ -772,6 +773,39 @@ def test_generate_reports_are_pinned(capsys):
     assert digest.hexdigest() == GENERATE_SHA256, (
         "a generated fixture changed; if the change is intended, update "
         "GENERATE_SHA256 and say so in CHANGES.md")
+
+
+# sha256 over `dfalg invariants` on each double-form file of fixtures/: every
+# ordered family of the file's bidegree with --k all, one srq call on the
+# (1, 1) file and one hrpq call on each file.  Each run feeds its argv (with
+# the file's name, not its path) and its stdout.
+INVARIANTS_SHA256 = "d0dafb3464a13402feb2fa823824bea021e03d4c650af315e092c7779ae29f0c"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _invariants_argvs():
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc, name = json.loads(path.read_text()), path.name
+        if doc["kind"] != "double_form":
+            continue
+        p = doc["p"]
+        for family, (_, family_p, _) in FAMILIES.items():
+            if family_p == p:
+                yield [name, "--family", family, "--k", "all"]
+        if p == 1:
+            yield [name, "--family", "srq", "--r", "1", "--q", "2"]
+        yield [name, "--family", "hrpq", "--r", "1", "--q", "2"]
+
+
+def test_invariants_reports_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _invariants_argvs():
+        code, out, _ = run_cli(capsys, "invariants", str(FIXTURES / argv[0]), *argv[1:])
+        assert code == 0, argv
+        digest.update(f"{' '.join(argv)}\n{out}".encode())
+    assert digest.hexdigest() == INVARIANTS_SHA256, (
+        "an invariants report changed; if the change is intended, update "
+        "INVARIANTS_SHA256 and say so in CHANGES.md")
 
 
 def test_verify_exit_one_on_asserted_failure(monkeypatch, capsys):

@@ -661,7 +661,7 @@ def _assert_same_scalars(got, want):
 GAPPED_NODES = [
     [5, -3, 0, 11, -7, 2],        # unsorted, negative, gapped
     [-4, -2, 0, 2, 4, 6, 8],      # even spacing, not unit
-    [0, 1, 2, 4, 5, 6, 7, 9],     # the gaps a skipped singular sample leaves
+    [0, 1, 2, 4, 5, 6, 7, 9],     # unit spacing with two single gaps
     [100, -100, 37],
     [-1],
 ]
@@ -758,7 +758,8 @@ SINGULAR_PENCIL_LHS = {
 
 
 @pytest.mark.parametrize("n,k", sorted(SINGULAR_PENCIL_LHS))
-def test_jacobi_double_form_with_metric_skips_a_late_singular_sample(monkeypatch, n, k):
+def test_jacobi_double_form_with_metric_samples_t_0_to_n_of_a_late_singular_pencil(
+        monkeypatch, n, k):
     # G(t) = (1 - t/(n + 3)) g is singular at t = n + 3, past the n + 1
     # determinants sampled, so the sampling never reaches it
     R0 = random_bianchi(n, 2, 2, seed=1900 + n)
@@ -778,7 +779,7 @@ def test_jacobi_double_form_with_metric_skips_a_late_singular_sample(monkeypatch
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_jacobi_with_metric_skips_an_early_singular_sample(monkeypatch, n):
+def test_jacobi_with_metric_samples_t_0_to_n_of_an_early_singular_pencil(monkeypatch, n):
     # G(t) = (1 - t) g is singular at t = 1, among the determinants sampled
     h0 = random_bilinear(n, 1600 + n)
     v = random_bilinear(n, 1700 + n)
