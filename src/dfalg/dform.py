@@ -23,7 +23,7 @@ import contextvars
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -446,24 +446,40 @@ def _wedge(n, a, da, b, db, out):
 
     da and db hold the slot degrees: (p, q) for a double form, (k,) for an
     exterior form, (k,)*r for a multiform.  Every slot needs da + db <= n.
-    Each nonzero a[I] meets b[J] for every J disjoint from I slot by slot;
-    the product lands on out[I|J], negated when an odd number of slot
-    merges are odd.  Targets repeat across the nonzeros of a, so they are
-    summed with np.add.at.  The nonzeros of a are taken in chunks whose
+    One factor drives: each of its nonzeros x[I] meets the other factor's
+    y[J] for every J disjoint from I slot by slot, and the product lands on
+    out[I|J], negated when an odd number of slot merges are odd.  The
+    factor that drives is the one whose gather, nonzeros times partners
+    per nonzero, is smaller; on a tie (two dense factors) the one with
+    fewer nonzeros, whose partner axes are longer.  Targets repeat across the
+    nonzeros, so they are summed with np.add.at.
+
+    When b drives, its nonzeros are walked in reverse row-major order and
+    each product takes the commutation sign (-1)^(sum_s da_s db_s).  An
+    output K sums a[I] b[K\\I] over the I inside K, and complementing
+    inside K reverses lex order, so the reversed walk adds each output's
+    products in the order a's walk would: float sums are bit-identical
+    whichever factor drives.  The nonzeros are taken in chunks whose
     gather has at most WEDGE_CHUNK entries (at least one nonzero each), in
-    order, so the sums run in the same order as one gather would.  Any
-    dtype works: int64 or object numerators of the integer lane, or
-    float64.
+    walk order, so the sums also run as one gather would.  Any dtype
+    works: int64 or object numerators of the integer lane, or float64.
     """
-    nz = np.nonzero(a)
     r = len(da)
+    per_a = prod(map(comb, [n - x for x in da], db))
+    per_b = prod(map(comb, [n - y for y in db], da))
+    count_a, count_b = np.count_nonzero(a), np.count_nonzero(b)
+    if (count_b * per_b, count_b) < (count_a * per_a, count_a):
+        a, da, b, db, per = b, db, a, da, per_b
+        nz = tuple(ix[::-1] for ix in np.nonzero(a))
+        odd = sum(map(mul, da, db)) % 2 == 1
+    else:
+        nz, per, odd = np.nonzero(a), per_a, False
     tables = [merge_table(n, x, y) for x, y in zip(da, db)]
-    per = prod(cols.shape[1] for cols, _, _ in tables)
     step = max(1, WEDGE_CHUNK // per)
     for lo in range(0, len(nz[0]), step):
         part = tuple(ix[lo:lo + step] for ix in nz)
         src = tgt = 0
-        neg = False
+        neg = odd
         for s, (cols, targets, negs) in enumerate(tables):
             shape = [len(part[s])] + [1] * r
             shape[s + 1] = cols.shape[1]
@@ -484,16 +500,15 @@ def wedge_power(w: DoubleForm, k: int) -> DoubleForm:
     return metric_wedge_power(w, 0, k)
 
 
-# The power memo: None outside power_memo(), else a dict mapping id(w) to
-# (w, {key: form}), the results computed from w: g^m w^k under (m, k), *w
-# under "star", c(w) under "contract", and the cofactors of
-# invariants.h_rpq under their own keys.  A chain c^i(w^k) is kept link by
+# The power memo: None outside power_memo() and inside _no_memo(), else a
+# dict mapping id(w) to (w, {key: form}), the results computed from w:
+# g^m w^k under (m, k), *w under "star", c(w) under "contract", and the
+# cofactors of invariants.h_rpq under their own keys.  A chain c^i(w^k) is kept link by
 # link, each under the form it contracts.  Holding w keeps its id from
 # being reused while the memo lives.
 _POWER_MEMO = contextvars.ContextVar("dfalg_power_memo", default=None)
 
 
-@contextlib.contextmanager
 def power_memo():
     """Share the powers, stars, contractions and cofactors built inside the
     block.
@@ -503,7 +518,24 @@ def power_memo():
     sharing one is safe.  The memo and its results are dropped when the
     block exits.
     """
-    token = _POWER_MEMO.set({})
+    return _memo_scope({})
+
+
+def _open_memo():
+    """power_memo(), unless one is open already: then the block shares that
+    memo, which outlives it."""
+    memo = _POWER_MEMO.get()
+    return _memo_scope({} if memo is None else memo)
+
+
+def _no_memo():
+    """A block that keeps and reads nothing, whatever memo is open around it."""
+    return _memo_scope(None)
+
+
+@contextlib.contextmanager
+def _memo_scope(memo):
+    token = _POWER_MEMO.set(memo)
     try:
         yield
     finally:
@@ -779,6 +811,20 @@ def inner(w1: DoubleForm, w2: DoubleForm):
     if w1.field == scalars.FLOAT64:
         return float(total) + 0.0  # no -0.0 sum
     return _value(int(total), da * db)
+
+
+def trace(w: DoubleForm):
+    """sum_I w(e_I, e_I) of a (d, d) form: its full contraction c^d(w)/d!,
+    and h_(0,pk)(x) when w = x^k for a (p, p) form x."""
+    p, q = w._degs
+    if p != q:
+        raise ValueError(f"the trace needs a (d, d) form, got bidegree {(p, q)}")
+    num, den, mag = w._lane()
+    diagonal = _as(np.diagonal(num), _lane_dtype(w.field, mag * len(num), mag))
+    total = diagonal.sum()
+    if w.field == scalars.FLOAT64:
+        return float(total) + 0.0  # no -0.0 sum
+    return _value(int(total), den)
 
 
 def compose(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:

@@ -30,6 +30,8 @@ from .dform import (
     _eliminate,
     _invert_metric,
     _memoized,
+    _no_memo,
+    _open_memo,
     check_dense,
     compose,
     compose_power,
@@ -40,7 +42,7 @@ from .dform import (
     metric,
     metric_power,
     metric_wedge_power,
-    power_memo,
+    trace,
     transpose,
     wedge,
     wedge_power,
@@ -370,17 +372,22 @@ def _per_c(p, k):
 def _jacobi(w0: DoubleForm, V: DoubleForm, k: int):
     """(d/dt h_(0,pk)(w0 + t V)/c at t = 0, k <h_(p,p(k-1))(w0), V>/c).
 
-    The left side interpolates the degree-k polynomial at t = 0, ..., k.
-    The right side and the t = 0 sample share one power_memo() block; the
-    samples at t >= 1 run after it, so the memo keeps none of them.
+    The left side interpolates the degree-k polynomial at t = 0, ..., k,
+    each sample the trace of w(t)^k, which is h_(0,pk)(w(t)) with no metric
+    power and no star.  The chain w, ..., w^k is refused before the first
+    wedge if it is over budget.  The right side and the t = 0 sample share
+    the base point's memo: a caller's power_memo() if one is open, else one
+    of its own.  The samples at t >= 1 keep and read no memo.
     """
     p = w0.p
     _check_square(V, p)
+    _check_work(w0.n, p, k, 0, "hodge")  # the chain w0, ..., w0^k
     per_c = _per_c(p, k)
-    with power_memo():
+    with _open_memo():
         rhs = inner(h_rpq(w0, p, p, k - 1), V) * (k * per_c)
-        ys = [h_rpq(w0, 0, p, k).scalar() * per_c]
-    ys += [h_rpq(w0 + t * V, 0, p, k).scalar() * per_c for t in range(1, k + 1)]
+        ys = [trace(wedge_power(w0, k)) * per_c]
+    with _no_memo():
+        ys += [trace(wedge_power(w0 + t * V, k)) * per_c for t in range(1, k + 1)]
     return interpolate(enumerate(ys))[1], rhs
 
 
@@ -388,10 +395,14 @@ def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm,
     """_jacobi with the metric G(t) = g0 + t W varying too, g0 the identity
     metric: the right side gains <h_(1,pk)(w0) - h_(0,pk)(w0) g, W>/c.
 
-    Jacobi's formula det G = *(G^n)/n! makes det G times the scalar in G
-    the polynomial N(t) = *(G^m (w0 + t V)^k)/(m! c), m = n - pk, of degree
-    m + k: no metric is inverted and no sample skipped.  With det G(0) = 1,
-    f'(0) = N'(0) - N(0) (det G)'(0).  The memo is scoped as in _jacobi.
+    The derivative splits by the chain rule into the V direction, which is
+    _jacobi's, and the W direction at the fixed form w0.  Jacobi's formula
+    det G = *(G^n)/n! makes det G times the scalar of w0 in G the
+    polynomial N(t) = *(G^m w0^k)/(m! c) = <G^m, *(w0^k)>/(m! c),
+    m = n - pk, of degree m: no metric is inverted and no sample skipped.
+    With det G(0) = 1, the W direction is N'(0) - N(0) (det G)'(0).  The
+    base point's memo, as in _jacobi, covers the _jacobi call, so w0^k and
+    its star are built once; the samples at t >= 1 keep and read no memo.
     """
     n, p = w0.n, w0.p
     _check_square(V, p)
@@ -401,20 +412,21 @@ def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm,
     _check_work(n, 1, m, 0, "hodge")  # the chain G, ..., G^m
     per_c = _per_c(p, k)
 
-    def sample(w, G):
-        return hodge(wedge(wedge_power(G, m), wedge_power(w, k))).scalar() \
-            * (per_c / factorial(m))
+    def sample(G):
+        return inner(wedge_power(G, m), star) * (per_c / factorial(m))
 
-    with power_memo():
-        rhs = inner(h_rpq(w0, p, p, k - 1), V) * (k * per_c)
+    with _open_memo():
+        d_v, rhs = _jacobi(w0, V, k)
         # h_(1,n)/n! of a bilinear form is past the Hodge-star range
         top = t_or_top(w0, k) if p == 1 else h_rpq(w0, 1, p, k) * per_c
         rhs += inner(top - metric(n, w0.field) * (h_rpq(w0, 0, p, k).scalar() * per_c), W)
-        ys = [sample(w0, g0)]
-    ys += [sample(w0 + t * V, g0 + t * W) for t in range(1, m + k + 1)]
+        star = hodge(wedge_power(w0, k))
+        ys = [sample(g0)]
+    with _no_memo():
+        ys += [sample(g0 + t * W) for t in range(1, m + 1)]
     ds = [_det_bilinear(g0 + t * W) for t in range(n + 1)]
-    ncoef = interpolate(enumerate(ys))
-    return ncoef[1] - ncoef[0] * interpolate(enumerate(ds))[1], rhs
+    ncoef = interpolate(enumerate(ys)) + [0]  # N is constant when m = 0
+    return d_v + ncoef[1] - ncoef[0] * interpolate(enumerate(ds))[1], rhs
 
 
 def _metric_scalar(w: DoubleForm, G: DoubleForm, k: int):

@@ -833,10 +833,11 @@ def test_jacobi_values_are_pinned():
 
 
 def test_jacobi_metric_kernel_counts(monkeypatch):
-    # counts are deterministic where times are not; each metric sample is
-    # the star of G^m w^k, one wedge_power of G, one of w (kept from the
-    # right side at t = 0) and one wedge, so no metric is inverted or
-    # contracted, and det G runs no kernel
+    # counts are deterministic where times are not; each sample of the
+    # form's direction is the trace of one wedge_power of w(t), and each
+    # of the metric's direction one wedge_power of G(t) paired with the
+    # star of w0^k, built once; no metric is inverted or contracted, and
+    # det G runs no kernel
     cases = _bench_jacobi_cases(1)
     runs = {"wedge": 0, "star": 0, "metric contract": 0, "invert": 0}
 
@@ -864,7 +865,8 @@ def test_jacobi_metric_kernel_counts(monkeypatch):
     monkeypatch.setattr(inv, "_det_bilinear", det_without_kernels)
     for fn, n, k, args in cases:
         getattr(inv, fn)(*args)
-    assert runs["wedge"] == 823
+    assert runs["wedge"] == 566
+    assert runs["star"] == 89
     assert runs["metric contract"] == 0
     assert runs["invert"] == 0
 
@@ -951,6 +953,70 @@ def test_jacobi_with_metric_keeps_no_sample_in_its_memo():
     assert peak <= 1.10 * 2 ** 20
 
 
+def test_jacobi_shares_a_callers_memo_and_keeps_no_sample_in_it(monkeypatch):
+    # the base point's block reuses a caller's memo, so h0's powers are
+    # built once for every k; the samples at t >= 1 run with no memo
+    n = 6
+    h0, v, g = random_bilinear(n, 1), random_bilinear(n, 2), metric(n)
+    w = random_bilinear(n, 3, "symmetric")
+    wedges = []
+    kernel = dform._wedge
+
+    def counting(*args):
+        wedges.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(dform, "_wedge", counting)
+    outside = [inv.jacobi_with_metric(h0, v, g, w, k) for k in range(1, n + 1)]
+    alone = len(wedges)
+    wedges.clear()
+    with dform.power_memo():
+        inside = [inv.jacobi_with_metric(h0, v, g, w, k) for k in range(1, n + 1)]
+        kept = [form for form, _ in dform._POWER_MEMO.get().values()]
+    assert inside == outside
+    assert all(lhs == rhs for lhs, rhs in inside)
+    assert len(wedges) < alone
+    samples = [x + t * dx for x, dx in ((h0, v), (g, w)) for t in range(1, n + 1)]
+    assert not [form for form in kept for s in samples
+                if form.bidegree == (1, 1) and form == s]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_trace_of_a_power_is_the_0_pk_cofactor(n):
+    # h_(0,pk)(w) = *(g^(n-pk) w^k)/(n-pk)! = c^pk(w^k)/(pk)!, the trace
+    forms = [random_bilinear(n, 70 + n, "symmetric"), random_bilinear(n, 80 + n)]
+    if n >= 2:
+        forms.append(random_bianchi(n, 2, 2, 90 + n))
+    if n >= 3:
+        forms.append(random_bianchi(n, 3, 2, 100 + n))
+    for w in forms:
+        p = w.p
+        for k in range(0, n // p + 1):
+            tr = dform.trace(wedge_power(w, k))
+            assert tr == inv.h_rpq(w, 0, p, k, "hodge").scalar(), (p, k)
+            assert tr == inv.h_rpq(w, 0, p, k, "contraction").scalar(), (p, k)
+    approx = dform.trace(wedge_power(random_bilinear(n, 5, field=scalars.FLOAT64), 1))
+    assert isinstance(approx, float)
+
+
+def test_each_direction_of_the_metric_jacobi_is_its_half_of_the_right_side():
+    # f'(0) = the V direction + the W direction, and each one-direction
+    # derivative equals its own half of the right side
+    metric_cases = [case for case in _bench_jacobi_cases(1) if "metric" in case[0]]
+    assert len(metric_cases) == 26
+    for fn, n, k, (w0, V, g, W, _) in metric_cases:
+        p = w0.p
+        c = Fraction(1, factorial(k) if p == 1 else 1)
+        h0 = inv.h_rpq(w0, 0, p, k).scalar() * c
+        top = inv.t_or_top(w0, k) if p == 1 else inv.h_rpq(w0, 1, p, k) * c
+        d_v = k * inner(inv.h_rpq(w0, p, p, k - 1), V) * c
+        d_w = inner(top - g * h0, W)
+        assert inv._jacobi(w0, V, k) == (d_v, d_v), (fn, n, k)
+        assert inv._jacobi_metric(w0, V, g, 0 * W, k) == (d_v, d_v), (fn, n, k)
+        assert inv._jacobi_metric(w0, 0 * V, g, W, k) == (d_w, d_w), (fn, n, k)
+        assert inv._jacobi_metric(w0, V, g, W, k) == (d_v + d_w, d_v + d_w), (fn, n, k)
+
+
 def _jacobi_listing_sha256(seed):
     """sha256 of the "fn n=.. k=.. lhs=.. rhs=.." listing over _bench_jacobi_cases(seed)."""
     lines = []
@@ -991,6 +1057,23 @@ def test_jacobi_functions_keep_their_orders(monkeypatch, name):
     for k in (0, last + 1):
         with pytest.raises(ValueError):
             fn(*args, k)
+
+
+def test_jacobi_refuses_an_over_budget_power_before_the_first_wedge(monkeypatch):
+    # at n = 15 the right side's chain h, ..., h^5 fits and h^6, C(15, 6)^2
+    # entries, does not: the order is refused before the right side's wedges
+    n = 15
+    h0, v = random_bilinear(n, 1), random_bilinear(n, 2)
+    w = random_bilinear(n, 3, "symmetric")
+
+    def started(*_):
+        raise AssertionError("an over-budget order ran a wedge")
+
+    monkeypatch.setattr(dform, "_wedge", started)
+    with pytest.raises(ValueError, match="dense entries, above the limit"):
+        inv.jacobi_derivative(h0, v, 6)
+    with pytest.raises(ValueError, match="dense entries, above the limit"):
+        inv.jacobi_with_metric(h0, v, metric(n), w, 10)
 
 
 # (n, k) -> lhs = rhs of _jacobi and _jacobi_metric on the (3, 3) forms below
