@@ -31,7 +31,7 @@ from .fixtures import (
     suite_fixtures,
 )
 from .identities import ALL_IDENTITY_NAMES, run_suite
-from .invariants import FAMILIES, family_member, family_orders, h_rpq, s_rq
+from .invariants import FAMILIES, _check_square, family_member, family_orders, h_rpq, s_rq
 from .multiindex import MAX_DIM
 from .pfaffian import check_pf_squared, conjecture_to_residual, hyperdet, skew_to_form
 from .tensorio import load_tensor, tensor_to_doc
@@ -292,6 +292,8 @@ def _invariants(obj, args):
     """The report rows of args.family for the (p, q) form obj."""
     family, r, q = args.family, args.r, args.q
     if family in FAMILIES:
+        # checked here too: at an n with no order, `--k all` lists no member
+        _check_square(obj, FAMILIES[family][1])
         if args.k == "all":
             orders = family_orders(family, obj.n)
         else:

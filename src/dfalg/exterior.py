@@ -122,8 +122,10 @@ def wedge_multi(a: MultiForm, b: MultiForm) -> MultiForm:
 
 
 def wedge_multi_power(a: MultiForm, p: int) -> MultiForm:
-    if p < 1:
-        raise ValueError("multiform wedge powers start at 1")
+    if p < 0:
+        raise ValueError("negative wedge power")
+    if p == 0:  # the unit: every slot of degree 0
+        return MultiForm._from_entries(a.n, (0,) * a.r, {((),) * a.r: 1}, a.field)
     out = a
     for _ in range(p - 1):
         out = wedge_multi(out, a)

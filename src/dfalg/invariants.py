@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import scalars
 from .dform import (
@@ -305,57 +305,31 @@ def char_poly_hn(R: DoubleForm) -> CharPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial interpolation
+# exact slopes of sampled polynomials
 
 
-def interpolate(points):
-    """Exact coefficients of the polynomial through (x, y) sample points.
+def interpolate(ys):
+    """Slope at t = 0 of the polynomial p of degree d through (t, ys[t]),
+    t = 0, ..., d.
 
-    Lagrange form over the master polynomial P(x) = prod_j (x - x_j): the
-    basis numerator of node i is P(x)/(x - x_i), one synthetic division,
-    and its denominator is prod_(j != i)(x_i - x_j).  With integer nodes
-    both are Python ints.  Exact scalar samples y_i/den_i are scaled to
-    integer numerators over one common denominator, as in dform's integer
-    lane, so each coefficient is one Fraction.  DoubleForm and float
-    samples take the same weights through scalar multiply and add.
+    Newton's forward-difference formula p'(0) = sum_j (-1)^(j-1) D^j y_0/j,
+    collapsed by the hockey-stick identity: p'(0) is the sum over i >= 1 of
+    (-1)^(i-1) C(d, i)/i (y_i - y_0).  Exact for int and Fraction samples;
+    float and DoubleForm samples take the same weights.
     """
-    pts = list(points)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    master = [1]  # coefficients of P, lowest degree first
-    for xj in xs:
-        master = [0] + master
-        for d in range(len(master) - 1):
-            master[d] -= xj * master[d + 1]
-    basis, dens = [], []
-    for i, xi in enumerate(xs):
-        row = [0] * len(xs)
-        carry = 0
-        for d in range(len(xs), 0, -1):
-            carry = master[d] + xi * carry
-            row[d - 1] = carry
-        basis.append(row)
-        den = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                den *= xi - xj
-        if den == 0:
-            raise ValueError(f"repeated interpolation node x = {xi}")
-        dens.append(den)
-    if all(isinstance(y, (int, Fraction)) for y in ys):
-        weights = [Fraction(y, den) for y, den in zip(ys, dens)]
-        L = lcm(*(wt.denominator for wt in weights))
-        nums = [wt.numerator * (L // wt.denominator) for wt in weights]
-        return [Fraction(sum(num * row[d] for num, row in zip(nums, basis)), L)
-                for d in range(len(xs))]
-    coeffs = []
-    for d in range(len(xs)):
-        acc = None
-        for y, row, den in zip(ys, basis, dens):
-            term = y * Fraction(row[d], den)
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return coeffs
+    d = len(ys) - 1
+    return sum(((ys[i] - ys[0]) * Fraction((-1) ** (i - 1) * comb(d, i), i)
+                for i in range(1, d + 1)), 0 * ys[0])
+
+
+def _sampled(f, x0, dx, d):
+    """(f(x0), the slope at t = 0 of f(x0 + t dx)), f of degree at most d
+    in t.  f(x0) runs in whatever memo is open; the samples at t >= 1 keep
+    and read no memo."""
+    ys = [f(x0)]
+    with _no_memo():
+        ys += [f(x0 + t * dx) for t in range(1, d + 1)]
+    return ys[0], interpolate(ys)
 
 
 # -- Jacobi's formula for (p, p) forms ----------------------------------------
@@ -372,12 +346,13 @@ def _per_c(p, k):
 def _jacobi(w0: DoubleForm, V: DoubleForm, k: int):
     """(d/dt h_(0,pk)(w0 + t V)/c at t = 0, k <h_(p,p(k-1))(w0), V>/c).
 
-    The left side interpolates the degree-k polynomial at t = 0, ..., k,
-    each sample the trace of w(t)^k, which is h_(0,pk)(w(t)) with no metric
-    power and no star.  The chain w, ..., w^k is refused before the first
-    wedge if it is over budget.  The right side and the t = 0 sample share
-    the base point's memo: a caller's power_memo() if one is open, else one
-    of its own.  The samples at t >= 1 keep and read no memo.
+    The left side is the slope of the degree-k polynomial sampled at
+    t = 0, ..., k, each sample the trace of w(t)^k, which is h_(0,pk)(w(t))
+    with no metric power and no star.  The chain w, ..., w^k is refused
+    before the first wedge if it is over budget.  The right side and the
+    t = 0 sample share the base point's memo: a caller's power_memo() if one
+    is open, else one of its own.  The samples at t >= 1 keep and read no
+    memo.
     """
     p = w0.p
     _check_square(V, p)
@@ -385,10 +360,8 @@ def _jacobi(w0: DoubleForm, V: DoubleForm, k: int):
     per_c = _per_c(p, k)
     with _open_memo():
         rhs = inner(h_rpq(w0, p, p, k - 1), V) * (k * per_c)
-        ys = [trace(wedge_power(w0, k)) * per_c]
-    with _no_memo():
-        ys += [trace(wedge_power(w0 + t * V, k)) * per_c for t in range(1, k + 1)]
-    return interpolate(enumerate(ys))[1], rhs
+        _, slope = _sampled(lambda w: trace(wedge_power(w, k)) * per_c, w0, V, k)
+    return slope, rhs
 
 
 def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm, k: int):
@@ -411,22 +384,16 @@ def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm,
     m = n - p * k
     _check_work(n, 1, m, 0, "hodge")  # the chain G, ..., G^m
     per_c = _per_c(p, k)
-
-    def sample(G):
-        return inner(wedge_power(G, m), star) * (per_c / factorial(m))
-
     with _open_memo():
         d_v, rhs = _jacobi(w0, V, k)
         # h_(1,n)/n! of a bilinear form is past the Hodge-star range
         top = t_or_top(w0, k) if p == 1 else h_rpq(w0, 1, p, k) * per_c
         rhs += inner(top - metric(n, w0.field) * (h_rpq(w0, 0, p, k).scalar() * per_c), W)
         star = hodge(wedge_power(w0, k))
-        ys = [sample(g0)]
-    with _no_memo():
-        ys += [sample(g0 + t * W) for t in range(1, m + 1)]
-    ds = [_det_bilinear(g0 + t * W) for t in range(n + 1)]
-    ncoef = interpolate(enumerate(ys)) + [0]  # N is constant when m = 0
-    return d_v + ncoef[1] - ncoef[0] * interpolate(enumerate(ds))[1], rhs
+        N0, dN = _sampled(lambda G: inner(wedge_power(G, m), star) * (per_c / factorial(m)),
+                          g0, W, m)
+    _, ddet = _sampled(_det_bilinear, g0, W, n)
+    return d_v + dN - N0 * ddet, rhs
 
 
 def _metric_scalar(w: DoubleForm, G: DoubleForm, k: int):

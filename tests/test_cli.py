@@ -363,6 +363,23 @@ def test_invariants_T_and_N_start_at_order_1(capsys, family, orders):
     assert [row["k"] for row in json.loads(out)["invariants"]] == orders
 
 
+@pytest.mark.parametrize("form,family", [
+    (random_bilinear(2, 3), "T"), (random_bilinear(2, 3), "N"),
+    (DoubleForm.zeros(0, 2, 2), "t")], ids=["T-n2", "N-n2", "t-n0"])
+def test_invariants_of_a_family_with_no_order_check_the_bidegree(tmp_path, capsys,
+                                                                  form, family):
+    # the family has no order at this n, and `--k all` still refuses the file
+    path = tmp_path / "w.json"
+    path.write_text(tensor_to_json(form))
+    p = FAMILIES[family][1]
+    for k in ("all", "1"):
+        code, out, err = run_cli(capsys, "invariants", str(path), "--family", family,
+                                 "--k", k)
+        assert code == 2 and out == ""
+        assert err == (f"dfalg: error: expected a ({p}, {p}) form, "
+                       f"got bidegree {form.bidegree}\n")
+
+
 def test_invariants_cofactor_past_n_minus_pq_needs_a_symmetric_form(tmp_path, capsys):
     # past r = n - pq only the contraction series is defined, and it assumes
     # a symmetric form: hrpq refuses a general form as srq does
@@ -867,6 +884,24 @@ def test_pfaffian_four_form_conjecture(tmp_path, capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("field", (scalars.RATIONAL, scalars.FLOAT64))
+@pytest.mark.parametrize("k,r", [(1, 3), (2, 4)])
+def test_pfaffian_of_an_n_0_multiform_file_is_the_empty_product(tmp_path, capsys,
+                                                                 field, k, r):
+    # hyperdet at n = 0 is *(w^0/0!), the empty product 1, as Pf is for an
+    # n = 0 form file
+    values = []
+    for name, obj in (("m0.json", MultiForm.zeros(0, k, r, field)),
+                      ("f0.json", ExteriorForm.zeros(0, 2, field))):
+        path = tmp_path / name
+        path.write_text(tensor_to_json(obj))
+        code, out, err = run_cli(capsys, "pfaffian", str(path))
+        assert code == 0 and err == ""
+        values.append(json.loads(out)["invariants"][0])
+    assert values == [{"family": "hyperdet", "value": values[1]["value"]},
+                      {"family": "pf", "value": "1" if field == scalars.RATIONAL else 1.0}]
+
+
 def test_pfaffian_divisibility_error(tmp_path, capsys):
     f = random_form(5, 2, 13)
     path = tmp_path / "f.json"
@@ -1045,6 +1080,16 @@ def test_reports_validate_against_published_schema(tmp_path, capsys):
     path2.write_text(tensor_to_json(metric(3)))
     _, out, _ = run_cli(capsys, "invariants", str(path2), "--family", "s")
     jsonschema.validate(json.loads(out), schema)
+    # a conjecture record is never asserted: an asserted one is an identity
+    path3 = tmp_path / "f4.json"
+    path3.write_text(tensor_to_json(random_form(4, 4, 12)))
+    _, out, _ = run_cli(capsys, "pfaffian", str(path3))
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert [rec["asserted"] for rec in doc["conjectures"]] == [False]
+    doc["conjectures"][0]["asserted"] = True
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
 
 
 def test_generate_invariants_verify_round_trip(tmp_path, capsys):

@@ -12,6 +12,7 @@ from dfalg.exterior import (
     wedge_form,
     wedge_form_power,
     wedge_multi,
+    wedge_multi_power,
 )
 from dfalg.fixtures import random_form
 from dfalg.multiindex import subsets
@@ -144,6 +145,14 @@ def test_wedge_power_unit():
     assert wedge_form_power(a, 0).coeffs[0] == 1
     assert wedge_form_power(a, 1) == a
     assert wedge_form_power(a, 2) == wedge_form(a, a)
+    m = MultiForm.from_slots([random_form(4, 1, s) for s in (6, 7, 8)])
+    unit = wedge_multi_power(m, 0)
+    assert (unit.n, unit.k, unit.r, unit.entry(((), (), ()))) == (4, 0, 3, 1)
+    assert wedge_multi_power(m, 1) == m
+    assert wedge_multi_power(m, 2) == wedge_multi(m, m)
+    for power in (wedge_form_power, wedge_multi_power):
+        with pytest.raises(ValueError, match="^negative wedge power$"):
+            power(a if power is wedge_form_power else m, -1)
 
 
 def test_shape_validation():

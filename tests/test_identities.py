@@ -420,6 +420,54 @@ def test_each_vanishing_row_fails_one_order_below_its_range(monkeypatch):
     assert failed == set(VANISHING_ROWS)
 
 
+# rows whose records hold one side, which must vanish
+ONE_SIDED_ROWS = VANISHING_ROWS + ("cayley_hamilton", "odd_scalar_identity")
+
+
+def _row_failures(rows):
+    """{(name, family): whether a record failed} for each suite row named in
+    rows, run on every fixture of its family at n = 2..7 with seed 1."""
+    failed = {}
+    for n in range(2, 8):
+        fx = suite_fixtures(n, seed=1)
+        for name, family, check, arg_tuples in idn._suite_table(n):
+            if name not in rows:
+                continue
+            for _, w in getattr(fx, family):
+                with dform.power_memo():
+                    for args in arg_tuples:
+                        bad = not check(w, *args).passed
+                        failed[name, family] = failed.get((name, family), False) or bad
+    return failed
+
+
+def test_each_two_sided_row_fails_with_its_right_side_doubled(monkeypatch):
+    """Mutation: with its right side doubled, each two-sided row fails at
+    least one record of every family it runs on, at some n <= 7.  _record
+    builds every two-sided record but laplace_pp's, which compares three
+    sides; its mutant doubles the side <h_(pq,pq)(w), w^q> on the Hodge path."""
+    record, h_rpq = idn._record, idn.h_rpq
+    seen = set()
+
+    def doubled_rhs(name, params, lhs, rhs, formula, field):
+        seen.add(name)
+        return record(name, params, lhs, 2 * rhs, formula, field)
+
+    def doubled_hodge(w, r, p, q, path="auto"):
+        return h_rpq(w, r, p, q, path) * (2 if path == "hodge" else 1)
+
+    two_sided = [name for name in idn.ALL_IDENTITY_NAMES
+                 if name not in ONE_SIDED_ROWS + ("laplace_pp",)]
+    monkeypatch.setattr(idn, "_record", doubled_rhs)
+    failed = _row_failures(two_sided)
+    assert seen == set(two_sided)
+    monkeypatch.setattr(idn, "h_rpq", doubled_hodge)
+    failed.update(_row_failures(["laplace_pp"]))
+    assert seen == set(two_sided)
+    assert {name for name, _ in failed} == set(two_sided) | {"laplace_pp"}
+    assert [row for row, bad in failed.items() if not bad] == []
+
+
 # -- suite driver ----------------------------------------------------------------------
 
 def test_run_suite_exact_small():
