@@ -64,9 +64,20 @@ def merge_table(n: int, p: int, q: int):
     is odd.  J_j is entry S_j of I's ascending complement, so b = J_j has
     b - S_j members of I below it and p - b + S_j above: the pairs (a in I,
     b in J) with b < a number pq - sum(J) + sum(S).  Needs p + q <= n.
+
+    At p + q = n each row has the one partner J = I^c, built in closed
+    form: complementing reverses lex order, so cols is the reversed range;
+    I|J is [0, n), of rank 0; and with S = (0, ..., q - 1) and sum(J) =
+    n(n - 1)/2 - sum(I), neg is the parity of n(n - 1)/2 + q(q - 1)/2 +
+    pq - sum(I).
     """
     # int8 indices (n <= 64) keep the sorted (rows, cols, p + q) IJ small
     I = np.array(subsets(n, p), dtype=np.int8).reshape(comb(n, p), p)
+    if p + q == n:
+        rows = len(I)
+        odd = (I.sum(axis=1, dtype=np.intp) + n * (n - 1) // 2 + q * (q - 1) // 2 + p * q) % 2
+        return (np.arange(rows - 1, -1, -1, dtype=np.intp).reshape(rows, 1),
+                np.zeros((rows, 1), dtype=np.intp), (odd == 1).reshape(rows, 1))
     free = np.ones((len(I), n), dtype=bool)
     free[np.arange(len(I))[:, None], I] = False
     rest = np.nonzero(free)[1].astype(np.int8).reshape(len(I), n - p)

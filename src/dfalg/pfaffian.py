@@ -7,6 +7,13 @@ invariants through the double-form machinery.  For skew bilinear forms
 Pf^2 = det is a theorem and is asserted; the corresponding relations for
 higher forms are recorded with their exact residuals and ratios but are
 not assumed.
+
+Every top power w^q here (the Pfaffian's, the hyperdeterminant's and the
+(k, k) embedding's h_n) is taken as w^ceil(q/2) ^ w^floor(q/2): the chain
+stops halfway, and the last wedge lands in top degree, where each row of
+its merge table has one partner.  Only the wedge's associativity enters,
+with no commutation sign, so the values are the full chain's for every
+slot shape.
 """
 
 from __future__ import annotations
@@ -18,22 +25,35 @@ from math import comb, factorial, isfinite, prod
 import numpy as np
 
 from .dform import DoubleForm, _eliminate, _form, check_dense, hodge, transpose, \
-    wedge_power
-from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form_power, \
-    wedge_multi_power
+    wedge, wedge_power
+from .exterior import ExteriorForm, MultiForm, hodge_multi, wedge_form, \
+    wedge_form_power, wedge_multi, wedge_multi_power
 from .identities import IdentityResidual, residual_record
 from .multiindex import merge_table
 
 
-def _check_work(n, degs, steps):
-    """Refuse, before anything is built, the wedge chain w, w^2, ...,
-    w^steps of a form with slot degrees degs if one of its dense arrays or
-    gathers has more than dform.MAX_DENSE_ENTRIES entries.
+def _top_power(w, q, power, times):
+    """w^q as y ^ x through the wedge times: x = w^floor(q/2) from one call
+    of power, and y = x, or x ^ w for odd q.  q = 0 gives the unit and q = 1
+    gives w; from q = 2 the last wedge lands in top degree."""
+    x = power(w, q // 2)
+    y = times(x, w) if q % 2 else x
+    return times(y, x) if q > 1 else y
 
-    w^j has C(n, j d) entries per slot; the wedge that makes it gathers at
-    most C(n, (j - 1) d) C(n - (j - 1) d, d) per slot.
+
+def _check_work(n, degs, q):
+    """Refuse, before anything is built, the half chain of _top_power(w, q)
+    for a form with slot degrees degs if one of its dense arrays or gathers
+    has more than dform.MAX_DENSE_ENTRIES entries.
+
+    The half chain builds w, ..., w^ceil(q/2).  w^j has C(n, j d) entries
+    per slot; the wedge that makes it gathers at most C(n, (j - 1) d)
+    C(n - (j - 1) d, d) per slot, and the last one, into top degree, one
+    partner per entry of w^ceil(q/2).  At n = q d both counts are symmetric
+    about the middle of the full chain w, ..., w^q, so the half chain has
+    the full chain's edges.
     """
-    for j in range(1, steps + 1):
+    for j in range(1, (q + 1) // 2 + 1):
         need = prod(comb(n, j * d) for d in degs)
         if j > 1:
             need = max(need, prod(comb(n, (j - 1) * d) * comb(n - (j - 1) * d, d)
@@ -56,7 +76,7 @@ def _pf_steps(form):
 def pf(form: ExteriorForm):
     """Pfaffian *(w^q/q!) of a 2k-form on a space with n = 2kq."""
     q = _pf_steps(form)
-    top = wedge_form_power(form, q)
+    top = _top_power(form, q, wedge_form_power, wedge_form)
     return top.coeffs[0] * Fraction(1, factorial(q))
 
 
@@ -117,7 +137,7 @@ def embed(form: ExteriorForm, r: int):
 
 def _top_steps(n, k, r):
     """hyperdet's argument checks and budget for r slots of degree k:
-    the chain up to w^p, p = n / k, which this returns."""
+    the half chain of w^p, p = n / k, which this returns."""
     if k == 0 or n % k:
         raise ValueError(f"dimension {n} is not a multiple of the slot degree {k}")
     p = n // k
@@ -128,7 +148,7 @@ def _top_steps(n, k, r):
 def hyperdet(mf: MultiForm):
     """Hyperdeterminant *(w^p/p!) of a (k,...,k) multiform with n = pk."""
     p = _top_steps(mf.n, mf.k, mf.r)
-    top = wedge_multi_power(mf, p)
+    top = _top_power(mf, p, wedge_multi_power, wedge_multi)
     starred = hodge_multi(top)
     return starred.coeffs[(0,) * mf.r] * Fraction(1, factorial(p))
 
@@ -194,7 +214,7 @@ def check_pf_squared(form: ExteriorForm, r: int = 2):
             return ConjectureRecord("pf_squared_det", {"n": n, "degree": d},
                                     value * value, _eliminate(w, invert=False)[0],
                                     True, value)
-        rhs = hodge(wedge_power(w, n // k)).scalar()
+        rhs = hodge(_top_power(w, n // k, wedge_power, wedge)).scalar()
         return ConjectureRecord("pf_squared_hn", {"n": n, "degree": d},
                                 value * value, rhs, False, value)
     rhs = hyperdet(embed(form, r))
