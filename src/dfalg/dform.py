@@ -579,7 +579,7 @@ def contract(w: DoubleForm) -> DoubleForm:
 
     Vanishes by convention when p = 0 or q = 0.
     """
-    return _memoized(w, "contract", lambda: _contracted(w, None))
+    return _memoized(w, "contract", lambda: _contracted(w))
 
 
 def contract_iter(w: DoubleForm, r: int) -> DoubleForm:
@@ -592,12 +592,21 @@ def contract_with_metric(w: DoubleForm, G: DoubleForm) -> DoubleForm:
     """Contraction with respect to an arbitrary metric G in place of g.
 
     G is a symmetric invertible (1, 1) form (positive definite in the
-    geometric setting); the inserted indices are paired through the
-    inverse metric from _invert_metric.  G = identity reduces to
-    contract(w).
+    geometric setting).  As c(w) = (-1)^(n(p+q)) *(g *w), the metric
+    contraction is (-1)^(n(p+q)) *(G^-1 *w), with G^-1 from
+    _invert_metric: the metric enters through one wedge between two stars.
+    The (p - 1, q - 1) result is refused past the dense budget before G is
+    inverted; it is the zero form when p or q is 0 or past n.  G = identity
+    reduces to contract(w).
     """
     _check_metric(w, G)
-    return _contracted(w, _invert_metric(G))
+    n, (p, q) = w.n, w._degs
+    check_dense(comb(n, max(p - 1, 0)) * comb(n, max(q - 1, 0)))
+    Ginv = _invert_metric(G)
+    if not (1 <= p <= n and 1 <= q <= n):
+        return DoubleForm.zeros(n, max(p - 1, 0), max(q - 1, 0), w.field)
+    out = hodge(wedge(Ginv, hodge(w)))
+    return -out if n * (p + q) % 2 else out
 
 
 def _check_metric(w, G):
@@ -607,52 +616,34 @@ def _check_metric(w, G):
     w._check_compatible(G)
 
 
-def _contracted(w: DoubleForm, Ginv) -> DoubleForm:
-    """c(w), or c_G(w) when Ginv is the inverse metric, through _contract.
-
-    An exact w contracts its numerators, against the lane of Ginv, with
-    the denominators multiplied.
-    """
+def _contracted(w: DoubleForm) -> DoubleForm:
+    """c(w) through _contract; an exact w contracts its numerators over
+    its denominator."""
     n, (p, q), field = w.n, w._degs, w.field
     if p == 0 or q == 0:
         return DoubleForm.zeros(n, max(p - 1, 0), max(q - 1, 0), field)
     num, den, mag = w._lane()
-    if Ginv is None:
-        # each output entry sums at most n terms
-        dtype = _lane_dtype(field, mag * n)
-        res = _contract(n, p, q, _as(num, dtype), None)
-    else:
-        A, den_g, mag_g = Ginv._lane()
-        dtype = _lane_dtype(field, mag * mag_g * n * n, mag, mag_g)
-        res = _contract(n, p, q, _as(num, dtype), _as(A, dtype))
-        den *= den_g
-    return _form(DoubleForm, n, (p - 1, q - 1), field, res, den)
+    # each output entry sums at most n terms
+    dtype = _lane_dtype(field, mag * n)
+    return _form(DoubleForm, n, (p - 1, q - 1), field, _contract(n, p, q, _as(num, dtype)), den)
 
 
-def _contract(n, p, q, m, Ginv):
+def _contract(n, p, q, m):
     """The contraction of the (p, q) array m, p, q >= 1, by one gather.
 
-    out[I, J] = sum over a, b of Ginv[a, b] eps m[{a}|I, {b}|J], eps the
-    product of the two insertion signs; Ginv None is the identity, so only
-    a = b is summed.  An index a already in I has the sentinel rank, which
-    reads the zero row (or column) padded onto m.  Any dtype works.
+    out[I, J] = sum over a of eps m[{a}|I, {a}|J], eps the product of the
+    two insertion signs.  An index a already in I (or J) has the sentinel
+    rank, which reads the zero row (or column) padded onto m.  The gather
+    holds C(n, p-1) C(n, q-1) n entries at once.  Any dtype works.
     """
     rp, negp = insertion_table(n, p)
     rq, negq = insertion_table(n, q)
     pad = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=m.dtype)
     pad[:-1, :-1] = m
-    if Ginv is None:
-        x = pad[rp[:, None, :], rq[None, :, :]]
-        neg = negp[:, None, :] ^ negq[None, :, :]
-        x[neg] = -x[neg]
-        return x.sum(axis=2)
-    x = pad[rp[:, :, None, None], rq[None, None, :, :]]
-    neg = negp[:, :, None, None] ^ negq[None, None, :, :]
+    x = pad[rp[:, None, :], rq[None, :, :]]
+    neg = negp[:, None, :] ^ negq[None, :, :]
     x[neg] = -x[neg]
-    # tensordot over axes (1, 3) and (0, 1), written out: one (I J, a b) by
-    # (a b, 1) product, summed in the same order
-    x = x.transpose(0, 2, 1, 3).reshape(len(rp) * len(rq), n * n)
-    return x.dot(Ginv.reshape(n * n, 1)).reshape(len(rp), len(rq))
+    return x.sum(axis=2)
 
 
 def _invert_metric(G: DoubleForm) -> DoubleForm:

@@ -270,7 +270,12 @@ def check_Nn_minus_1(R: DoubleForm) -> IdentityResidual:
 
 
 def check_scalar_identity(R: DoubleForm) -> IdentityResidual:
-    """Scalar vanishing in odd dimension built from the last three contractions."""
+    """Scalar vanishing in odd dimension built from the last three contractions.
+
+    Its value is <h_(2,n-1)(R), R>, read off the same cached h_(2,n-1)(R)
+    that second_cofactor_top_odd asserts is zero, so it fails only where
+    that row fails and no mutant of its own can fail it alone.
+    """
     n = R.n
     if n % 2 == 0 or n < 3:
         raise ValueError("the scalar identity needs odd dimension n >= 3")

@@ -26,7 +26,6 @@ from . import scalars
 from .dform import (
     DoubleForm,
     _check_metric,
-    _contracted,
     _eliminate,
     _invert_metric,
     _memoized,
@@ -398,21 +397,19 @@ def _jacobi_metric(w0: DoubleForm, V: DoubleForm, g0: DoubleForm, W: DoubleForm,
 
 def _metric_scalar(w: DoubleForm, G: DoubleForm, k: int):
     """h_(0,pk)(w)/c in the metric G: the full G-contraction of w^k over
-    (pk)! c, with G inverted once.  Refused before the first wedge: k < 0,
-    pk > n, and a contraction through G^-1 to a degree d < pk that gathers
-    C(n, d)^2 n^2 entries past the budget; as C(n, d + 1) <= n C(n, d),
-    that bounds every array of the chain w, ..., w^k and its contractions."""
+    (pk)! c.  That contraction of a (d, d) form X is the pairing
+    <X, (G^-1)^d>, so this is <w^k, (G^-1)^(pk)>/((pk)! c), with G inverted
+    once.  Refused before G is inverted or any wedge runs: k < 0, pk > n,
+    and a chain w, ..., w^k or G^-1, ..., (G^-1)^(pk) past the budget."""
     _check_metric(w, G)
     n, p = w.n, w.p
     pk = p * k
     if k < 0 or pk > n:
         raise ValueError(f"order k = {k} out of range: need k >= 0 and pk <= {n}")
-    check_dense(max((comb(n, d) for d in range(pk)), default=0) ** 2 * n * n)
-    x = wedge_power(w, k)
-    Ginv = _invert_metric(G) if x.p else None
-    for _ in range(x.p):
-        x = _contracted(x, Ginv)
-    return (x * (_per_c(p, k) / factorial(pk))).scalar()
+    # the chain G^-1, ..., (G^-1)^(pk) holds every degree of w, ..., w^k
+    _check_work(n, 1, pk, 0, "hodge")
+    Ginv = _invert_metric(G)
+    return inner(wedge_power(w, k), wedge_power(Ginv, pk)) * (_per_c(p, k) / factorial(pk))
 
 
 def _det_bilinear(G: DoubleForm):

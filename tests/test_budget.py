@@ -2,8 +2,8 @@
 
 Every refusal past `dform.MAX_DENSE_ENTRIES` works out a cost first: the
 tensor header's array, the `form` and `bianchi` generators' arrays and
-work, an (r, pq) cofactor's chain, the metric scalars' chains and
-gathers, the metric Jacobi identities' chain of G, and the Pfaffian,
+work, an (r, pq) cofactor's chain, the metric scalars' two chains, a
+metric contraction's result, the metric Jacobi identities' chain of G, and the Pfaffian,
 embedding and hyperdeterminant chains and gathers.  Each `ref_*` below
 writes one of those formulas out again, so that a change to a formula or
 to the limit moves an edge and fails here.  For each, the test finds the
@@ -190,21 +190,57 @@ def test_s_k_edge_in_n(no_chains):
 # -- metric scalars and the metric Jacobi identities ---------------------------
 
 def ref_metric_scalar(n, p, k):
-    # the gather of each contraction through G^-1 to degree d < pk, which
-    # outgrows every (d, d) array of the chain w, ..., w^k and its contractions
-    pk = p * k
-    gathers = max(comb(n, d) ** 2 * n * n for d in range(pk))
-    assert max(comb(n, d) for d in range(pk + 1)) ** 2 <= gathers
-    return gathers
+    # the chains w, ..., w^k and G^-1, ..., (G^-1)^(pk) of the pairing
+    # <w^k, (G^-1)^(pk)>; the second holds every degree of the first
+    return max(ref_h_rpq(n, p, k, 0, "hodge"), ref_h_rpq(n, 1, p * k, 0, "hodge"))
 
 
-@pytest.mark.parametrize("p,k,expected", [(1, 3, 20), (1, 6, 10), (2, 2, 13)])
+@pytest.mark.parametrize("p,k,expected", [(1, 3, 30), (1, 6, 14), (2, 2, 19)])
 def test_metric_scalar_edge(monkeypatch, p, k, expected):
     monkeypatch.setattr(invariants, "wedge_power", accept)
     scalar = invariants.s_k_metric if p == 1 else invariants.h_2k_metric
     edge = assert_edge(lambda n: ref_metric_scalar(n, p, k), p * k, 40,
                        lambda n: scalar(DoubleForm.zeros(n, p, p), dform.metric(n), k))
     assert edge == expected
+
+
+def test_metric_scalars_cover_the_metric_jacobi_domain(monkeypatch):
+    # s_k_metric and h_2k_metric are the second side of metric Jacobi
+    # (test_invariants): every (n, p, k) the identity accepts, they accept
+    cases = []
+    for n in range(2, 17):
+        h0, R0 = fixtures.random_bilinear(n, 1), fixtures.random_bianchi(n, 2, 1, 2)
+        g, w = dform.metric(n), fixtures.random_bilinear(n, 3, "symmetric")
+        cases += [(invariants.jacobi_with_metric, invariants.s_k_metric, h0, g, w, k)
+                  for k in range(1, n + 1)]
+        cases += [(invariants.jacobi_double_form_with_metric, invariants.h_2k_metric,
+                   R0, g, w, k) for k in range(1, (n - 1) // 2 + 1)]
+    # s_1 builds no wedge: its first step after the checks is the pairing
+    monkeypatch.setattr(dform, "_wedge", accept)
+    monkeypatch.setattr(invariants, "inner", accept)
+    domain = 0
+    for jacobi, scalar, w0, g, w, k in cases:
+        if accepted(lambda: jacobi(w0, w0, g, w, k)):
+            domain += 1
+            assert accepted(lambda: scalar(w0, g, k)), (jacobi.__name__, w0.n, k)
+    assert domain == sum(n + (n - 1) // 2 for n in range(2, 15))  # every order to n = 14
+
+
+def ref_contract_with_metric(n, p, q):
+    # the (p - 1, q - 1) result; the wedge that makes it is chunked
+    return comb(n, max(p - 1, 0)) * comb(n, max(q - 1, 0))
+
+
+def test_contract_with_metric_edge(monkeypatch):
+    # a (n, n - 3) form has C(n, 3) entries and its contraction n C(n, 4):
+    # the first refusal is at n = 54, with an input of 24804 entries
+    monkeypatch.setattr(dform, "_invert_metric", accept)
+
+    def call(n):
+        dform.contract_with_metric(DoubleForm.zeros(n, n, n - 3), dform.metric(n))
+
+    edge = assert_edge(lambda n: ref_contract_with_metric(n, n, n - 3), 4, MAX_DIM, call)
+    assert edge == 53
 
 
 def ref_metric_jacobi(n, p, k):

@@ -441,6 +441,49 @@ def _row_failures(rows):
     return failed
 
 
+def test_cayley_hamilton_fails_one_order_below(monkeypatch):
+    """Mutation: cayley_hamilton under the vanishing rows' rule, one order
+    below, t_(n-1)(h) in place of t_n(h), fails on a bilinear fixture at
+    some n <= 7."""
+    t_or_top = idn.t_or_top
+    monkeypatch.setattr(idn, "t_or_top", lambda h, k: t_or_top(h, k - 1))
+    assert _row_failures(["cayley_hamilton"]) == {("cayley_hamilton", "bilinear"): True}
+
+
+# one-sided rows that no mutant covers, and why
+UNMUTATED_ROWS = {
+    "odd_scalar_identity": "its value is <h_(2,n-1)(R), R>, and second_cofactor_top_odd "
+                           "asserts that very h_(2,n-1)(R) is zero",
+}
+
+
+def test_every_one_sided_row_has_a_mutant_or_a_reason():
+    mutated = set(VANISHING_ROWS) | {"cayley_hamilton"}
+    assert mutated.isdisjoint(UNMUTATED_ROWS)
+    assert mutated | set(UNMUTATED_ROWS) == set(ONE_SIDED_ROWS)
+
+
+def test_odd_scalar_identity_reads_the_form_second_cofactor_top_odd_vanishes(monkeypatch):
+    # inside one fixture memo both rows read one cached h_(2,n-1)(R), so
+    # the scalar row fails only where the tensor row fails
+    read = []
+    h_rpq = idn.h_rpq
+
+    def spy(w, r, p, q, path="auto"):
+        read.append(h_rpq(w, r, p, q, path))
+        return read[-1]
+
+    monkeypatch.setattr(idn, "h_rpq", spy)
+    for n in (3, 5, 7):
+        for _, R in suite_fixtures(n, seed=1).bianchi2:
+            read.clear()
+            with dform.power_memo():
+                assert idn.check_Nn_minus_1(R).exact_zero
+                value = idn.check_scalar_identity(R).residual
+            assert len(read) == 2 and read[0] is read[1]
+            assert read[0].bidegree == (2, 2) and value == abs(inner(read[0], R)) == 0
+
+
 def test_each_two_sided_row_fails_with_its_right_side_doubled(monkeypatch):
     """Mutation: with its right side doubled, each two-sided row fails at
     least one record of every family it runs on, at some n <= 7.  _record
@@ -601,9 +644,9 @@ def test_exact_suite_runs_few_contraction_kernels(monkeypatch):
     runs = []
     contracted = dform._contracted
 
-    def counting(w, Ginv):
+    def counting(w):
         runs.append(w)
-        return contracted(w, Ginv)
+        return contracted(w)
 
     monkeypatch.setattr(dform, "_contracted", counting)
     idn.run_suite([suite_fixtures(n, 1) for n in range(2, 7)])
@@ -647,9 +690,9 @@ def test_exact_suite_checks_each_cofactor_once(monkeypatch):
             return build()
         return memoized(w, key, counted)
 
-    def counting_contract(w, Ginv):
+    def counting_contract(w):
         runs["contract"] += 1
-        return contracted(w, Ginv)
+        return contracted(w)
 
     monkeypatch.setattr(inv, "_check_work", counting_check)
     monkeypatch.setattr(inv, "_memoized", counting_memo)

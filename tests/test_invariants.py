@@ -797,7 +797,7 @@ def test_jacobi_metric_kernel_counts(monkeypatch):
     # star of w0^k, built once; no metric is inverted or contracted, and
     # det G runs no kernel
     cases = _bench_jacobi_cases(1)
-    runs = {"wedge": 0, "star": 0, "metric contract": 0, "invert": 0}
+    runs = {"wedge": 0, "star": 0, "contract": 0, "invert": 0}
 
     def counted(kind, fn, when=lambda *args: True):
         def wrapper(*args):
@@ -807,8 +807,7 @@ def test_jacobi_metric_kernel_counts(monkeypatch):
 
     monkeypatch.setattr(dform, "_wedge", counted("wedge", dform._wedge))
     monkeypatch.setattr(dform, "_star", counted("star", dform._star))
-    monkeypatch.setattr(dform, "_contract", counted(
-        "metric contract", dform._contract, lambda n, p, q, m, Ginv: Ginv is not None))
+    monkeypatch.setattr(dform, "_contract", counted("contract", dform._contract))
     invert = counted("invert", dform._invert_metric)
     monkeypatch.setattr(dform, "_invert_metric", invert)
     monkeypatch.setattr(inv, "_invert_metric", invert)
@@ -825,13 +824,13 @@ def test_jacobi_metric_kernel_counts(monkeypatch):
         getattr(inv, fn)(*args)
     assert runs["wedge"] == 566
     assert runs["star"] == 89
-    assert runs["metric contract"] == 0
+    assert runs["contract"] == 0
     assert runs["invert"] == 0
 
 
 def test_metric_jacobi_matches_the_contraction_path_on_the_bench_cases():
-    # the reference loop samples s_k_metric or h_2k_metric, the G^-1
-    # contraction path, times det(G)^(pk), a polynomial of degree
+    # the reference loop samples s_k_metric or h_2k_metric, the pairing
+    # with a power of G^-1, times det(G)^(pk), a polynomial of degree
     # pk(n - 1) + k with no minor theorem needed
     metric_cases = [case for case in _bench_jacobi_cases(1) if "metric" in case[0]]
     assert len(metric_cases) == 26
@@ -1201,7 +1200,10 @@ def test_metric_invariants_invert_the_metric_once(monkeypatch, n, field):
         got = fn(w, G, k)
         assert len(inversions) == 1, (fn.__name__, k)
         want = _loop_metric_contraction(wedge_power(w, k), G, weight)
-        assert got == want  # the same inverse and contractions, float too
+        if field == scalars.RATIONAL:
+            assert got == want
+        else:  # a pairing sums in another order than pk contractions
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (fn.__name__, k)
 
 
 def test_contraction_path_walks_one_chain_per_power(monkeypatch):
@@ -1210,9 +1212,9 @@ def test_contraction_path_walks_one_chain_per_power(monkeypatch):
     runs = []
     contracted = dform._contracted
 
-    def counting(w, Ginv):
+    def counting(w):
         runs.append(w.bidegree)
-        return contracted(w, Ginv)
+        return contracted(w)
 
     monkeypatch.setattr(dform, "_contracted", counting)
     R = random_bianchi(6, 2, 2, seed=150)

@@ -930,51 +930,6 @@ def test_contract_with_metric_matches_loop(n, field):
                     assert_same(new.mat, ref.mat, field)
 
 
-def ref_contract_tensordot(n, p, q, m, Ginv):
-    """dform._contract as it was, pairing the inserted indices through
-    np.tensordot."""
-    rp, negp = insertion_table(n, p)
-    rq, negq = insertion_table(n, q)
-    pad = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=m.dtype)
-    pad[:-1, :-1] = m
-    if Ginv is None:
-        x = pad[rp[:, None, :], rq[None, :, :]]
-        neg = negp[:, None, :] ^ negq[None, :, :]
-        x[neg] = -x[neg]
-        return x.sum(axis=2)
-    x = pad[rp[:, :, None, None], rq[None, None, :, :]]
-    neg = negp[:, :, None, None] ^ negq[None, None, :, :]
-    x[neg] = -x[neg]
-    return np.tensordot(x, Ginv, axes=([1, 3], [0, 1]))
-
-
-@pytest.mark.parametrize("lane", ["int64", "object", "float"])
-def test_metric_contraction_dot_matches_tensordot(monkeypatch, lane):
-    # bit for bit, against the inverse of a metric and against a
-    # non-symmetric (1, 1) form, which tells the pairing (a, b) from (b, a)
-    field = scalars.FLOAT64 if lane == "float" else scalars.RATIONAL
-    if lane == "object":
-        monkeypatch.setattr(dform, "LANE_BOUND", 0)
-    cases = []
-    for n in range(1, 8):
-        metrics = metric_inputs(n, field)
-        skew = DoubleForm(n, 1, 1, fill(scalars.zeros((n, n), field), 90 + n), field)
-        assert not np.array_equal(skew.mat, skew.mat.T) or n == 1
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                shape = (comb(n, p), comb(n, q))
-                w = DoubleForm(n, p, q, fill(scalars.zeros(shape, field), 7 * p + q), field)
-                G = metrics[(p + q) % len(metrics)]
-                cases += [(w, _invert_metric(G)), (w, skew)]
-    new = [dform._contracted(w, A) for w, A in cases]
-    monkeypatch.setattr(dform, "_contract", ref_contract_tensordot)
-    ref = [dform._contracted(w, A) for w, A in cases]
-    want = np.int64 if lane == "int64" else np.float64 if lane == "float" else object
-    assert all(x._lane()[0].dtype == want for x in new)
-    for (w, A), x, y in zip(cases, new, ref):
-        assert same_bits(x, y), (w.bidegree, w.n)
-
-
 @pytest.mark.parametrize("field", FIELDS)
 def test_invert_metric_matches_gauss_jordan(field):
     for n in range(0, 9):
