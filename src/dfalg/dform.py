@@ -461,38 +461,100 @@ def _wedge(n, a, da, b, db, out):
     products in the order a's walk would: float sums are bit-identical
     whichever factor drives.  The nonzeros are taken in chunks whose
     gather has at most WEDGE_CHUNK entries (at least one nonzero each), in
-    walk order, so the sums also run as one gather would.  Any dtype
-    works: int64 or object numerators of the integer lane, or float64.
+    walk order, so the sums also run as one gather would.  Each chunk reads
+    its rows of the driver's gather table, _wedge_table, or combines them
+    with _gather_rows past WEDGE_TABLE_LIMIT.  Any dtype works: int64 or
+    object numerators of the integer lane, or float64.
     """
-    r = len(da)
     per_a = prod(map(comb, [n - x for x in da], db))
     per_b = prod(map(comb, [n - y for y in db], da))
     count_a, count_b = np.count_nonzero(a), np.count_nonzero(b)
     if (count_b * per_b, count_b) < (count_a * per_a, count_a):
         a, da, b, db, per = b, db, a, da, per_b
-        nz = tuple(ix[::-1] for ix in np.nonzero(a))
+        rows = a.reshape(-1).nonzero()[0][::-1]
         odd = sum(map(mul, da, db)) % 2 == 1
     else:
-        nz, per, odd = np.nonzero(a), per_a, False
-    tables = [merge_table(n, x, y) for x, y in zip(da, db)]
+        rows, per, odd = a.reshape(-1).nonzero()[0], per_a, False
+    table = _wedge_table(n, da, db)
+    shape, a, b, out = a.shape, a.reshape(-1), b.reshape(-1), out.reshape(-1)
     step = max(1, WEDGE_CHUNK // per)
-    for lo in range(0, len(nz[0]), step):
-        part = tuple(ix[lo:lo + step] for ix in nz)
-        src = tgt = 0
-        neg = odd
-        for s, (cols, targets, negs) in enumerate(tables):
-            shape = [len(part[s])] + [1] * r
-            shape[s + 1] = cols.shape[1]
-            src = src * b.shape[s] + cols[part[s]].reshape(shape)
-            tgt = tgt * out.shape[s] + targets[part[s]].reshape(shape)
-            neg = neg ^ negs[part[s]].reshape(shape)
-        vals = b.reshape(-1)[src]
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        if table is None:
+            src, tgt, neg = _gather_rows(n, da, db, np.unravel_index(part, shape))
+        else:
+            src, tgt, neg = table[0][part], table[1][part], table[2][part]
+        vals = b[src]
         keep = vals != 0
-        terms = np.broadcast_to(a[part].reshape((-1,) + (1,) * r), vals.shape)[keep] \
-            * vals[keep]
+        terms = a[part].repeat(keep.sum(axis=1)) * vals[keep]
         flip = neg[keep]
-        terms[flip] = -terms[flip]
-        np.add.at(out.reshape(-1), tgt[keep], terms)
+        np.negative(terms, out=terms, where=~flip if odd else flip)
+        np.add.at(out, tgt[keep], terms)
+        # free this chunk's arrays before the next chunk's are gathered
+        del src, tgt, neg, vals, keep, terms, flip
+
+
+# The most entries, driver positions times partners, of a multi-slot gather
+# table that _wedge_table keeps: 72 KiB with int32 indices and a bool sign.
+# Combining a chunk's rows costs about 16 us a call plus about 3 ns an
+# entry, equal near 2^12 entries; past that a kept table buys bandwidth
+# with memory.  One power of two above it keeps every two-slot table at
+# n <= 6, at most 90^2 entries (BENCH_wedge_table.json).
+WEDGE_TABLE_LIMIT = 1 << 13
+
+# (n, driver slot degrees, partner slot degrees) -> _wedge_table's value,
+# for two slots or more
+_WEDGE_TABLES = {}
+
+
+def _wedge_table(n, da, db):
+    """The gather table of a driver of slot degrees da against db, or None.
+
+    (src, tgt, neg) of shape (prod C(n, da_s), prod C(n - da_s, db_s)): row
+    i is the driver's flat position i, and each column one partner, with
+    the flat indices into the partner and the output and the merge sign,
+    as _gather_rows gives them.  A one-slot table is merge_table's own.  A
+    multi-slot table is built over every position and kept, with int32
+    indices, while it has at most WEDGE_TABLE_LIMIT entries; a larger one
+    is None, and the kernel combines each chunk's rows instead.
+    """
+    if len(da) == 1:
+        return merge_table(n, da[0], db[0])
+    key = (n, da, db)
+    try:
+        return _WEDGE_TABLES[key]
+    except KeyError:
+        pass
+    if prod(comb(n, x) * comb(n - x, y) for x, y in zip(da, db)) <= WEDGE_TABLE_LIMIT:
+        shape = _shape(n, da)
+        src, tgt, neg = _gather_rows(n, da, db, np.unravel_index(np.arange(prod(shape)), shape))
+        table = src.astype(np.int32), tgt.astype(np.int32), neg
+    else:
+        table = None
+    _WEDGE_TABLES[key] = table
+    return table
+
+
+def _gather_rows(n, da, db, part):
+    """(src, tgt, neg) of the driver positions part, one index array per
+    slot, each of shape (positions, partners).
+
+    A position I meets the partners J disjoint from I slot by slot, in
+    row-major order over the slots' merge_tables: src is the flat index of
+    J into the partner, tgt that of I|J into the output, and neg whether an
+    odd number of slot merges are odd.
+    """
+    r = len(da)
+    src = tgt = 0
+    neg = False
+    for s, (x, y) in enumerate(zip(da, db)):
+        cols, targets, negs = merge_table(n, x, y)
+        shape = [len(part[s])] + [1] * r
+        shape[s + 1] = cols.shape[1]
+        src = src * comb(n, y) + cols[part[s]].reshape(shape)
+        tgt = tgt * comb(n, x + y) + targets[part[s]].reshape(shape)
+        neg = neg ^ negs[part[s]].reshape(shape)
+    return tuple(t.reshape(len(part[0]), -1) for t in (src, tgt, neg))
 
 
 def wedge_power(w: DoubleForm, k: int) -> DoubleForm:
@@ -629,21 +691,27 @@ def _contracted(w: DoubleForm) -> DoubleForm:
 
 
 def _contract(n, p, q, m):
-    """The contraction of the (p, q) array m, p, q >= 1, by one gather.
+    """The contraction of the (p, q) array m, p, q >= 1, by a gather.
 
     out[I, J] = sum over a of eps m[{a}|I, {a}|J], eps the product of the
     two insertion signs.  An index a already in I (or J) has the sentinel
-    rank, which reads the zero row (or column) padded onto m.  The gather
-    holds C(n, p-1) C(n, q-1) n entries at once.  Any dtype works.
+    rank, which reads the zero row (or column) padded onto m.  The output
+    rows are taken in chunks whose gather, C(n, q-1) n entries a row, has
+    at most WEDGE_CHUNK entries (at least one row each); each entry sums
+    its n terms as one gather would.  Any dtype works.
     """
     rp, negp = insertion_table(n, p)
     rq, negq = insertion_table(n, q)
     pad = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=m.dtype)
     pad[:-1, :-1] = m
-    x = pad[rp[:, None, :], rq[None, :, :]]
-    neg = negp[:, None, :] ^ negq[None, :, :]
-    x[neg] = -x[neg]
-    return x.sum(axis=2)
+    out = np.empty((len(rp), len(rq)), dtype=m.dtype)
+    step = max(1, WEDGE_CHUNK // max(rq.size, 1))
+    for lo in range(0, len(rp), step):
+        x = pad[rp[lo:lo + step, None, :], rq[None, :, :]]
+        neg = negp[lo:lo + step, None, :] ^ negq[None, :, :]
+        x[neg] = -x[neg]
+        out[lo:lo + step] = x.sum(axis=2)
+    return out
 
 
 def _invert_metric(G: DoubleForm) -> DoubleForm:

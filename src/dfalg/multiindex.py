@@ -71,13 +71,13 @@ def merge_table(n: int, p: int, q: int):
     n(n - 1)/2 - sum(I), neg is the parity of n(n - 1)/2 + q(q - 1)/2 +
     pq - sum(I).
     """
-    # int8 indices (n <= 64) keep the sorted (rows, cols, p + q) IJ small
-    I = np.array(subsets(n, p), dtype=np.int8).reshape(comb(n, p), p)
     if p + q == n:
-        rows = len(I)
-        odd = (I.sum(axis=1, dtype=np.intp) + n * (n - 1) // 2 + q * (q - 1) // 2 + p * q) % 2
+        rows = comb(n, p)
+        odd = (_subset_sums(n, p) + n * (n - 1) // 2 + q * (q - 1) // 2 + p * q) % 2
         return (np.arange(rows - 1, -1, -1, dtype=np.intp).reshape(rows, 1),
                 np.zeros((rows, 1), dtype=np.intp), (odd == 1).reshape(rows, 1))
+    # int8 indices (n <= 64) keep the sorted (rows, cols, p + q) IJ small
+    I = np.array(subsets(n, p), dtype=np.int8).reshape(comb(n, p), p)
     free = np.ones((len(I), n), dtype=bool)
     free[np.arange(len(I))[:, None], I] = False
     rest = np.nonzero(free)[1].astype(np.int8).reshape(len(I), n - p)
@@ -87,6 +87,24 @@ def merge_table(n: int, p: int, q: int):
     IJ.sort(axis=2)
     neg = (J.sum(axis=2, dtype=np.intp) + S.sum(axis=1) + p * q) % 2 == 1
     return _lex_ranks(J, n), _lex_ranks(IJ, n), neg
+
+
+def _subset_sums(n, p):
+    """sum(I) over the p-subsets I of [0, n) in lex order, as int16 (at
+    most 2016 for n <= 64).
+
+    The k-subsets of [0, m) in lex order are 0 joined to the (k - 1)-subsets
+    of [1, m), then the k-subsets of [1, m); shifting [0, m - 1) to [1, m)
+    adds one to each member.  So sums[k] over [0, m) is sums[k - 1] over
+    [0, m - 1) plus k - 1, then sums[k] over [0, m - 1) plus k, built up
+    from m = 0 with only the k that reach p by m = n.
+    """
+    empty = np.zeros(0, dtype=np.int16)
+    sums = {0: np.zeros(1, dtype=np.int16)}
+    for m in range(1, n + 1):
+        sums = {k: np.concatenate([sums.get(k - 1, empty) + (k - 1), sums.get(k, empty) + k])
+                for k in range(max(0, p - n + m), min(m, p) + 1)}
+    return sums[p]
 
 
 def _lex_ranks(K, n):

@@ -204,6 +204,17 @@ def test_one_partner_merge_table_matches_the_general_build(n):
             assert np.array_equal(new, ref), (n, p)
 
 
+@pytest.mark.parametrize("n", [*range(15), 24])
+def test_a_cold_one_partner_merge_table_builds_no_subsets(n):
+    # subsets(24, 12) is a 371 MiB tuple of tuples, and lru_cache keeps it
+    for p in range(n + 1):
+        before = subsets.cache_info()
+        merge_table.__wrapped__(n, p, n - p)
+        after = subsets.cache_info()
+        assert (after.hits, after.misses, after.currsize) == \
+            (before.hits, before.misses, before.currsize), (n, p)
+
+
 @pytest.mark.parametrize("n", range(15))
 def test_complement_table_matches_the_oracle(n):
     for k in range(n + 1):

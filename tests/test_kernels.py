@@ -22,6 +22,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from dfalg import dform, fixtures, oracle, pfaffian, scalars
 from dfalg.dform import (
@@ -661,13 +662,18 @@ def test_chunked_wedge_matches_one_gather(monkeypatch, lane):
     if lane == "object":
         monkeypatch.setattr(dform, "LANE_BOUND", 0)
     chunks = []
-    broadcast_to = np.broadcast_to
+    table_of = dform._wedge_table
 
-    def counting(*args, **kwargs):  # the kernel broadcasts once per chunk
-        chunks.append(1)
-        return broadcast_to(*args, **kwargs)
+    class Rows(np.ndarray):  # the kernel reads each chunk's rows of src once
+        def __getitem__(self, rows):
+            chunks.append(1)
+            return np.asarray(self)[rows]
 
-    monkeypatch.setattr(np, "broadcast_to", counting)
+    def counting(n, da, db):
+        src, tgt, neg = table_of(n, da, db)
+        return src.view(Rows), tgt, neg
+
+    monkeypatch.setattr(dform, "_wedge_table", counting)
     whole = chunk_wedges(field)  # WEDGE_CHUNK is far above every gather here
     one_gather = len(chunks)
     want = np.int64 if lane == "int64" else np.float64 if lane == "float" else object
@@ -680,6 +686,41 @@ def test_chunked_wedge_matches_one_gather(monkeypatch, lane):
         assert len(split) == len(whole)
         for x, y in zip(split, whole):
             assert same_bits(x, y), (size, x)
+
+
+def contracted_forms(field):
+    """c(w) of the contract_inputs at n = 5, every p, q <= n + 1."""
+    n = 5
+    return [contract(w) for p in range(n + 2) for q in range(n + 2)
+            for w in contract_inputs(n, p, q, 13 * p + q, field)]
+
+
+@pytest.mark.parametrize("lane", ["int64", "object", "float"])
+def test_chunked_contract_matches_one_gather(monkeypatch, lane):
+    field = scalars.FLOAT64 if lane == "float" else scalars.RATIONAL
+    if lane == "object":
+        monkeypatch.setattr(dform, "LANE_BOUND", 0)
+    whole = contracted_forms(field)  # WEDGE_CHUNK is far above every gather here
+    want = np.int64 if lane == "int64" else np.float64 if lane == "float" else object
+    assert any(w._lane()[0].dtype == want for w in whole)
+    for size in (1, 50):
+        monkeypatch.setattr(dform, "WEDGE_CHUNK", size)
+        split = contracted_forms(field)
+        assert len(split) == len(whole)
+        for x, y in zip(split, whole):
+            assert same_bits(x, y), (size, x)
+
+
+def test_chunked_contract_holds_a_bounded_gather(monkeypatch):
+    # a dense (5, 5) form at n = 10: one gather holds C(10, 4)^2 10 = 441000
+    # entries, a chunk of one row 2100
+    n, size = 10, comb(10, 5)
+    w = DoubleForm(n, 5, 5, np.arange(size * size).reshape(size, size) % 7 - 3)
+    whole, whole_peak = traced_peak(contract, w)
+    monkeypatch.setattr(dform, "WEDGE_CHUNK", 1)
+    split, split_peak = traced_peak(contract, w)
+    assert same_bits(split, whole)
+    assert whole_peak > 441000 * 8 and split_peak < whole_peak / 4, (whole_peak, split_peak)
 
 
 # -- single-entry operands ------------------------------------------------------

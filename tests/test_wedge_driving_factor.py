@@ -71,15 +71,15 @@ def same_output(x, y):
 def checked(monkeypatch):
     """Check every _wedge call against the reference; count which factor drove.
 
-    The kernel asks merge_table for (driving, partner) slot degrees, so
-    where they differ the tables it asks for show which factor drove."""
-    kernel = dform._wedge
+    The kernel asks _wedge_table for (driving, partner) slot degrees, so
+    where they differ the table it asks for shows which factor drove."""
+    kernel, table = dform._wedge, dform._wedge_table
     drove = {"first": 0, "second": 0}
     asked = []
 
-    def recording(n, x, y):
-        asked.append((x, y))
-        return merge_table(n, x, y)
+    def recording(n, da, db):
+        asked.append((da, db))
+        return table(n, da, db)
 
     def checking(n, a, da, b, db, out):
         want = np.zeros_like(out)
@@ -89,10 +89,10 @@ def checked(monkeypatch):
         assert same_output(out, want), (n, da, db, out.dtype)
         second = second_drives(n, a, da, b, db)
         if da != db:
-            assert asked == list(zip(db, da) if second else zip(da, db)), (n, da, db)
+            assert asked == [(db, da) if second else (da, db)], (n, da, db)
         drove["second" if second else "first"] += 1
 
-    monkeypatch.setattr(dform, "merge_table", recording)
+    monkeypatch.setattr(dform, "_wedge_table", recording)
     monkeypatch.setattr(dform, "_wedge", checking)
     return drove
 
